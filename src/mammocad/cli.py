@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, apply_assignments, format_config, parse_config
+from .config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from .core import mask_contour, read_pgm, write_pgm, write_ppm_overlay
-from .dataset import ground_truth_mask, load_dataset, parse_info
+from .dataset import combined_ground_truth, load_dataset, parse_info
 from .cnn.network import load_checkpoint, save_checkpoint
 from .cnn.train import score_dataset, stratified_split, train, write_history
 from .metrics import compute_metrics, confusion, dice, roc_auc
@@ -90,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_pipeline_config(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if getattr(args, "config", None):
-        config = parse_config(Path(args.config).read_text(), config)
+    """The config file, then --set, then the dedicated flags; later wins."""
     assignments = []
+    if getattr(args, "config", None):
+        assignments += parse_assignments(Path(args.config).read_text())
     for item in getattr(args, "overrides", []):
         if "=" not in item:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
@@ -109,7 +109,7 @@ def load_pipeline_config(args) -> PipelineConfig:
         assignments.append(("train.epochs", str(args.epochs)))
     if getattr(args, "augment", False):
         assignments.append(("train.augment", "true"))
-    return apply_assignments(config, assignments)
+    return apply_assignments(PipelineConfig(), assignments)
 
 
 def _echo_config(config: PipelineConfig, out_dir: Path):
@@ -197,11 +197,7 @@ def cmd_segment(args) -> int:
         records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
         if not records:
             raise ValueError(f"no annotation for image id {stem!r}")
-        truth = np.zeros(image.shape, dtype=bool)
-        for record in records:
-            if record.center is not None:
-                truth |= ground_truth_mask(record, image.shape)
-        summary["dice"] = dice(result.mask, truth)
+        summary["dice"] = dice(result.mask, combined_ground_truth(records, image.shape))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

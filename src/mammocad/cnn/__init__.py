@@ -1,6 +1,6 @@
 """From-scratch convolutional classifier for normal/abnormal screening."""
 
-from .augment import augment_image, augment_with_params, build_augmented_set
+from .augment import augment_with_params, build_augmented_set
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -12,22 +12,13 @@ from .layers import (
     sgd_step,
     softmax_predict,
 )
-from .network import Network, NetworkConfig, load_checkpoint, save_checkpoint
-from .train import (
-    TrainConfig,
-    extract_features,
-    majority_vote,
-    score_dataset,
-    train,
-    train_ensemble,
-    write_history,
-)
+from .network import CheckpointError, Network, NetworkConfig, load_checkpoint, save_checkpoint
+from .train import TrainConfig, score_dataset, train, write_history
 
 __all__ = [
-    "BatchNorm2d", "Conv2d", "Dense", "Flatten", "MaxPool2d", "ReLU",
+    "BatchNorm2d", "CheckpointError", "Conv2d", "Dense", "Flatten", "MaxPool2d", "ReLU",
     "Network", "NetworkConfig", "TrainConfig",
-    "augment_image", "augment_with_params", "build_augmented_set",
-    "cross_entropy", "extract_features", "load_checkpoint", "majority_vote",
-    "save_checkpoint", "score_dataset", "sgd_step", "softmax_predict",
-    "train", "train_ensemble", "write_history",
+    "augment_with_params", "build_augmented_set",
+    "cross_entropy", "load_checkpoint", "save_checkpoint", "score_dataset",
+    "sgd_step", "softmax_predict", "train", "write_history",
 ]

@@ -25,11 +25,15 @@ def _rotate(image, angle_deg, fill):
                                   mode="constant", cval=fill, prefilter=False), 0.0, 1.0)
 
 
-def _resize_shorter_side(image, target):
-    h, w = image.shape
+def _scaled_shape(shape, scale):
+    return tuple(max(1, round(n * scale)) for n in shape)
+
+
+def _shorter_side_shape(shape, target):
+    h, w = shape
     if h <= w:
-        return resize_bilinear(image, max(target, round(w * target / h)), target)
-    return resize_bilinear(image, target, max(target, round(h * target / w)))
+        return target, max(target, round(w * target / h))
+    return max(target, round(h * target / w)), target
 
 
 def _shift(image, dr, dc):
@@ -47,9 +51,10 @@ def augment_with_params(image, angle_deg, mirror, scale, crop_rc, shift_rc,
     if mirror:
         img = img[:, ::-1]
     if scale != 1.0:
-        h, w = img.shape
-        img = resize_bilinear(img, max(1, round(w * scale)), max(1, round(h * scale)))
-    img = _resize_shorter_side(img, target_size)
+        h, w = _scaled_shape(img.shape, scale)
+        img = resize_bilinear(img, w, h)
+    h, w = _shorter_side_shape(img.shape, target_size)
+    img = resize_bilinear(img, w, h)
     r, c = crop_rc
     if r + target_size > img.shape[0] or c + target_size > img.shape[1]:
         raise ValueError("crop window falls outside the resized image")
@@ -57,29 +62,17 @@ def augment_with_params(image, angle_deg, mirror, scale, crop_rc, shift_rc,
     return _shift(img, *shift_rc)
 
 
-def _draw_variant(img, rng, target_size):
+def _draw_params(shape, rng, target_size):
+    """(mirror, scale, crop_rc, shift_rc) for one variant of a film."""
     mirror = rng.random() < 0.5
     scale = rng.uniform(*SCALE_RANGE)
-    # crop bounds depend on the scaled-and-resized dims; draw after sizing
-    work = img[:, ::-1] if mirror else img
-    h, w = work.shape
-    work = resize_bilinear(work, max(1, round(w * scale)), max(1, round(h * scale)))
-    work = _resize_shorter_side(work, target_size)
-    r = int(rng.integers(0, work.shape[0] - target_size + 1))
-    c = int(rng.integers(0, work.shape[1] - target_size + 1))
-    work = work[r:r + target_size, c:c + target_size]
-    dr = int(rng.integers(-SHIFT_LIMIT, SHIFT_LIMIT + 1))
-    dc = int(rng.integers(-SHIFT_LIMIT, SHIFT_LIMIT + 1))
-    return _shift(work, dr, dc)
-
-
-def augment_image(image, rng, target_size, fill=None):
-    """One random variant of the image; deterministic for a seeded rng."""
-    img = as_gray(image)
-    if fill is None:
-        fill = float(img.mean())
-    angle = float(rng.uniform(0.0, 360.0))
-    return _draw_variant(_rotate(img, angle, fill), rng, target_size)
+    # crop bounds depend on the scaled-and-resized dims
+    h, w = _shorter_side_shape(_scaled_shape(shape, scale), target_size)
+    crop_rc = (int(rng.integers(0, h - target_size + 1)),
+               int(rng.integers(0, w - target_size + 1)))
+    shift_rc = (int(rng.integers(-SHIFT_LIMIT, SHIFT_LIMIT + 1)),
+                int(rng.integers(-SHIFT_LIMIT, SHIFT_LIMIT + 1)))
+    return mirror, scale, crop_rc, shift_rc
 
 
 def build_augmented_set(items, rng, target_size):
@@ -98,5 +91,7 @@ def build_augmented_set(items, rng, target_size):
         for _ in range(4):
             rotated = _rotate(img, float(rng.uniform(0.0, 360.0)), fill)
             for _ in range(4):
-                out.append((_draw_variant(rotated, rng, target_size), label))
+                params = _draw_params(rotated.shape, rng, target_size)
+                out.append((augment_with_params(rotated, 0.0, *params, target_size, fill),
+                            label))
     return out

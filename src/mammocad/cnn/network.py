@@ -10,6 +10,7 @@ works on 64x64 inputs so CPU training stays tractable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -19,6 +20,10 @@ from .layers import BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU, softma
 
 CHECKPOINT_MAGIC = b"MCADNET1"
 CHECKPOINT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """Raised for a malformed, truncated or incomplete checkpoint file."""
 
 
 def _default_layers(channel_scale: int, feature_dim: int, num_classes: int):
@@ -85,7 +90,6 @@ class Network:
         self.config = config
         rng = np.random.default_rng(seed)
         self.layers = []
-        self.feature_layer = None       # index of the penultimate activation
         channels, h, w = 1, config.input_size, config.input_size
         flat = None
         for spec in config.layers:
@@ -111,8 +115,6 @@ class Network:
                     raise ValueError("dense layer before flatten")
                 layer = Dense(flat, spec["out"], rng=rng)
                 flat = spec["out"]
-                if spec["out"] == config.feature_dim:
-                    self.feature_layer = len(self.layers) + 1  # its ReLU
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
             if kind in ("conv", "pool") and (h < 1 or w < 1):
@@ -169,15 +171,6 @@ class Network:
         logits = self.forward(x, train=False)
         return softmax_predict(logits)
 
-    def features(self, image):
-        """Activations of the feature layer for one image."""
-        if self.feature_layer is None:
-            raise ValueError("network has no feature layer")
-        x = np.asarray(image, dtype=np.float64)[None, None]
-        for layer in self.layers[: self.feature_layer + 1]:
-            x = layer.forward(x, train=False)
-        return x[0]
-
 
 def save_checkpoint(network: Network, path) -> None:
     """Versioned binary container with named little-endian float64 tensors."""
@@ -201,33 +194,56 @@ def save_checkpoint(network: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """Rebuild a network from a checkpoint; every parameter and state
+    tensor must appear exactly once, and nothing may follow the last."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != CHECKPOINT_MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
+        raise CheckpointError("not a model checkpoint (bad magic)")
     pos = 8
-    (version,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise CheckpointError(f"checkpoint truncated: needs byte {pos + size}, "
+                                  f"file has {len(data)}")
+        pos += size
+        return data[pos - size:pos]
+
+    def u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    version = u32()
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (desc_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    config = NetworkConfig.from_json(data[pos:pos + desc_len].decode())
-    pos += desc_len
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    network = Network(config)
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos:pos + name_len].decode()
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}Q", data, pos)
-        pos += 8 * rank
-        n_items = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n_items, offset=pos).reshape(shape)
-        pos += 8 * n_items
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    descriptor = take(u32())
+    try:
+        network = Network(NetworkConfig.from_json(descriptor.decode()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"bad network descriptor: {exc}") from exc
+    expected = {name: value.shape for name, value in network.named_params().items()}
+    expected.update((name, value.shape) for name, value in network.named_state().items())
+    seen = set()
+    for _ in range(u32()):
+        try:
+            name = take(u32()).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
+        if name not in expected:
+            raise CheckpointError(f"unknown tensor {name!r}")
+        if name in seen:
+            raise CheckpointError(f"tensor {name!r} appears twice")
+        seen.add(name)
+        rank = u32()
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
+        if shape != expected[name]:
+            raise CheckpointError(f"tensor {name!r} has shape {shape}, "
+                                  f"expected {expected[name]}")
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         network.set_tensor(name, arr.astype(np.float64))
+    missing = sorted(set(expected) - seen)
+    if missing:
+        raise CheckpointError(f"{len(missing)} tensors missing, first {missing[0]!r}")
+    if pos != len(data):
+        raise CheckpointError(f"{len(data) - pos} bytes after the last tensor")
     return network

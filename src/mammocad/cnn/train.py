@@ -31,6 +31,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.batch_size < 2:
+            raise ValueError("batch size must be at least 2 (batch statistics)")
 
 
 def stratified_split(labels, test_fraction, rng):
@@ -129,36 +131,3 @@ def score_dataset(network: Network, items):
     images = [_sized(im, network.config.input_size) for im, _ in items]
     probs, _ = network.predict(images)
     return [(float(p[1]), bool(lab)) for p, (_, lab) in zip(probs, items)]
-
-
-def extract_features(network: Network, image):
-    """Feature-layer activations for one image."""
-    return network.features(_sized(image, network.config.input_size))
-
-
-def train_ensemble(dataset, network_config: NetworkConfig = NetworkConfig(),
-                   train_config: TrainConfig = TrainConfig(), k: int = 1):
-    """Train k models on the same split, seeds offset per member."""
-    if k < 1:
-        raise ValueError("ensemble needs at least one member")
-    members, histories = [], []
-    for member in range(k):
-        cfg = TrainConfig(
-            learning_rate=train_config.learning_rate, epochs=train_config.epochs,
-            batch_size=train_config.batch_size, momentum=train_config.momentum,
-            seed=train_config.seed + member, augment=train_config.augment)
-        network, history = train(dataset, network_config, cfg)
-        members.append(network)
-        histories.append(history)
-    return members, histories
-
-
-def majority_vote(networks, images):
-    """Per-image majority label across members; ties go to label 0."""
-    if not networks:
-        raise ValueError("empty ensemble")
-    votes = np.stack([network.predict(
-        [_sized(im, network.config.input_size) for im in images])[1]
-        for network in networks])
-    counts = votes.sum(axis=0)
-    return (counts * 2 > len(networks)).astype(int)

@@ -2,9 +2,11 @@
 
 The on-disk format is one `section.key = value` assignment per line,
 with '#' comments; every key has a default, so an empty file is valid.
-Values are typed from the dataclass fields they override. The parser
-remembers which keys were set explicitly so the pipeline can keep
-noise-dependent defaults for untouched sections.
+Values are typed from the dataclass fields they override. Values that
+follow from others (the block-match thresholds from the noise level,
+the stage seeds from the master seed, the desk input size) are worked
+out when the assignments are applied, so a config holds exactly the
+values a run uses.
 """
 
 from __future__ import annotations
@@ -41,33 +43,18 @@ class PipelineConfig:
     levelset: LevelSetConfig = LevelSetConfig()
     network: NetworkSection = NetworkSection()
     train: TrainConfig = TrainConfig()
-    touched: frozenset = frozenset()
-
-    def denoise_profile(self) -> Bm3dProfile:
-        """Explicit block-match settings win; otherwise pick by sigma."""
-        if any(key.startswith("denoise.") for key in self.touched):
-            return self.denoise
-        return default_profile(self.pipeline.sigma)
 
     def network_config(self) -> NetworkConfig:
         if self.network.desk:
-            size = self.network.input_size
-            if "network.input_size" not in self.touched:
-                size = 64
-            return NetworkConfig(input_size=size, channel_scale=4)
+            return NetworkConfig(input_size=self.network.input_size,
+                                 channel_scale=NetworkConfig.desk().channel_scale)
         return NetworkConfig(input_size=self.network.input_size)
 
     def sfcm_config(self) -> SfcmConfig:
-        cfg = self.sfcm
-        if "sfcm.seed" not in self.touched:
-            cfg = dataclasses.replace(cfg, seed=self.pipeline.seed)
-        return cfg
+        return self.sfcm
 
     def train_config(self) -> TrainConfig:
-        cfg = self.train
-        if "train.seed" not in self.touched:
-            cfg = dataclasses.replace(cfg, seed=self.pipeline.seed)
-        return cfg
+        return self.train
 
 
 _SECTIONS = ("pipeline", "denoise", "enhance", "sfcm", "levelset", "network", "train")
@@ -89,9 +76,16 @@ def _coerce(current, text: str):
 
 
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
-    """Apply `section.key = value` pairs on top of a config."""
+    """Apply `section.key = value` pairs on top of a config.
+
+    A derived value follows its source when the source is assigned here
+    and the value itself is not: `pipeline.sigma` picks the denoise
+    profile unless a `denoise.*` key is assigned, `pipeline.seed` seeds
+    `sfcm.seed` and `train.seed`, and `network.desk` picks the desk input
+    size unless `network.input_size` is assigned.
+    """
     sections = {name: getattr(config, name) for name in _SECTIONS}
-    touched = set(config.touched)
+    assigned = set()
     for dotted, text in assignments:
         if "." not in dotted:
             raise ValueError(f"expected section.key, got {dotted!r}")
@@ -99,16 +93,28 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
         if section_name not in sections:
             raise ValueError(f"unknown config section {section_name!r}")
         section = sections[section_name]
-        if key not in {f.name for f in dataclasses.fields(section)} or key == "layers":
+        if key not in {f.name for f in dataclasses.fields(section)}:
             raise ValueError(f"unknown config key {dotted!r}")
         value = _coerce(getattr(section, key), text)
         sections[section_name] = dataclasses.replace(section, **{key: value})
-        touched.add(dotted)
-    return PipelineConfig(**sections, touched=frozenset(touched))
+        assigned.add(dotted)
+
+    pipeline, network = sections["pipeline"], sections["network"]
+    if "pipeline.sigma" in assigned and not any(
+            key.startswith("denoise.") for key in assigned):
+        sections["denoise"] = default_profile(pipeline.sigma)
+    if "pipeline.seed" in assigned:
+        for name in ("sfcm", "train"):
+            if f"{name}.seed" not in assigned:
+                sections[name] = dataclasses.replace(sections[name], seed=pipeline.seed)
+    if "network.desk" in assigned and "network.input_size" not in assigned:
+        size = (NetworkConfig.desk() if network.desk else NetworkConfig()).input_size
+        sections["network"] = dataclasses.replace(network, input_size=size)
+    return PipelineConfig(**sections)
 
 
-def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    config = base if base is not None else PipelineConfig()
+def parse_assignments(text: str) -> list[tuple[str, str]]:
+    """The `(section.key, value)` pairs of a config file, in file order."""
     assignments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,16 +124,18 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
             raise ValueError(f"config line {lineno}: expected key = value")
         dotted, value = (part.strip() for part in line.split("=", 1))
         assignments.append((dotted, value))
-    return apply_assignments(config, assignments)
+    return assignments
+
+
+def parse_config(text: str) -> PipelineConfig:
+    return apply_assignments(PipelineConfig(), parse_assignments(text))
 
 
 def format_config(config: PipelineConfig) -> str:
-    """Render every effective value in the on-disk format."""
+    """Render every value in the on-disk format."""
     lines = []
     for name in _SECTIONS:
         section = getattr(config, name)
         for field in dataclasses.fields(section):
-            if field.name == "layers":
-                continue
             lines.append(f"{name}.{field.name} = {getattr(section, field.name)}")
     return "\n".join(lines) + "\n"

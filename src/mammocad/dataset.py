@@ -100,13 +100,12 @@ def ground_truth_mask(record: MiasRecord, dims: tuple[int, int]) -> np.ndarray:
     return (rr - row) ** 2 + (cc - x) ** 2 <= record.radius ** 2
 
 
-def combined_ground_truth(item: LabeledImage) -> np.ndarray:
+def combined_ground_truth(records, dims: tuple[int, int]) -> np.ndarray:
     """Union of the lesion circles of a (possibly multi-lesion) image."""
-    h, w = item.image.shape
-    mask = np.zeros((h, w), dtype=bool)
-    for record in item.records:
+    mask = np.zeros(dims, dtype=bool)
+    for record in records:
         if record.center is not None:
-            mask |= ground_truth_mask(record, (h, w))
+            mask |= ground_truth_mask(record, dims)
     return mask
 
 

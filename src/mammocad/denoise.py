@@ -146,32 +146,50 @@ def _inverse_3d(coeffs: np.ndarray) -> np.ndarray:
     return idctn(coeffs, axes=(1, 2), norm="ortho")
 
 
+def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
+                        shrink) -> np.ndarray:
+    """Group, transform, shrink and aggregate over every reference block.
+
+    Groups are matched on `match_on` and the same coordinates are cut
+    from `image`. `shrink(matched_stack, image_stack)` returns the shrunk
+    3-D coefficients and the group's aggregation weight.
+    """
+    k = profile.k_hard if stage == "hard" else profile.k_wie
+    h, w = image.shape
+    if h < k or w < k:
+        raise ValueError("image smaller than one block")
+    acc = np.zeros_like(image)
+    weights = np.zeros_like(image)
+    for r in _reference_grid(h, k, profile.step):
+        for c in _reference_grid(w, k, profile.step):
+            group = block_match(match_on, (r, c), profile, stage)
+            if image is match_on:
+                stack = group.stack
+            else:
+                stack = np.stack([image[i:i + k, j:j + k] for i, j in group.coordinates])
+            coeffs, weight = shrink(group.stack, stack)
+            estimate = _inverse_3d(coeffs)
+            for (i, j), block in zip(group.coordinates, estimate):
+                acc[i:i + k, j:j + k] += weight * block
+                weights[i:i + k, j:j + k] += weight
+    return np.clip(acc / weights, 0.0, 1.0)
+
+
 def hard_stage(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.ndarray:
     """Hard-threshold pass; sigma is the noise std on the 8-bit scale."""
     if sigma <= 0:
         raise ValueError("noise sigma must be positive")
     img = as_gray(noisy)
     prof = profile if profile is not None else default_profile(sigma)
-    k = prof.k_hard
-    h, w = img.shape
-    if h < k or w < k:
-        raise ValueError("image smaller than one block")
     threshold = prof.lambda_3d * sigma / 255.0
-    acc = np.zeros_like(img)
-    weights = np.zeros_like(img)
-    for r in _reference_grid(h, k, prof.step):
-        for c in _reference_grid(w, k, prof.step):
-            group = block_match(img, (r, c), prof, stage="hard")
-            coeffs = _forward_3d(group.stack)
-            keep = np.abs(coeffs) >= threshold
-            keep[0, 0, 0] = True    # never drop the group's DC component
-            retained = int(keep.sum())
-            estimate = _inverse_3d(np.where(keep, coeffs, 0.0))
-            weight = 1.0 / (1.0 + retained)
-            for (i, j), block in zip(group.coordinates, estimate):
-                acc[i:i + k, j:j + k] += weight * block
-                weights[i:i + k, j:j + k] += weight
-    return np.clip(acc / weights, 0.0, 1.0)
+
+    def shrink(_, stack):
+        coeffs = _forward_3d(stack)
+        keep = np.abs(coeffs) >= threshold
+        keep[0, 0, 0] = True    # never drop the group's DC component
+        return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + int(keep.sum()))
+
+    return _collaborative_pass(img, img, prof, "hard", shrink)
 
 
 def wiener_stage(noisy, basic, sigma: float,
@@ -184,27 +202,14 @@ def wiener_stage(noisy, basic, sigma: float,
     if sigma <= 0:
         raise ValueError("noise sigma must be positive")
     prof = profile if profile is not None else default_profile(sigma)
-    k = prof.k_wie
-    h, w = img.shape
-    if h < k or w < k:
-        raise ValueError("image smaller than one block")
     noise_var = (sigma / 255.0) ** 2
-    acc = np.zeros_like(img)
-    weights = np.zeros_like(img)
-    for r in _reference_grid(h, k, prof.step):
-        for c in _reference_grid(w, k, prof.step):
-            group = block_match(base, (r, c), prof, stage="wiener")
-            noisy_stack = np.stack(
-                [img[i:i + k, j:j + k] for i, j in group.coordinates])
-            basic_coeffs = _forward_3d(group.stack)
-            noisy_coeffs = _forward_3d(noisy_stack)
-            shrink = basic_coeffs ** 2 / (basic_coeffs ** 2 + noise_var)
-            estimate = _inverse_3d(shrink * noisy_coeffs)
-            weight = 1.0 / (1.0 + float((shrink ** 2).sum()))
-            for (i, j), block in zip(group.coordinates, estimate):
-                acc[i:i + k, j:j + k] += weight * block
-                weights[i:i + k, j:j + k] += weight
-    return np.clip(acc / weights, 0.0, 1.0)
+
+    def shrink(basic_stack, noisy_stack):
+        basic_coeffs = _forward_3d(basic_stack)
+        gain = basic_coeffs ** 2 / (basic_coeffs ** 2 + noise_var)
+        return gain * _forward_3d(noisy_stack), 1.0 / (1.0 + float((gain ** 2).sum()))
+
+    return _collaborative_pass(base, img, prof, "wiener", shrink)
 
 
 def bm3d_denoise(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.ndarray:

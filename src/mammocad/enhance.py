@@ -190,14 +190,3 @@ def remove_pectoral(image, config: EnhanceConfig = EnhanceConfig()) -> tuple[np.
         out = out[:, ::-1]
         removed = removed[:, ::-1]
     return out, removed
-
-
-def enhance_chain(image, config: EnhanceConfig = EnhanceConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Median filter, normalize, strip artifacts, then drop the pectoral.
-
-    Returns the enhanced image and the removed-pectoral mask.
-    """
-    img = median_filter(image, config.median_window)
-    img = normalize(img, config.r1, config.r2)
-    img = remove_artifacts(img)
-    return remove_pectoral(img, config)

@@ -39,6 +39,8 @@ class SfcmConfig:
             raise ValueError("fuzziness exponent must exceed 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError("need at least one iteration")
 
 
 def _check_memberships(mu: np.ndarray):

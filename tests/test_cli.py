@@ -118,6 +118,7 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     assert code == 0
     assert model.exists()
     assert model.with_suffix(".history.jsonl").exists()
+    assert "network.input_size = 64\n" in (tmp_path / "config.echo").read_text()
     capsys.readouterr()
 
     image = data / "mdb001.pgm"
@@ -161,3 +162,40 @@ def test_segment_idempotent(phantom_pgm, tmp_path):
     first = (out / "mask.pgm").read_bytes()
     assert main(args) == 0
     assert (out / "mask.pgm").read_bytes() == first
+
+
+def test_segment_reruns_from_its_config_echo(phantom_pgm, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["segment", str(phantom_pgm), "-o", str(first),
+                 "--sigma", "50", "--seed", "7"]) == 0
+    assert main(["segment", str(phantom_pgm), "-o", str(second),
+                 "--config", str(first / "config.echo")]) == 0
+    for name in ("config.echo", "mask.pgm", "membership.pgm", "phi.pgm"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_classify_rejects_a_bad_checkpoint(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    model.write_bytes(model.read_bytes()[:-5])
+    image = tmp_path / "mdb001.pgm"
+    image.write_bytes(write_pgm(np.full((64, 64), 0.5)))
+    assert main(["classify", "--model", str(model), str(image)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "truncated" in captured.err
+
+
+@pytest.mark.parametrize("command, assignment", [
+    ("train", "train.batch_size=1"),
+    ("segment", "sfcm.max_iter=0"),
+])
+def test_configs_that_would_do_nothing_are_rejected(tmp_path, capsys, command, assignment):
+    paths = {"train": ["--data", str(tmp_path), "--info", str(tmp_path / "info.txt"),
+                       "-o", str(tmp_path / "model.bin")],
+             "segment": [str(tmp_path / "x.pgm"), "-o", str(tmp_path / "out")]}
+    assert main([command, *paths[command], "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least" in err

@@ -1,26 +1,25 @@
 import numpy as np
 import pytest
 
-from mammocad.cnn.augment import augment_image, augment_with_params, build_augmented_set
+from mammocad.cnn.augment import augment_with_params, build_augmented_set
 from mammocad.core import resize_bilinear
 
 
 def test_augment_deterministic_per_seed():
     rng_img = np.random.default_rng(0)
-    img = rng_img.random((48, 48))
-    a = augment_image(img, np.random.default_rng(42), 32)
-    b = augment_image(img, np.random.default_rng(42), 32)
-    np.testing.assert_array_equal(a, b)
-    c = augment_image(img, np.random.default_rng(43), 32)
-    assert not np.array_equal(a, c)
+    items = [(rng_img.random((48, 70)), i % 2) for i in range(3)]
+    a = build_augmented_set(items, np.random.default_rng(42), 32)
+    b = build_augmented_set(items, np.random.default_rng(42), 32)
+    assert [(im.tobytes(), lab) for im, lab in a] == [(im.tobytes(), lab) for im, lab in b]
+    c = build_augmented_set(items, np.random.default_rng(43), 32)
+    assert not np.array_equal(a[0][0], c[0][0])
 
 
 def test_augment_output_size():
     rng = np.random.default_rng(1)
-    img = rng.random((80, 50))
-    for _ in range(5):
-        out = augment_image(img, rng, 32)
-        assert out.shape == (32, 32)
+    items = [(rng.random((80, 50)), 0), (rng.random((50, 80)), 1)]
+    out = build_augmented_set(items, rng, 32)
+    assert all(im.shape == (32, 32) for im, _ in out)
 
 
 def test_neutral_params_reduce_to_resize_and_center_crop():

@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mammocad.cnn.network import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointError,
     Network,
     NetworkConfig,
     load_checkpoint,
@@ -55,18 +60,6 @@ def test_predict_probabilities():
     assert set(labels) <= {0, 1}
 
 
-def test_feature_vector_length_and_determinism():
-    net = Network(NetworkConfig.desk(), seed=4)
-    rng = np.random.default_rng(4)
-    img = rng.random((64, 64))
-    f1 = net.features(img)
-    f2 = net.features(img)
-    assert f1.shape == (300,)
-    np.testing.assert_array_equal(f1, f2)
-    other = net.features(rng.random((64, 64)))
-    assert not np.array_equal(f1, other)
-
-
 def test_checkpoint_round_trip(tmp_path):
     net = Network(NetworkConfig.desk(), seed=5)
     # make running stats non-trivial so they are exercised too
@@ -93,5 +86,57 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _checkpoint(tensors):
+    """Checkpoint bytes of the desk network with the given (name, array) list."""
+    descriptor = NetworkConfig.desk().to_json().encode()
+    out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(descriptor)),
+           descriptor, struct.pack("<I", len(tensors))]
+    for name, arr in tensors:
+        out += [struct.pack("<I", len(name)), name.encode(),
+                struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape),
+                np.ascontiguousarray(arr, dtype="<f8").tobytes()]
+    return b"".join(out)
+
+
+@pytest.fixture(scope="module")
+def desk_tensors():
+    net = Network(NetworkConfig.desk(), seed=8)
+    tensors = dict(net.named_params())
+    tensors.update(net.named_state())
+    return sorted(tensors.items())
+
+
+def test_checkpoint_helper_matches_save(tmp_path, desk_tensors):
+    path = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk(), seed=8), path)
+    assert path.read_bytes() == _checkpoint(desk_tensors)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty", "missing"),
+    ("missing", "missing"),
+    ("repeated", "twice"),
+    ("unknown", "unknown tensor"),
+    ("reshaped", "has shape"),
+    ("trailing", "after the last tensor"),
+    ("truncated", "truncated"),
+])
+def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
+    name, arr = desk_tensors[0]
+    data = {
+        "empty": lambda: _checkpoint([]),
+        "missing": lambda: _checkpoint(desk_tensors[1:]),
+        "repeated": lambda: _checkpoint(desk_tensors + [(name, arr)]),
+        "unknown": lambda: _checkpoint(desk_tensors + [("layer99.weight", arr)]),
+        "reshaped": lambda: _checkpoint([(name, arr.reshape(1, -1))] + desk_tensors[1:]),
+        "trailing": lambda: _checkpoint(desk_tensors) + b"\0",
+        "truncated": lambda: _checkpoint(desk_tensors)[:-3],
+    }[case]()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)

@@ -6,12 +6,9 @@ import pytest
 from mammocad.cnn.network import NetworkConfig
 from mammocad.cnn.train import (
     TrainConfig,
-    extract_features,
-    majority_vote,
     score_dataset,
     stratified_split,
     train,
-    train_ensemble,
     write_history,
 )
 
@@ -126,44 +123,3 @@ def test_score_dataset_probability_truth_pairs():
     for prob, truth in scored:
         assert 0.0 <= prob <= 1.0
         assert isinstance(truth, bool)
-
-
-def test_extract_features_shape():
-    items = blob_dataset(n_per_class=4)
-    net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=8, seed=7))
-    feats = extract_features(net, items[0][0])
-    assert feats.shape == (300,)
-
-
-def test_single_member_ensemble_matches_train():
-    items = blob_dataset(n_per_class=4)
-    cfg = TrainConfig(epochs=1, batch_size=8, seed=8)
-    members, histories = train_ensemble(items, NetworkConfig.desk(), cfg, k=1)
-    solo, history = train(items, NetworkConfig.desk(), cfg)
-    assert len(members) == 1 and histories[0] == history
-    for name, tensor in solo.named_params().items():
-        np.testing.assert_array_equal(members[0].named_params()[name], tensor)
-
-
-def test_majority_vote_three_members():
-    items = blob_dataset(n_per_class=5)
-    members, _ = train_ensemble(items, NetworkConfig.desk(),
-                                TrainConfig(epochs=2, batch_size=8, seed=9,
-                                            learning_rate=0.01), k=3)
-    images = [im for im, _ in items]
-    voted = majority_vote(members, images)
-    assert voted.shape == (len(items),)
-    per_member = np.stack([m.predict(images)[1] for m in members])
-    for i, label in enumerate(voted):
-        assert label == int(per_member[:, i].sum() * 2 > 3)
-
-
-def test_majority_vote_tie_breaks_low():
-    items = blob_dataset(n_per_class=3)
-    members, _ = train_ensemble(items, NetworkConfig.desk(),
-                                TrainConfig(epochs=1, batch_size=4, seed=10), k=2)
-    voted = majority_vote(members, [im for im, _ in items])
-    per_member = np.stack([m.predict([im for im, _ in items])[1] for m in members])
-    ties = per_member.sum(axis=0) == 1
-    if ties.any():
-        assert not voted[ties].any()  # split votes resolve to label 0

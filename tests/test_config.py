@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mammocad.config import (
     PipelineConfig,
@@ -6,6 +8,7 @@ from mammocad.config import (
     format_config,
     parse_config,
 )
+from mammocad.denoise import Bm3dProfile, default_profile
 
 
 def test_empty_config_is_valid():
@@ -49,35 +52,58 @@ def test_round_trip_through_format():
 
 def test_denoise_profile_tracks_sigma_when_untouched():
     low = parse_config("pipeline.sigma = 25\n")
-    assert low.denoise_profile().tau_hard == 400.0
+    assert (low.denoise.tau_hard, low.denoise.tau_wie) == (400.0, 2500.0)
     high = parse_config("pipeline.sigma = 60\n")
-    assert high.denoise_profile().tau_hard == 5000.0
+    assert high.denoise == default_profile(60.0)
+    assert (high.denoise.tau_hard, high.denoise.tau_wie) == (5000.0, 3500.0)
 
 
 def test_explicit_denoise_settings_win():
     cfg = parse_config("pipeline.sigma = 60\ndenoise.tau_hard = 123\n")
-    prof = cfg.denoise_profile()
-    assert prof.tau_hard == 123.0
+    assert cfg.denoise == Bm3dProfile(tau_hard=123.0)
 
 
 def test_master_seed_flows_to_sections():
     cfg = parse_config("pipeline.seed = 7\n")
-    assert cfg.sfcm_config().seed == 7
-    assert cfg.train_config().seed == 7
+    assert cfg.sfcm.seed == 7
+    assert cfg.train.seed == 7
     pinned = parse_config("pipeline.seed = 7\nsfcm.seed = 3\n")
-    assert pinned.sfcm_config().seed == 3
+    assert (pinned.sfcm.seed, pinned.train.seed) == (3, 7)
 
 
 def test_desk_network_profile():
     cfg = parse_config("network.desk = true\n")
+    assert cfg.network.input_size == 64
     net = cfg.network_config()
     assert net.input_size == 64
     assert net.channel_scale == 4
+    pinned = parse_config("network.input_size = 96\nnetwork.desk = true\n")
+    assert pinned.network_config().input_size == 96
     full = PipelineConfig().network_config()
     assert full.input_size == 256 and full.channel_scale == 1
 
 
-def test_apply_assignments_tracks_touched():
-    cfg = apply_assignments(PipelineConfig(), [("levelset.nu", "0.5")])
-    assert "levelset.nu" in cfg.touched
-    assert cfg.levelset.nu == 0.5
+def test_accessors_read_the_resolved_sections():
+    cfg = parse_config("pipeline.seed = 4\nsfcm.clusters = 3\ntrain.epochs = 2\n")
+    assert cfg.sfcm_config() is cfg.sfcm
+    assert cfg.train_config() is cfg.train
+
+
+_KEYS = {
+    "pipeline.sigma": st.floats(0.5, 100.0, allow_nan=False),
+    "pipeline.seed": st.integers(0, 2 ** 31),
+    "network.desk": st.booleans(),
+    "network.input_size": st.integers(16, 512),
+    "sfcm.seed": st.integers(0, 2 ** 31),
+    "train.seed": st.integers(0, 2 ** 31),
+    "denoise.tau_hard": st.floats(1.0, 1e4, allow_nan=False),
+    "levelset.nu": st.floats(-10.0, 10.0, allow_nan=False),
+}
+_ASSIGNMENT = st.sampled_from(sorted(_KEYS)).flatmap(
+    lambda key: _KEYS[key].map(lambda value: (key, str(value).lower())))
+
+
+@given(st.lists(_ASSIGNMENT, max_size=8))
+def test_echo_round_trips_the_resolved_config(assignments):
+    cfg = apply_assignments(PipelineConfig(), assignments)
+    assert parse_config(format_config(cfg)) == cfg

@@ -4,7 +4,6 @@ import pytest
 from mammocad.core import write_pgm
 from mammocad.dataset import (
     InfoParseError,
-    LabeledImage,
     combined_ground_truth,
     ground_truth_mask,
     load_dataset,
@@ -129,12 +128,10 @@ def test_combined_ground_truth_unions_lesions(tmp_path):
     with pytest.warns(UserWarning):
         items = load_dataset(tmp_path, info)
     multi = next(item for item in items if item.id == "mdb005")
-    union = combined_ground_truth(multi)
+    union = combined_ground_truth(multi.records, multi.image.shape)
     parts = [ground_truth_mask(r, multi.image.shape) for r in multi.records]
     np.testing.assert_array_equal(union, parts[0] | parts[1])
 
 
 def test_combined_ground_truth_empty_for_normals():
-    item = LabeledImage(image=np.zeros((8, 8)), label=0,
-                        records=tuple(parse_info("mdb003 D NORM")))
-    assert not combined_ground_truth(item).any()
+    assert not combined_ground_truth(parse_info("mdb003 D NORM"), (8, 8)).any()

@@ -4,7 +4,6 @@ import pytest
 from mammocad.enhance import (
     DegenerateInputError,
     EnhanceConfig,
-    enhance_chain,
     median_filter,
     normalize,
     otsu_level,
@@ -190,13 +189,3 @@ def test_remove_pectoral_respects_area_cap():
         _, removed = remove_pectoral(img, cfg)
         breast = (img > 0).sum()
         assert removed.sum() < 0.3 * breast
-
-
-def test_enhance_chain_shape_and_range():
-    rng = np.random.default_rng(43)
-    img = np.zeros((48, 48))
-    img[4:44, 2:36] = 0.3 + 0.4 * rng.random((40, 34))
-    out, removed = enhance_chain(img)
-    assert out.shape == img.shape
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert removed.dtype == bool
