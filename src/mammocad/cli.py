@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from .core import mask_contour, read_pgm, write_pgm, write_ppm_overlay
-from .dataset import combined_ground_truth, load_dataset, parse_info
+from .dataset import (combined_ground_truth, group_records, image_label, load_dataset,
+                      load_item, parse_info)
 from .cnn.network import load_checkpoint, save_checkpoint
 from .cnn.train import score_dataset, stratified_split, train, write_history
 from .metrics import compute_metrics, confusion, dice, roc_auc
@@ -205,11 +206,12 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_pipeline_config(args)
     network = load_checkpoint(args.model)
-    items = load_dataset(args.data, args.info)
-    labels = [item.label for item in items]
+    # the split needs only the labels; decode just the held-out films
+    groups = group_records(parse_info(Path(args.info).read_text()))
+    labels = [image_label(recs) for recs in groups]
     rng = np.random.default_rng(config.train_config().seed)
     _, test_idx = stratified_split(labels, 0.2, rng)
-    test_items = [(items[i].image, items[i].label) for i in test_idx]
+    test_items = [(load_item(args.data, groups[i]).image, labels[i]) for i in test_idx]
     scored = score_dataset(network, test_items)
     predictions = [(p >= 0.5, truth) for p, truth in scored]
     report = compute_metrics(confusion(predictions))

@@ -5,6 +5,11 @@ training-set mean intensity), random horizontal mirror, random scale
 in [0.9, 1.1], resize of the shorter side to the target, random crop
 and a random shift of up to 4 pixels with replicate fill. The set
 builder emits 4 rotations x 4 crops = 16 variants per source image.
+
+Both resizes are evaluated only at the pixels the crop keeps, with the
+sample tables of `core.resize_bilinear`, so a variant costs a gather of
+at most (2 x target)^2 pixels rather than two whole-film resizes, and
+its bytes are those of resizing the whole film and then cropping.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from ..core import as_gray, resize_bilinear
+from ..core import as_gray, bilinear_gather, bilinear_samples
 
 SHIFT_LIMIT = 4
 SCALE_RANGE = (0.9, 1.1)
@@ -44,22 +49,41 @@ def _shift(image, dr, dc):
     return padded[r0:r0 + h, c0:c0 + w]
 
 
+def _crop_axis(n_scaled, n_out, start, size):
+    """Where the crop's `size` positions on one axis read the scaled film.
+
+    Returns the scaled-film indices read, in increasing order, and the
+    shorter-side sample table of the crop re-indexed into them.
+    """
+    lo, hi, frac = (t[start:start + size] for t in bilinear_samples(n_scaled, n_out))
+    used, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    return used, (inverse[:size], inverse[size:], frac)
+
+
 def augment_with_params(image, angle_deg, mirror, scale, crop_rc, shift_rc,
                         target_size, fill):
     """Deterministic augmentation with every random draw pinned."""
+    r, c = crop_rc
+    if r < 0 or c < 0:
+        raise ValueError(f"crop origin must be non-negative, got {tuple(crop_rc)}")
+    if any(abs(d) > SHIFT_LIMIT for d in shift_rc):
+        raise ValueError(f"shift {tuple(shift_rc)} exceeds {SHIFT_LIMIT} pixels")
     img = _rotate(as_gray(image), angle_deg, fill)
     if mirror:
         img = img[:, ::-1]
-    if scale != 1.0:
-        h, w = _scaled_shape(img.shape, scale)
-        img = resize_bilinear(img, w, h)
-    h, w = _shorter_side_shape(img.shape, target_size)
-    img = resize_bilinear(img, w, h)
-    r, c = crop_rc
-    if r + target_size > img.shape[0] or c + target_size > img.shape[1]:
+    in_h, in_w = img.shape
+    sh, sw = _scaled_shape(img.shape, scale) if scale != 1.0 else img.shape
+    h, w = _shorter_side_shape((sh, sw), target_size)
+    if r + target_size > h or c + target_size > w:
         raise ValueError("crop window falls outside the resized image")
-    img = img[r:r + target_size, c:c + target_size]
-    return _shift(img, *shift_rc)
+    rows, crop_rows = _crop_axis(sh, h, r, target_size)
+    cols, crop_cols = _crop_axis(sw, w, c, target_size)
+    if scale != 1.0:
+        film = bilinear_gather(img, tuple(t[rows] for t in bilinear_samples(in_h, sh)),
+                               tuple(t[cols] for t in bilinear_samples(in_w, sw)))
+    else:
+        film = img[np.ix_(rows, cols)]
+    return _shift(bilinear_gather(film, crop_rows, crop_cols), *shift_rc)
 
 
 def _draw_params(shape, rng, target_size):

@@ -129,6 +129,34 @@ def write_ppm_overlay(image, contour) -> bytes:
     return b"P6\n%d %d\n255\n" % (w, h) + rgb.tobytes()
 
 
+def bilinear_samples(n_in: int, n_out: int):
+    """Corner-aligned sample table for one axis of a bilinear resize.
+
+    Returns (lower index, upper index, fraction) for each of the n_out
+    output positions over an axis of n_in input pixels. Slicing or
+    indexing the three arrays together selects output positions.
+    """
+    if n_out == 1:
+        coords = np.array([(n_in - 1) / 2.0])
+    else:
+        coords = np.linspace(0.0, n_in - 1, n_out)
+    lo = np.minimum(np.floor(coords).astype(int), n_in - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    return lo, hi, coords - lo
+
+
+def bilinear_gather(image: np.ndarray, rows, cols) -> np.ndarray:
+    """4-tap bilinear interpolation of `image` at the outer product of a
+    row and a column sample table from `bilinear_samples`."""
+    r0, r1, fr = rows
+    c0, c1, fc = cols
+    fr = fr[:, None]
+    fc = fc[None, :]
+    top = image[np.ix_(r0, c0)] * (1 - fc) + image[np.ix_(r0, c1)] * fc
+    bot = image[np.ix_(r1, c0)] * (1 - fc) + image[np.ix_(r1, c1)] * fc
+    return top * (1 - fr) + bot * fr
+
+
 def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resize with corner-aligned sampling.
 
@@ -140,23 +168,7 @@ def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
     if out_w < 1 or out_h < 1:
         raise ValueError(f"target dimensions must be positive, got {out_w}x{out_h}")
     in_h, in_w = img.shape
-
-    def axis_coords(n_in, n_out):
-        if n_out == 1:
-            return np.array([(n_in - 1) / 2.0])
-        return np.linspace(0.0, n_in - 1, n_out)
-
-    rows = axis_coords(in_h, out_h)
-    cols = axis_coords(in_w, out_w)
-    r0 = np.minimum(np.floor(rows).astype(int), in_h - 1)
-    c0 = np.minimum(np.floor(cols).astype(int), in_w - 1)
-    r1 = np.minimum(r0 + 1, in_h - 1)
-    c1 = np.minimum(c0 + 1, in_w - 1)
-    fr = (rows - r0)[:, None]
-    fc = (cols - c0)[None, :]
-    top = img[np.ix_(r0, c0)] * (1 - fc) + img[np.ix_(r0, c1)] * fc
-    bot = img[np.ix_(r1, c0)] * (1 - fc) + img[np.ix_(r1, c1)] * fc
-    return top * (1 - fr) + bot * fr
+    return bilinear_gather(img, bilinear_samples(in_h, out_h), bilinear_samples(in_w, out_w))
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)

@@ -109,27 +109,40 @@ def combined_ground_truth(records, dims: tuple[int, int]) -> np.ndarray:
     return mask
 
 
-def load_dataset(image_dir, info_path) -> list[LabeledImage]:
-    """Pair every annotated image with its records; one item per image."""
-    image_dir = Path(image_dir)
-    records = parse_info(Path(info_path).read_text())
+def group_records(records) -> list[tuple[MiasRecord, ...]]:
+    """The records of each image, one tuple per id in order of first
+    appearance; warns when the counts differ from the full archive."""
     by_id: dict[str, list[MiasRecord]] = {}
     for record in records:
         by_id.setdefault(record.id, []).append(record)
-    items = []
-    for ident, recs in by_id.items():
-        path = image_dir / f"{ident}.pgm"
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise OSError(f"missing image file for record {ident!r}: {exc}") from exc
-        image = read_pgm(data)
-        label = int(any(r.abnormal for r in recs))
-        items.append(LabeledImage(image=image, label=label, records=tuple(recs)))
-    abnormal = sum(item.label for item in items)
-    if len(items) != EXPECTED_TOTAL or abnormal != EXPECTED_ABNORMAL:
+    groups = [tuple(recs) for recs in by_id.values()]
+    abnormal = sum(image_label(recs) for recs in groups)
+    if len(groups) != EXPECTED_TOTAL or abnormal != EXPECTED_ABNORMAL:
         warnings.warn(
-            f"dataset has {len(items)} images ({abnormal} abnormal); the full "
+            f"dataset has {len(groups)} images ({abnormal} abnormal); the full "
             f"archive carries {EXPECTED_TOTAL} ({EXPECTED_ABNORMAL} abnormal)",
-            stacklevel=2)
-    return items
+            stacklevel=3)      # the caller of load_dataset or of the CLI command
+    return groups
+
+
+def image_label(records) -> int:
+    """1 when any record of the image is abnormal."""
+    return int(any(r.abnormal for r in records))
+
+
+def load_item(image_dir, records) -> LabeledImage:
+    """Decode the film of one image's records from `<image_dir>/<id>.pgm`."""
+    ident = records[0].id
+    path = Path(image_dir) / f"{ident}.pgm"
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise OSError(f"missing image file for record {ident!r}: {exc}") from exc
+    return LabeledImage(image=read_pgm(data), label=image_label(records),
+                        records=tuple(records))
+
+
+def load_dataset(image_dir, info_path) -> list[LabeledImage]:
+    """Pair every annotated image with its records; one item per image."""
+    groups = group_records(parse_info(Path(info_path).read_text()))
+    return [load_item(image_dir, recs) for recs in groups]

@@ -154,6 +154,36 @@ def test_evaluate_deterministic(tmp_path, capsys):
     assert first == second
 
 
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
+    from mammocad.cnn.train import stratified_split
+    from mammocad.dataset import group_records, image_label, parse_info
+
+    data, info = tiny_training_dir(tmp_path, n_per_class=5)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info),
+                 "-o", str(model), "--desk", "--epochs", "1", "--seed", "3"]) == 0
+    evaluate = ["evaluate", "--model", str(model), "--data", str(data),
+                "--info", str(info), "--seed", "3"]
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    full = capsys.readouterr().out
+
+    groups = group_records(parse_info(info.read_text()))
+    train_idx, test_idx = stratified_split([image_label(g) for g in groups], 0.2,
+                                           np.random.default_rng(3))
+    for i in train_idx:
+        (data / f"{groups[i][0].id}.pgm").unlink()
+    assert main(evaluate) == 0
+    assert capsys.readouterr().out == full
+
+    held_out = groups[test_idx[0]][0].id
+    (data / f"{held_out}.pgm").unlink()
+    assert main(evaluate) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and held_out in err
+
 def test_segment_idempotent(phantom_pgm, tmp_path):
     out = tmp_path / "seg_twice"
     args = ["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",

@@ -57,6 +57,27 @@ def test_bad_crop_rejected():
         augment_with_params(img, 0.0, False, 1.0, (50, 0), (0, 0), 16, 0.0)
 
 
+@pytest.mark.parametrize("crop_rc", [(-1, 0), (0, -3)])
+def test_negative_crop_rejected(crop_rc):
+    img = np.zeros((20, 20))
+    with pytest.raises(ValueError, match="non-negative"):
+        augment_with_params(img, 0.0, False, 1.0, crop_rc, (0, 0), 16, 0.0)
+
+
+@pytest.mark.parametrize("shift_rc", [(9, 0), (-9, 2), (0, 5), (-5, -5)])
+def test_shift_beyond_limit_rejected(shift_rc):
+    img = np.zeros((20, 20))
+    with pytest.raises(ValueError, match="exceeds"):
+        augment_with_params(img, 0.0, False, 1.0, (0, 0), shift_rc, 16, 0.0)
+
+
+@pytest.mark.parametrize("shift_rc", [(4, -4), (-4, 4)])
+def test_shift_at_limit_keeps_target_size(shift_rc):
+    img = np.random.default_rng(6).random((20, 20))
+    out = augment_with_params(img, 0.0, False, 1.0, (0, 0), shift_rc, 16, 0.0)
+    assert out.shape == (16, 16)
+
+
 def test_build_set_sixteen_fold():
     rng = np.random.default_rng(3)
     items = [(rng.random((40, 40)), i % 2) for i in range(5)]

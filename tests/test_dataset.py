@@ -117,6 +117,7 @@ def test_load_dataset_one_item_per_image(tmp_path):
     assert len(by_id["mdb005"].records) == 2
 
 
+@pytest.mark.filterwarnings("ignore:dataset has")
 def test_load_dataset_missing_file_names_id(tmp_path):
     (tmp_path / "info.txt").write_text("mdb042 G NORM\n")
     with pytest.raises(OSError, match="mdb042"):
