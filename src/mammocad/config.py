@@ -85,7 +85,7 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
     size unless `network.input_size` is assigned.
     """
     sections = {name: getattr(config, name) for name in _SECTIONS}
-    assigned = set()
+    updates = {name: {} for name in _SECTIONS}
     for dotted, text in assignments:
         if "." not in dotted:
             raise ValueError(f"expected section.key, got {dotted!r}")
@@ -95,9 +95,12 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
         section = sections[section_name]
         if key not in {f.name for f in dataclasses.fields(section)}:
             raise ValueError(f"unknown config key {dotted!r}")
-        value = _coerce(getattr(section, key), text)
-        sections[section_name] = dataclasses.replace(section, **{key: value})
-        assigned.add(dotted)
+        updates[section_name][key] = _coerce(getattr(section, key), text)
+    # one replace per section, so checks across fields see the final values
+    for name, values in updates.items():
+        if values:
+            sections[name] = dataclasses.replace(sections[name], **values)
+    assigned = {f"{name}.{key}" for name, values in updates.items() for key in values}
 
     pipeline, network = sections["pipeline"], sections["network"]
     if "pipeline.sigma" in assigned and not any(

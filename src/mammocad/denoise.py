@@ -9,6 +9,7 @@ and rescaled internally to the [0, 1] intensity domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class Bm3dProfile:
             raise ValueError("thresholds must be positive")
         if self.step < 1:
             raise ValueError("stride must be at least 1 pixel")
+        if self.step > min(self.k_hard, self.k_wie):
+            raise ValueError(
+                f"step must be at most the block side min(k_hard, k_wie) = "
+                f"{min(self.k_hard, self.k_wie)}, or some pixels get no estimate")
+        if self.search_radius < 0:
+            raise ValueError("search_radius must be at least 0 pixels")
 
 
 # tau pairs follow the noise level: heavy noise needs looser matching
@@ -124,26 +131,33 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
         coords = np.concatenate([coords, pad])
     else:
         coords = coords[:target]
-    stack = np.stack([img[i:i + k, j:j + k] for i, j in coords])
+    stack = windows[coords[:, 0] - r0, coords[:, 1] - c0]
     return BlockGroup(coordinates=coords, stack=stack)
 
 
-def _forward_3d(stack: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT per slice, then Walsh-Hadamard across slices."""
-    coeffs = dctn(stack, axes=(1, 2), norm="ortho")
-    g = stack.shape[0]
-    if g > 1:
-        hmat = hadamard(g) / np.sqrt(g)
-        coeffs = np.tensordot(hmat, coeffs, axes=(1, 0))
-    return coeffs
+@functools.lru_cache(maxsize=None)
+def _hadamard(g: int) -> np.ndarray:
+    """Orthonormal Walsh-Hadamard matrix of order g, built once per size."""
+    hmat = hadamard(g) / np.sqrt(g)
+    hmat.setflags(write=False)
+    return hmat
+
+
+def _walsh(stacks: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform across the blocks of (B, G, k, k) groups."""
+    b, g, k, _ = stacks.shape
+    if g == 1:
+        return stacks
+    return (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k)
+
+
+def _forward_3d(stacks: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D DCT per block, then Walsh-Hadamard across each group."""
+    return _walsh(dctn(stacks, axes=(2, 3), norm="ortho"))
 
 
 def _inverse_3d(coeffs: np.ndarray) -> np.ndarray:
-    g = coeffs.shape[0]
-    if g > 1:
-        hmat = hadamard(g) / np.sqrt(g)
-        coeffs = np.tensordot(hmat, coeffs, axes=(1, 0))
-    return idctn(coeffs, axes=(1, 2), norm="ortho")
+    return idctn(_walsh(coeffs), axes=(2, 3), norm="ortho")
 
 
 def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
@@ -151,28 +165,44 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     """Group, transform, shrink and aggregate over every reference block.
 
     Groups are matched on `match_on` and the same coordinates are cut
-    from `image`. `shrink(matched_stack, image_stack)` returns the shrunk
-    3-D coefficients and the group's aggregation weight.
+    from `image`. One row of reference blocks is filtered at a time:
+    its groups are stacked by size into (B, G, k, k) arrays, and
+    `shrink(matched_stacks, image_stacks)` returns the shrunk 3-D
+    coefficients and one aggregation weight per group. Blocks are
+    aggregated in (reference, block) order, so every pixel sums its
+    estimates in the same order as a one-group-at-a-time loop.
     """
     k = profile.k_hard if stage == "hard" else profile.k_wie
     h, w = image.shape
     if h < k or w < k:
         raise ValueError("image smaller than one block")
-    acc = np.zeros_like(image)
-    weights = np.zeros_like(image)
+    acc = np.zeros(h * w)
+    weights = np.zeros(h * w)
+    windows = sliding_window_view(image, (k, k))
+    block_offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
+    anchor_cols = _reference_grid(w, k, profile.step)
     for r in _reference_grid(h, k, profile.step):
-        for c in _reference_grid(w, k, profile.step):
-            group = block_match(match_on, (r, c), profile, stage)
+        groups = [block_match(match_on, (r, c), profile, stage) for c in anchor_cols]
+        sizes = np.array([len(group.coordinates) for group in groups])
+        starts = np.cumsum(sizes) - sizes
+        coords = np.concatenate([group.coordinates for group in groups])
+        estimates = np.empty((len(coords), k, k))
+        block_weights = np.empty(len(coords))
+        for g in np.unique(sizes):
+            refs = np.flatnonzero(sizes == g)
+            slots = (starts[refs, None] + np.arange(g)).ravel()
+            matched_g = np.stack([groups[i].stack for i in refs])
             if image is match_on:
-                stack = group.stack
+                image_g = matched_g
             else:
-                stack = np.stack([image[i:i + k, j:j + k] for i, j in group.coordinates])
-            coeffs, weight = shrink(group.stack, stack)
-            estimate = _inverse_3d(coeffs)
-            for (i, j), block in zip(group.coordinates, estimate):
-                acc[i:i + k, j:j + k] += weight * block
-                weights[i:i + k, j:j + k] += weight
-    return np.clip(acc / weights, 0.0, 1.0)
+                image_g = windows[coords[slots, 0], coords[slots, 1]].reshape(-1, g, k, k)
+            coeffs, weight = shrink(matched_g, image_g)
+            estimates[slots] = _inverse_3d(coeffs).reshape(-1, k, k)
+            block_weights[slots] = np.repeat(weight, g)
+        pixels = ((coords[:, 0] * w + coords[:, 1])[:, None] + block_offsets).ravel()
+        np.add.at(acc, pixels, (block_weights[:, None, None] * estimates).ravel())
+        np.add.at(weights, pixels, np.repeat(block_weights, k * k))
+    return np.clip(acc / weights, 0.0, 1.0).reshape(h, w)
 
 
 def hard_stage(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.ndarray:
@@ -183,11 +213,11 @@ def hard_stage(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.nd
     prof = profile if profile is not None else default_profile(sigma)
     threshold = prof.lambda_3d * sigma / 255.0
 
-    def shrink(_, stack):
-        coeffs = _forward_3d(stack)
+    def shrink(_, stacks):
+        coeffs = _forward_3d(stacks)
         keep = np.abs(coeffs) >= threshold
-        keep[0, 0, 0] = True    # never drop the group's DC component
-        return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + int(keep.sum()))
+        keep[:, 0, 0, 0] = True     # never drop a group's DC component
+        return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + keep.sum(axis=(1, 2, 3)))
 
     return _collaborative_pass(img, img, prof, "hard", shrink)
 
@@ -204,10 +234,11 @@ def wiener_stage(noisy, basic, sigma: float,
     prof = profile if profile is not None else default_profile(sigma)
     noise_var = (sigma / 255.0) ** 2
 
-    def shrink(basic_stack, noisy_stack):
-        basic_coeffs = _forward_3d(basic_stack)
+    def shrink(basic_stacks, noisy_stacks):
+        basic_coeffs = _forward_3d(basic_stacks)
         gain = basic_coeffs ** 2 / (basic_coeffs ** 2 + noise_var)
-        return gain * _forward_3d(noisy_stack), 1.0 / (1.0 + float((gain ** 2).sum()))
+        energy = (gain ** 2).reshape(len(gain), -1).sum(axis=1)
+        return gain * _forward_3d(noisy_stacks), 1.0 / (1.0 + energy)
 
     return _collaborative_pass(base, img, prof, "wiener", shrink)
 

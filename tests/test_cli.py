@@ -229,3 +229,14 @@ def test_configs_that_would_do_nothing_are_rejected(tmp_path, capsys, command, a
     assert main([command, *paths[command], "--set", assignment]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "at least" in err
+
+
+@pytest.mark.parametrize("assignment, field", [
+    ("denoise.step=9", "step"),
+    ("denoise.search_radius=-1", "search_radius"),
+])
+def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignment, field):
+    assert main(["segment", str(tmp_path / "x.pgm"), "-o", str(tmp_path / "out"),
+                 "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err

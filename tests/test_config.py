@@ -63,6 +63,15 @@ def test_explicit_denoise_settings_win():
     assert cfg.denoise == Bm3dProfile(tau_hard=123.0)
 
 
+def test_fields_checked_together_may_be_assigned_in_any_order():
+    # step is bounded by the block sides; assigning it first must not fail
+    cfg = apply_assignments(PipelineConfig(), [
+        ("denoise.step", "10"), ("denoise.k_hard", "12"), ("denoise.k_wie", "12")])
+    assert cfg.denoise == Bm3dProfile(k_hard=12, k_wie=12, step=10)
+    with pytest.raises(ValueError, match="step"):
+        apply_assignments(PipelineConfig(), [("denoise.step", "10"), ("denoise.k_hard", "12")])
+
+
 def test_master_seed_flows_to_sections():
     cfg = parse_config("pipeline.seed = 7\n")
     assert cfg.sfcm.seed == 7

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mammocad import denoise
 from mammocad.denoise import (
     Bm3dProfile,
     bm3d_denoise,
@@ -42,6 +45,16 @@ def test_profile_validation():
         Bm3dProfile(step=0)
     with pytest.raises(ValueError):
         Bm3dProfile(lambda_3d=0.0)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"step": 9}, "step"),                      # a gap between blocks 8 wide
+    ({"k_wie": 4, "step": 5}, "step"),          # the smaller block side bounds it
+    ({"search_radius": -1}, "search_radius"),
+])
+def test_profile_rejects_what_cannot_run(fields, name):
+    with pytest.raises(ValueError, match=name):
+        Bm3dProfile(**fields)
 
 
 def test_default_profile_thresholds():
@@ -172,10 +185,12 @@ def test_every_pixel_covered_on_awkward_sizes():
     # stride does not divide these extents: border anchors must cover the rim
     rng = np.random.default_rng(8)
     img = rng.random((21, 19))
-    out = hard_stage(img, sigma=15.0)
-    assert np.all(np.isfinite(out))
-    assert out.shape == img.shape
-    assert out.min() >= 0.0 and out.max() <= 1.0
+    # the default profile, and the largest step a block side allows
+    for profile in (None, Bm3dProfile(k_hard=4, step=4, search_radius=0)):
+        out = hard_stage(img, sigma=15.0, profile=profile)
+        assert np.all(np.isfinite(out))
+        assert out.shape == img.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_bm3d_deterministic_and_bounded():
@@ -185,3 +200,44 @@ def test_bm3d_deterministic_and_bounded():
     np.testing.assert_array_equal(a, b)
     assert a.shape == noisy.shape
     assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+def test_each_stage_matches_every_reference_once_in_row_major_order(monkeypatch):
+    # the benchmark times block_match through the module attribute, once
+    # per reference block; the batched pass must keep calling it that way
+    calls = []
+    real = denoise.block_match
+
+    def counting(image, ref, profile, stage="hard"):
+        calls.append((stage, ref))
+        return real(image, ref, profile, stage)
+
+    monkeypatch.setattr(denoise, "block_match", counting)
+    h, w = 45, 70
+    prof = Bm3dProfile(k_wie=4, step=3, search_radius=4)
+    bm3d_denoise(np.random.default_rng(10).random((h, w)), 25.0, prof)
+    expected = {}
+    for stage, k in (("hard", prof.k_hard), ("wiener", prof.k_wie)):
+        expected[stage] = [(r, c) for r in denoise._reference_grid(h, k, prof.step)
+                           for c in denoise._reference_grid(w, k, prof.step)]
+    assert calls == ([("hard", ref) for ref in expected["hard"]]
+                     + [("wiener", ref) for ref in expected["wiener"]])
+
+
+def test_hard_stage_memory_holds_one_row_of_stacks():
+    # a constant image fills every group to n_hard blocks, the worst case
+    img = np.full((256, 256), 0.5)
+    prof = Bm3dProfile(search_radius=4)
+    k = prof.k_hard
+    refs = len(denoise._reference_grid(256, k, prof.step))
+    row_stacks = refs * prof.n_hard * k * k * 8
+    all_stacks = refs * row_stacks
+    bound = 4 * img.nbytes + 16 * row_stacks
+    assert all_stacks > 3 * bound
+    tracemalloc.start()
+    try:
+        hard_stage(img, 25.0, prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
