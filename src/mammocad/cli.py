@@ -211,8 +211,9 @@ def cmd_evaluate(args) -> int:
     labels = [image_label(recs) for recs in groups]
     rng = np.random.default_rng(config.train_config().seed)
     _, test_idx = stratified_split(labels, 0.2, rng)
-    test_items = [(load_item(args.data, groups[i]).image, labels[i]) for i in test_idx]
-    scored = score_dataset(network, test_items)
+    # decoded lazily, so only one batch of films is alive at a time
+    test_items = ((load_item(args.data, groups[i]).image, labels[i]) for i in test_idx)
+    scored = score_dataset(network, test_items, config.train_config().batch_size)
     predictions = [(p >= 0.5, truth) for p, truth in scored]
     report = compute_metrics(confusion(predictions))
     report = dataclasses.replace(report, auc=roc_auc(scored))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -126,8 +127,20 @@ def write_history(history, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def score_dataset(network: Network, items):
-    """(abnormal probability, truth) pairs for metric computation."""
-    images = [_sized(im, network.config.input_size) for im, _ in items]
-    probs, _ = network.predict(images)
-    return [(float(p[1]), bool(lab)) for p, (_, lab) in zip(probs, items)]
+def score_dataset(network: Network, items, batch_size: int = TrainConfig.batch_size):
+    """(abnormal probability, truth) pairs for metric computation.
+
+    `items` is any iterable of (image, label) pairs, read once. Films are
+    taken, resized and scored `batch_size` at a time, so memory follows
+    the batch, not the number of films. Batch norm uses its running
+    statistics here, so chunking changes no prediction beyond float
+    rounding in the batched products.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    items = iter(items)
+    scored = []
+    while chunk := list(islice(items, batch_size)):
+        probs, _ = network.predict([_sized(im, network.config.input_size) for im, _ in chunk])
+        scored.extend((float(p[1]), bool(lab)) for p, (_, lab) in zip(probs, chunk))
+    return scored

@@ -40,6 +40,11 @@ class LevelSetConfig:
             raise ValueError("binarization threshold must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("Dirac width must be positive")
+        if self.smoothing_sigma <= 0:
+            raise ValueError(f"smoothing_sigma must be positive, got {self.smoothing_sigma}")
+        for name in ("iterations", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.tau * self.mu >= 0.25:
             raise ValueError(
                 f"unstable step: tau*mu = {self.tau * self.mu:.3g} must stay below 0.25")

@@ -41,14 +41,25 @@ class SfcmConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
+        if self.window_radius < 0:
+            raise ValueError(f"window_radius must be non-negative, got {self.window_radius}")
+        for name in ("p", "q"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 def _check_memberships(mu: np.ndarray):
     if mu.ndim != 2:
         raise ValueError("membership matrix must be C x N")
-    if np.any(mu < 0):
+    # fmin skips NaN, so a NaN entry cannot hide a negative one
+    if mu.size and np.fmin.reduce(mu, axis=None) < 0:
         raise ValueError("memberships must be non-negative")
-    if not np.allclose(mu.sum(axis=0), 1.0, atol=1e-6):
+    # np.allclose(sums, 1, atol=1e-6) in one buffer: |s - 1| <= atol + rtol;
+    # NaN and inf columns fail the comparison
+    deviation = mu.sum(axis=0)
+    deviation -= 1.0
+    np.abs(deviation, out=deviation)
+    if deviation.size and not deviation.max() <= 1e-6 + 1e-5:
         raise ValueError("membership columns must sum to 1")
 
 
@@ -62,17 +73,27 @@ def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.
     intensities = img.ravel()
     mu = np.asarray(memberships, dtype=np.float64)
     _check_memberships(mu)
-    powered = mu ** config.fuzziness
-    mass = powered.sum(axis=1)
+    if mu.shape[1] != intensities.size:
+        raise ValueError(f"membership matrix has {mu.shape[1]} columns "
+                         f"but the image has {intensities.size} pixels")
+    weights = mu ** config.fuzziness
+    mass = weights.sum(axis=1)
     if np.any(mass <= 0.0):
         dead = int(np.argmin(mass))
         raise DegenerateClusterError(f"cluster {dead} has no membership mass")
-    centers = powered @ intensities / mass
+    centers = weights @ intensities / mass
 
-    d2 = (intensities[None, :] - centers[:, None]) ** 2
-    exact = d2 == 0.0
+    # the powered memberships are spent; their buffer takes the distances
+    np.subtract(intensities[None, :], centers[:, None], out=weights)
+    np.square(weights, out=weights)
+    # min() is NaN when any entry is, which also takes the general branch
+    exact = None if weights.min() > 0.0 else weights == 0.0
     with np.errstate(divide="ignore"):
-        weights = d2 ** (-1.0 / (config.fuzziness - 1.0))
+        # in-place ** takes the same scalar-exponent paths as the binary form
+        weights **= -1.0 / (config.fuzziness - 1.0)
+    if exact is None:
+        weights /= weights.sum(axis=0)
+        return weights, centers
     new_mu = np.empty_like(weights)
     singular = exact.any(axis=0)
     regular = ~singular
@@ -82,6 +103,30 @@ def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.
         winners = np.argmax(exact[:, singular], axis=0)
         new_mu[winners, np.flatnonzero(singular)] = 1.0
     return new_mu, centers
+
+
+def _box_mean_down(planes, size, out):
+    """Running mean over `size` rows, replicate borders, for (C, h, w) planes.
+
+    Byte-equal to scipy's ``uniform_filter1d(plane, size, axis=0,
+    mode="nearest")`` on each plane: a sum started at 0.0, then plus
+    (entering row - leaving row) per output row, each output the sum
+    divided by size. scipy copies each axis-0 line out through a strided
+    buffer, which dominates its time on large row-major planes; stepping
+    whole rows of every plane at once reads memory in order instead.
+    """
+    c, h, w = planes.shape
+    half = size // 2
+    rows = np.clip(np.arange(-half, h + size - 1 - half), 0, h - 1)
+    total = np.zeros((c, w))
+    for j in rows[:size]:
+        total += planes[:, j]
+    np.divide(total, size, out=out[:, 0])
+    step = np.empty_like(total)
+    for i in range(1, h):
+        np.subtract(planes[:, rows[i + size - 1]], planes[:, rows[i - 1]], out=step)
+        total += step
+        np.divide(total, size, out=out[:, i])
 
 
 def spatial_refine(memberships, config: SfcmConfig, shape) -> np.ndarray:
@@ -97,17 +142,30 @@ def spatial_refine(memberships, config: SfcmConfig, shape) -> np.ndarray:
     if mu.shape[1] != h * w:
         raise ValueError("membership size does not match the image dimensions")
     size = 2 * config.window_radius + 1
+    planes = mu.reshape(-1, h, w)
     mixed = np.empty_like(mu)
-    for m in range(mu.shape[0]):
-        plane = mu[m].reshape(h, w)
-        window_sum = ndimage.uniform_filter(plane, size=size, mode="nearest") * size * size
-        # the sliding accumulator can round an all-zero window to -1e-17
-        window_sum = np.maximum(window_sum, 0.0)
-        mixed[m] = (mu[m] ** config.p) * (window_sum.ravel() ** config.q)
+    window_sum = mixed.reshape(planes.shape)
+    # the same arithmetic as ndimage.uniform_filter on each plane
+    if size == 1:
+        window_sum[...] = planes
+    else:
+        _box_mean_down(planes, size, window_sum)
+        ndimage.uniform_filter1d(window_sum, size, axis=2, mode="nearest",
+                                 output=window_sum)
+    # two scalings, as (x * size) * size rounds; size**2 at once does not
+    mixed *= size
+    mixed *= size
+    # the sliding accumulator can round an all-zero window to -1e-17
+    np.maximum(mixed, 0.0, out=mixed)
+    # x ** 1 is a copy of x, so exponents of 1 are skipped
+    if config.q != 1:
+        mixed **= config.q
+    mixed *= mu if config.p == 1 else mu ** config.p
     norms = mixed.sum(axis=0)
     if np.any(norms <= 0.0):
         raise DegenerateClusterError("spatial mixing produced an all-zero pixel column")
-    return mixed / norms
+    mixed /= norms
+    return mixed
 
 
 def objective(image, memberships, centers, fuzziness: float) -> float:
@@ -142,6 +200,7 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None, on_iteration=N
         mu /= mu.sum(axis=0)
 
     centers = np.zeros(config.clusters)
+    change = np.empty_like(mu)
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
         previous = mu
@@ -149,7 +208,8 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None, on_iteration=N
         mu = spatial_refine(mu, config, img.shape)
         if on_iteration is not None:
             on_iteration(iterations, mu, centers)
-        if np.abs(mu - previous).max() < config.tol:
+        np.subtract(mu, previous, out=change)
+        if np.abs(change, out=change).max() < config.tol:
             break
     return mu, centers, iterations
 

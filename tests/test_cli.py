@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mammocad
 from mammocad.cli import main
 from mammocad.core import read_pgm, write_pgm
 
@@ -184,6 +190,30 @@ def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and held_out in err
 
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_evaluate_peak_memory_does_not_grow_with_the_held_out_films(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    peaks = []
+    for n_per_class in (10, 40):  # 4 and 16 held-out films
+        root = tmp_path / f"n{n_per_class}"
+        root.mkdir()
+        data, info = tiny_training_dir(root, n_per_class=n_per_class, size=128)
+        tracemalloc.start()
+        try:
+            assert main(["evaluate", "--model", str(model), "--data", str(data),
+                         "--info", str(info), "--set", "train.batch_size=2"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    one_chunk_of_films = 2 * 128 * 128 * 8
+    assert peaks[1] - peaks[0] <= one_chunk_of_films
+
+
 def test_segment_idempotent(phantom_pgm, tmp_path):
     out = tmp_path / "seg_twice"
     args = ["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
@@ -240,3 +270,36 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
                  "--set", assignment]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("assignment, field", [
+    ("sfcm.window_radius=-1", "window_radius"),
+    ("sfcm.p=-1", "p must"),
+    ("sfcm.q=-0.5", "q must"),
+    ("levelset.smoothing_sigma=0", "smoothing_sigma"),
+    ("levelset.iterations=0", "iterations"),
+    ("levelset.early_stop_patience=0", "early_stop_patience"),
+])
+def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, capsys,
+                                                       assignment, field):
+    out = tmp_path / "out"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and field in captured.err
+    assert not out.exists()  # rejected before any stage ran
+
+
+def test_python_m_mammocad_runs_the_cli(phantom_pgm, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(mammocad.__file__).parents[1]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "mammocad", "segment", str(phantom_pgm), "-o", str(out),
+         "--sigma", "5", "--set", "levelset.iterations=5"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["sfcm_iterations"] >= 1
+    assert (out / "mask.pgm").exists()
+    bad = subprocess.run([sys.executable, "-m", "mammocad", "no-such-command"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 1

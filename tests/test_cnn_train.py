@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mammocad.cnn.network import NetworkConfig
+from mammocad.cnn.network import Network, NetworkConfig
 from mammocad.cnn.train import (
     TrainConfig,
     score_dataset,
@@ -123,3 +124,35 @@ def test_score_dataset_probability_truth_pairs():
     for prob, truth in scored:
         assert 0.0 <= prob <= 1.0
         assert isinstance(truth, bool)
+
+
+def test_score_dataset_in_chunks_matches_one_batch():
+    items = blob_dataset(n_per_class=5, size=80)
+    net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=4, seed=6))
+    whole = score_dataset(net, items, batch_size=len(items))
+    chunked = score_dataset(net, items, batch_size=3)
+    assert [t for _, t in chunked] == [t for _, t in whole]
+    np.testing.assert_allclose([p for p, _ in chunked], [p for p, _ in whole],
+                               rtol=0, atol=1e-12)
+    assert score_dataset(net, items, batch_size=3) == chunked
+    with pytest.raises(ValueError, match="batch_size"):
+        score_dataset(net, items, batch_size=0)
+
+
+def test_score_dataset_peak_memory_does_not_grow_with_the_film_count():
+    net = Network(NetworkConfig.desk(), seed=0)
+    rng = np.random.default_rng(0)
+    films = [(rng.random((80, 80)), i % 2) for i in range(32)]
+    batch_size = 4
+
+    def peak(items):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            score_dataset(net, items, batch_size=batch_size)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = batch_size * net.config.input_size ** 2 * 8
+    assert peak(films) - peak(films[:8]) <= one_chunk

@@ -210,12 +210,14 @@ def test_config_validates_stability():
         LevelSetConfig(epsilon=0.0)
 
 
-def test_evolve_zero_iterations_returns_init():
-    img, _ = noisy_disk(32, 32, radius=8)
-    cfg = LevelSetConfig(iterations=0)
-    phi, used = evolve(img, img, cfg)
-    assert used == 0
-    np.testing.assert_array_equal(phi, init_phi(binarize_membership(img, cfg.b0), cfg.epsilon))
+def test_config_rejects_settings_that_cannot_evolve():
+    # zero iterations would hand back the unevolved seed field, a zero
+    # patience would act as one, and a zero sigma fails only in evolve()
+    for field, value in (("iterations", 0), ("early_stop_patience", 0),
+                         ("smoothing_sigma", 0.0), ("smoothing_sigma", -1.5)):
+        with pytest.raises(ValueError, match=field):
+            LevelSetConfig(**{field: value})
+    LevelSetConfig(iterations=1, early_stop_patience=1, smoothing_sigma=0.1)
 
 
 def test_evolve_noisy_disk_dice():

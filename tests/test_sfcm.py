@@ -77,6 +77,19 @@ def test_degenerate_cluster_raises():
         fcm_iterate(img, mu, SfcmConfig(clusters=2))
 
 
+def test_iterate_rejects_memberships_of_another_image_size():
+    img = np.zeros((4, 5))
+    mu = np.full((2, 21), 0.5)
+    with pytest.raises(ValueError, match="21 columns.*20 pixels"):
+        fcm_iterate(img, mu, SfcmConfig(clusters=2))
+
+
+@pytest.mark.parametrize("field, value", [("window_radius", -1), ("p", -0.5), ("q", -1.0)])
+def test_config_rejects_negative_window_and_exponents(field, value):
+    with pytest.raises(ValueError, match=field):
+        SfcmConfig(**{field: value})
+
+
 def test_spatial_refine_constant_memberships_stay_constant():
     # a spatially constant field maps to mu^(p+q) renormalized, so it
     # stays constant across pixels and keeps the cluster ordering
