@@ -86,23 +86,19 @@ def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.
     # the powered memberships are spent; their buffer takes the distances
     np.subtract(intensities[None, :], centers[:, None], out=weights)
     np.square(weights, out=weights)
-    # min() is NaN when any entry is, which also takes the general branch
+    # min() is NaN when any entry is, which also takes the exact-centre test
     exact = None if weights.min() > 0.0 else weights == 0.0
-    with np.errstate(divide="ignore"):
+    # a distance of 0 powers to inf, so its column divides to NaN or 0;
+    # those columns are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
         # in-place ** takes the same scalar-exponent paths as the binary form
         weights **= -1.0 / (config.fuzziness - 1.0)
-    if exact is None:
         weights /= weights.sum(axis=0)
-        return weights, centers
-    new_mu = np.empty_like(weights)
-    singular = exact.any(axis=0)
-    regular = ~singular
-    new_mu[:, regular] = weights[:, regular] / weights[:, regular].sum(axis=0)
-    if singular.any():
-        new_mu[:, singular] = 0.0
-        winners = np.argmax(exact[:, singular], axis=0)
-        new_mu[winners, np.flatnonzero(singular)] = 1.0
-    return new_mu, centers
+    if exact is not None:
+        singular = np.flatnonzero(exact.any(axis=0))
+        weights[:, singular] = 0.0
+        weights[np.argmax(exact[:, singular], axis=0), singular] = 1.0
+    return weights, centers
 
 
 def _box_mean_down(planes, size, out):

@@ -174,6 +174,14 @@ def test_exact_center_branch_matches_oracle():
     assert_same_bytes(sfcm.sfcm_run(two, config, init=crisp),
                       oracle_sfcm_run(two, config, init=crisp))
 
+    # two equal centers on the same pixels: the tie goes to the lower
+    # cluster and the other gets exactly 0
+    twin = np.vstack([crisp[0] / 2, crisp[0] / 2, crisp[1]])
+    config = SfcmConfig(clusters=3)
+    want = oracle_fcm_iterate(two, twin, config)
+    assert want[1][0] == want[1][1] == 0.25
+    assert_same_bytes(sfcm.fcm_iterate(two, twin, config), want)
+
 
 @pytest.mark.parametrize("radius", [1, 2])
 def test_all_zero_windows_clamp_like_the_oracle(radius):
