@@ -18,8 +18,7 @@ import numpy as np
 
 from .config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from .core import mask_contour, read_pgm, write_pgm, write_ppm_overlay
-from .dataset import (combined_ground_truth, group_records, image_label, load_dataset,
-                      load_item, parse_info)
+from .dataset import combined_ground_truth, group_records, image_label, load_item, parse_info
 from .cnn.network import load_checkpoint, save_checkpoint
 from .cnn.train import score_dataset, stratified_split, train, write_history
 from .metrics import compute_metrics, confusion, dice, roc_auc
@@ -139,8 +138,9 @@ def cmd_train(args) -> int:
     config = load_pipeline_config(args)
     model_path = Path(args.output)
     _echo_config(config, model_path.parent)
-    items = load_dataset(args.data, args.info)
-    dataset = [(item.image, item.label) for item in items]
+    groups = group_records(parse_info(Path(args.info).read_text()))
+    # decoded lazily, so train keeps only its input-size copy of each film
+    dataset = ((load_item(args.data, recs).image, image_label(recs)) for recs in groups)
     network, history = train(dataset, config.network_config(), config.train_config())
     save_checkpoint(network, model_path)
     write_history(history, model_path.with_suffix(".history.jsonl"))

@@ -1,14 +1,25 @@
 """Network layers with exact analytic gradients.
 
 Activations are float64 arrays in NCHW layout. Every layer caches what
-its backward pass needs during forward; backward returns the gradient
-with respect to the input and stores parameter gradients on the layer.
+its backward pass needs during forward; backward consumes that cache,
+returns the gradient with respect to the input and stores parameter
+gradients on the layer. A cache lives from one forward to the next
+backward, so no layer holds activations between training steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _pop_cache(layer):
+    """The layer's forward cache, emptied so backward consumes it once."""
+    cache = layer._cache
+    if cache is None:
+        raise RuntimeError("backward needs a forward pass first")
+    layer._cache = None
+    return cache
 
 
 class Conv2d:
@@ -30,6 +41,14 @@ class Conv2d:
         k, s, p = self.weight.shape[2], self.stride, self.padding
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
+    def _columns(self, xp, ho, wo):
+        """im2col: one row per output pixel, columns in (channel, kernel
+        row, kernel column) order, matching `weight.reshape(o, -1)`."""
+        n = xp.shape[0]
+        k, s = self.weight.shape[2], self.stride
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
+
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.weight.shape[1]:
             raise ValueError(
@@ -41,28 +60,33 @@ class Conv2d:
         if ho < 1 or wo < 1:
             raise ValueError(f"kernel {k} with stride {s} does not fit {h}x{w}")
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
-        out = cols @ self.weight.reshape(o, -1).T + self.bias
-        self._cache = (x.shape, xp.shape, cols)
+        out = self._columns(xp, ho, wo) @ self.weight.reshape(o, -1).T + self.bias
+        # the columns are rebuilt in backward: caching them would keep an
+        # im2col buffer (k*k times the padded input) alive between steps
+        self._cache = (x.shape, xp)
         return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
     def backward(self, grad):
-        x_shape, xp_shape, cols = self._cache
+        x_shape, xp = _pop_cache(self)
         n, _, h, w = x_shape
         o, c, k, _ = self.weight.shape
         s, p = self.stride, self.padding
         ho, wo = grad.shape[2], grad.shape[3]
         g = grad.transpose(0, 2, 3, 1).reshape(n * ho * wo, o)
+        cols = self._columns(xp, ho, wo)
         self.grad_weight = (g.T @ cols).reshape(self.weight.shape)
+        del cols  # one im2col-sized buffer at a time
         self.grad_bias = g.sum(axis=0)
-        gcols = (g @ self.weight.reshape(o, -1)).reshape(n, ho, wo, c, k, k)
-        gxp = np.zeros(xp_shape)
+        # weight columns in (kernel offset, channel) order, so each offset's
+        # column gradient is a contiguous run of channels; the product is
+        # the same one as with (channel, offset) columns, permuted
+        wk = self.weight.reshape(o, c, k * k).transpose(0, 2, 1).reshape(o, -1)
+        gcols = (g @ wk).reshape(n, ho, wo, k, k, c)
+        gxp = np.zeros((n, xp.shape[2], xp.shape[3], c))
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return gxp[:, :, p:p + h, p:p + w]
+                gxp[:, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, :, :, i, j]
+        return np.ascontiguousarray(gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}
@@ -75,6 +99,9 @@ class MaxPool2d:
     """Windowed maximum; gradients route to the first maximum per window."""
 
     def __init__(self, window=3, stride=2):
+        if window * window - 1 > np.iinfo(np.uint8).max:
+            raise ValueError(f"pool window {window} has more positions than a "
+                             "uint8 window index can name")
         self.window = window
         self.stride = stride
         self._cache = None
@@ -92,19 +119,24 @@ class MaxPool2d:
         flat = win.reshape(*win.shape[:4], k * k)
         idx = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        self._cache = (x.shape, idx.astype(np.uint8))
         return out
 
     def backward(self, grad):
-        x_shape, idx = self._cache
+        x_shape, idx = _pop_cache(self)
         k, s = self.window, self.stride
-        gx = np.zeros(x_shape)
-        n, c, ho, wo = idx.shape
-        ni, ci, hi, wi = np.indices(idx.shape)
-        rows = hi * s + idx // k
-        cols = wi * s + idx % k
-        np.add.at(gx, (ni, ci, rows, cols), grad)
-        return gx
+        n, c, h, w = x_shape
+        _, _, ho, wo = idx.shape
+        # flat input offset of each window's maximum: plane, window origin,
+        # then the position inside the window
+        plane = np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+        origin = (np.arange(ho) * (s * w))[:, None] + np.arange(wo) * s
+        inside = (idx // k).astype(np.intp) * w + idx % k
+        gx = np.zeros(n * c * h * w)
+        # add.at visits indices in C order, so overlapping windows sum in
+        # a fixed order
+        np.add.at(gx, (plane + origin + inside).ravel(), grad.ravel())
+        return gx.reshape(x_shape)
 
     def params(self):
         return {}
@@ -143,7 +175,7 @@ class BatchNorm2d:
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
     def backward(self, grad):
-        xhat, inv_std, trained = self._cache
+        xhat, inv_std, trained = _pop_cache(self)
         self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
         self.grad_beta = grad.sum(axis=(0, 2, 3))
         scale = (self.gamma * inv_std)[None, :, None, None]
@@ -166,14 +198,14 @@ class BatchNorm2d:
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._cache = x > 0
+        return np.where(self._cache, x, 0.0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, 0.0)
+        return np.where(_pop_cache(self), grad, 0.0)
 
     def params(self):
         return {}
@@ -184,14 +216,14 @@ class ReLU:
 
 class Flatten:
     def __init__(self):
-        self._shape = None
+        self._cache = None
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(_pop_cache(self))
 
     def params(self):
         return {}
@@ -220,7 +252,7 @@ class Dense:
         return x @ self.weight + self.bias
 
     def backward(self, grad):
-        x = self._cache
+        x = _pop_cache(self)
         self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
         return grad @ self.weight.T

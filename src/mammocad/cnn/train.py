@@ -69,8 +69,14 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
 
     The dataset is split 80/20 per class by the seed; history carries
     one record per epoch with the mean train loss and test accuracy.
+    `dataset` is any iterable of (image, label) pairs, read once. Each
+    film is cut to the input size as it is read, so a lazy iterable keeps
+    no full-resolution film alive. Augmentation rotates the whole films
+    and fills the corners with their mean, so with it they are kept.
     """
-    items = [(as_gray(im), int(lab)) for im, lab in dataset]
+    size = network_config.input_size
+    keep = as_gray if train_config.augment else (lambda im: _sized(im, size))
+    items = [(keep(im), int(lab)) for im, lab in dataset]
     if not items:
         raise ValueError("empty dataset")
     labels = [lab for _, lab in items]
@@ -81,7 +87,6 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     train_idx, test_idx = stratified_split(labels, 0.2, rng)
     train_items = [items[i] for i in train_idx]
     test_items = [items[i] for i in test_idx]
-    size = network_config.input_size
     if train_config.augment:
         train_items = build_augmented_set(train_items, rng, size)
     train_images = [_sized(im, size) for im, _ in train_items]

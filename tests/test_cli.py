@@ -214,6 +214,29 @@ def test_evaluate_peak_memory_does_not_grow_with_the_held_out_films(tmp_path, ca
     assert peaks[1] - peaks[0] <= one_chunk_of_films
 
 
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_train_peak_memory_grows_only_by_the_sized_films(tmp_path, capsys):
+    peaks = []
+    # 6 and 12 films at 512x512; both hold out one film per class and
+    # take several batches, so only the number of training films differs
+    for n_per_class in (3, 6):
+        root = tmp_path / f"n{n_per_class}"
+        root.mkdir()
+        data, info = tiny_training_dir(root, n_per_class=n_per_class, size=512)
+        tracemalloc.start()
+        try:
+            assert main(["train", "--data", str(data), "--info", str(info),
+                         "-o", str(root / "model.bin"), "--desk", "--epochs", "1",
+                         "--set", "train.batch_size=2"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    sized_copies = 6 * 64 * 64 * 8   # of the 6 extra films; whole, they take 12 MB
+    bookkeeping = 256 * 1024
+    assert peaks[1] - peaks[0] <= sized_copies + bookkeeping
+
+
 def test_segment_idempotent(phantom_pgm, tmp_path):
     out = tmp_path / "seg_twice"
     args = ["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",

@@ -213,6 +213,23 @@ def test_flatten_round_trip():
     np.testing.assert_array_equal(f.backward(y), x)
 
 
+@pytest.mark.parametrize("layer, x", [
+    (Conv2d(2, 3, 3), np.ones((2, 2, 5, 5))),
+    (MaxPool2d(3, 2), np.ones((2, 2, 5, 5))),
+    (BatchNorm2d(2), np.arange(100.0).reshape(2, 2, 5, 5)),
+    (ReLU(), np.ones((2, 3))),
+    (Flatten(), np.ones((2, 2, 5, 5))),
+    (Dense(3, 2), np.ones((2, 3))),
+], ids=["conv", "pool", "batchnorm", "relu", "flatten", "dense"])
+def test_backward_needs_a_forward_pass(layer, x):
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        layer.backward(np.ones((2, 2)))
+    grad = np.ones(layer.forward(x, train=True).shape)
+    layer.backward(grad)
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        layer.backward(grad)  # the forward cache is consumed
+
+
 def test_softmax_symmetric_tie():
     probs, label = softmax_predict(np.array([0.0, 0.0]))
     np.testing.assert_allclose(probs, [0.5, 0.5])

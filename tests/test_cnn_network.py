@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,39 @@ def test_full_profile_backward_pass():
     net.backward(grad)
     grads = net.named_grads()
     assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
+
+
+def test_training_step_carries_no_forward_cache():
+    from mammocad.cnn.layers import cross_entropy, sgd_step, softmax_predict
+
+    rng = np.random.default_rng(4)
+    x = rng.random((16, 1, 64, 64))
+    y = np.arange(16) % 2
+    tracemalloc.start()
+    try:
+        net = Network(NetworkConfig.desk(), seed=0)
+        velocity = None
+        forward_peaks = []
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            probs, _ = softmax_predict(net.forward(x, train=True))
+            forward_peaks.append(tracemalloc.get_traced_memory()[1])
+            net.backward(cross_entropy(probs, y)[1])
+            assert all(layer._cache is None for layer in net.layers)
+            params, velocity = sgd_step(net.named_params(), net.named_grads(),
+                                        0.01, 0.9, velocity)
+            for name, value in params.items():
+                net.set_tensor(name, value)
+            del params, probs
+    finally:
+        tracemalloc.stop()
+    # between steps only the gradients and the momentum are new; a cache
+    # left from the first step would sit beside the second forward's own
+    # (over 5 MB more here)
+    carried = sum(g.nbytes for g in net.named_grads().values())
+    carried += sum(v.nbytes for v in velocity.values())
+    bookkeeping = 64 * 1024
+    assert forward_peaks[1] <= forward_peaks[0] + carried + bookkeeping
 
 
 def test_desk_profile_channel_scaling():

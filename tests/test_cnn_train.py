@@ -85,6 +85,16 @@ def test_train_deterministic_for_seed():
         np.testing.assert_array_equal(net2.named_params()[name], tensor)
 
 
+def test_train_reads_a_lazy_dataset_like_a_list():
+    items = blob_dataset(n_per_class=5, size=96)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
+    net1, hist1 = train(items, NetworkConfig.desk(), cfg)
+    net2, hist2 = train(iter(items), NetworkConfig.desk(), cfg)
+    assert hist1 == hist2
+    for name, tensor in net1.named_params().items():
+        assert net2.named_params()[name].tobytes() == tensor.tobytes()
+
+
 def test_memorizes_eight_images():
     # overfit check: a tiny set must be learned perfectly
     items = blob_dataset(n_per_class=5)  # 8 train / 2 test after the split
