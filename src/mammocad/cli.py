@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig, apply_assignments, format_config, parse_assignments
-from .core import mask_contour, read_pgm, write_pgm, write_ppm_overlay
+from .core import mask_contour, read_pgm_file, write_pgm, write_ppm_overlay
 from .dataset import combined_ground_truth, group_records, image_label, load_item, parse_info
 from .cnn.network import load_checkpoint, save_checkpoint
 from .cnn.train import score_dataset, stratified_split, train, write_history
@@ -117,15 +117,11 @@ def _echo_config(config: PipelineConfig, out_dir: Path):
     (out_dir / "config.echo").write_text(format_config(config))
 
 
-def _read_image(path) -> np.ndarray:
-    return read_pgm(Path(path).read_bytes())
-
-
 def cmd_preprocess(args) -> int:
     config = load_pipeline_config(args)
     out_dir = Path(args.output)
     _echo_config(config, out_dir)
-    image = _read_image(args.image)
+    image = read_pgm_file(args.image)
     result = preprocess_image(image, config)
     (out_dir / "denoised.pgm").write_bytes(write_pgm(result.denoised))
     (out_dir / "enhanced.pgm").write_bytes(write_pgm(result.enhanced))
@@ -154,11 +150,8 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     network = load_checkpoint(args.model)
     for path in args.images:
-        image = _read_image(path)
-        scored = score_dataset(network, [(image, 0)])
-        p_abnormal = scored[0][0]
-        label = "abnormal" if p_abnormal >= 0.5 else "normal"
-        print(json.dumps({"path": str(path), "label": label,
+        [(p_abnormal, abnormal, _)] = score_dataset(network, [(read_pgm_file(path), 0)])
+        print(json.dumps({"path": str(path), "label": "abnormal" if abnormal else "normal",
                           "p_abnormal": p_abnormal,
                           "p_normal": 1.0 - p_abnormal}, sort_keys=True))
     return 0
@@ -170,7 +163,7 @@ def cmd_segment(args) -> int:
     config = load_pipeline_config(args)
     out_dir = Path(args.output)
     _echo_config(config, out_dir)
-    image = _read_image(args.image)
+    image = read_pgm_file(args.image)
 
     log = None
     if args.verbose:
@@ -214,9 +207,8 @@ def cmd_evaluate(args) -> int:
     # decoded lazily, so only one batch of films is alive at a time
     test_items = ((load_item(args.data, groups[i]).image, labels[i]) for i in test_idx)
     scored = score_dataset(network, test_items, config.train_config().batch_size)
-    predictions = [(p >= 0.5, truth) for p, truth in scored]
-    report = compute_metrics(confusion(predictions))
-    report = dataclasses.replace(report, auc=roc_auc(scored))
+    report = compute_metrics(confusion((abnormal, truth) for _, abnormal, truth in scored))
+    report = dataclasses.replace(report, auc=roc_auc((p, truth) for p, _, truth in scored))
     text = report.to_json()
     if args.output:
         Path(args.output).write_text(text + "\n")

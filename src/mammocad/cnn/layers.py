@@ -13,16 +13,32 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _pop_cache(layer):
-    """The layer's forward cache, emptied so backward consumes it once."""
-    cache = layer._cache
-    if cache is None:
-        raise RuntimeError("backward needs a forward pass first")
-    layer._cache = None
-    return cache
+class Layer:
+    """What every layer shares: a forward cache that backward consumes,
+    and named parameters, gradients and checkpointed state, none by
+    default."""
+
+    _cache = None
+
+    def _pop_cache(self):
+        """The forward cache, emptied so backward consumes it once."""
+        cache = self._cache
+        if cache is None:
+            raise RuntimeError("backward needs a forward pass first")
+        self._cache = None
+        return cache
+
+    def params(self):
+        return {}
+
+    def grads(self):
+        return {}
+
+    def state(self):
+        return {}
 
 
-class Conv2d:
+class Conv2d(Layer):
     """2-D cross-correlation with zero padding and stride."""
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng=None):
@@ -35,7 +51,6 @@ class Conv2d:
         self.padding = padding
         self.grad_weight = None
         self.grad_bias = None
-        self._cache = None
 
     def output_shape(self, h, w):
         k, s, p = self.weight.shape[2], self.stride, self.padding
@@ -67,7 +82,7 @@ class Conv2d:
         return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
     def backward(self, grad):
-        x_shape, xp = _pop_cache(self)
+        x_shape, xp = self._pop_cache()
         n, _, h, w = x_shape
         o, c, k, _ = self.weight.shape
         s, p = self.stride, self.padding
@@ -95,7 +110,7 @@ class Conv2d:
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
 
-class MaxPool2d:
+class MaxPool2d(Layer):
     """Windowed maximum; gradients route to the first maximum per window."""
 
     def __init__(self, window=3, stride=2):
@@ -104,7 +119,6 @@ class MaxPool2d:
                              "uint8 window index can name")
         self.window = window
         self.stride = stride
-        self._cache = None
 
     def output_shape(self, h, w):
         k, s = self.window, self.stride
@@ -123,7 +137,7 @@ class MaxPool2d:
         return out
 
     def backward(self, grad):
-        x_shape, idx = _pop_cache(self)
+        x_shape, idx = self._pop_cache()
         k, s = self.window, self.stride
         n, c, h, w = x_shape
         _, _, ho, wo = idx.shape
@@ -138,14 +152,8 @@ class MaxPool2d:
         np.add.at(gx, (plane + origin + inside).ravel(), grad.ravel())
         return gx.reshape(x_shape)
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
-
-
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     """Per-channel normalization with running statistics for inference."""
 
     def __init__(self, channels, momentum=0.9, eps=1e-5):
@@ -157,7 +165,6 @@ class BatchNorm2d:
         self.eps = eps
         self.grad_gamma = None
         self.grad_beta = None
-        self._cache = None
 
     def forward(self, x, train=False):
         if train:
@@ -175,7 +182,7 @@ class BatchNorm2d:
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
     def backward(self, grad):
-        xhat, inv_std, trained = _pop_cache(self)
+        xhat, inv_std, trained = self._pop_cache()
         self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
         self.grad_beta = grad.sum(axis=(0, 2, 3))
         scale = (self.gamma * inv_std)[None, :, None, None]
@@ -196,43 +203,25 @@ class BatchNorm2d:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
-class ReLU:
-    def __init__(self):
-        self._cache = None
-
+class ReLU(Layer):
     def forward(self, x, train=False):
         self._cache = x > 0
         return np.where(self._cache, x, 0.0)
 
     def backward(self, grad):
-        return np.where(_pop_cache(self), grad, 0.0)
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
+        return np.where(self._pop_cache(), grad, 0.0)
 
 
-class Flatten:
-    def __init__(self):
-        self._cache = None
-
+class Flatten(Layer):
     def forward(self, x, train=False):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(_pop_cache(self))
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
+        return grad.reshape(self._pop_cache())
 
 
-class Dense:
+class Dense(Layer):
     """Affine map on flattened features."""
 
     def __init__(self, in_features, out_features, rng=None):
@@ -242,7 +231,6 @@ class Dense:
         self.bias = np.zeros(out_features)
         self.grad_weight = None
         self.grad_bias = None
-        self._cache = None
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
@@ -252,7 +240,7 @@ class Dense:
         return x @ self.weight + self.bias
 
     def backward(self, grad):
-        x = _pop_cache(self)
+        x = self._pop_cache()
         self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
         return grad @ self.weight.T
@@ -308,21 +296,24 @@ def cross_entropy(probs, labels):
 
 
 def sgd_step(params, grads, learning_rate, momentum=0.9, velocity=None):
-    """Momentum update: v <- m*v + grad; param <- param - lr*v.
+    """Momentum update in place: v <- m*v + grad; param <- param - lr*v.
 
-    Returns (new_params, velocity); pass the velocity back in on the
-    next call. Parameter and gradient dictionaries must share keys and
-    shapes.
+    Updates the parameter arrays and the velocity in place and returns
+    the velocity; pass it back in on the next call. Parameter and
+    gradient dictionaries must share keys and shapes; nothing is updated
+    unless they do.
     """
     if set(params) != set(grads):
         raise ValueError("parameter and gradient names differ")
-    if velocity is None:
-        velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    new_params = {}
     for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {k!r}")
-        velocity[k] = momentum * velocity[k] + g
-        new_params[k] = p - learning_rate * velocity[k]
-    return new_params, velocity
+        if grads[k].shape != p.shape:
+            raise ValueError(f"gradient shape {grads[k].shape} != parameter shape {p.shape} "
+                             f"for {k!r}")
+    if velocity is None:
+        velocity = {k: np.zeros_like(p) for k, p in params.items()}
+    for k, p in params.items():
+        v = velocity[k]
+        v *= momentum
+        v += grads[k]
+        p -= learning_rate * v
+    return velocity

@@ -83,6 +83,16 @@ class NetworkConfig:
             layers=d["layers"])
 
 
+def _count(spec, key, default=None, least=1):
+    """A layer's integer setting, checked: a descriptor read from a
+    checkpoint may carry any value."""
+    value = spec.get(key, default)
+    if type(value) is not int or value < least:
+        raise ValueError(f"{spec['kind']} {key} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return value
+
+
 class Network:
     """Layer stack with shape checking done once at construction."""
 
@@ -95,9 +105,9 @@ class Network:
         for spec in config.layers:
             kind = spec["kind"]
             if kind == "conv":
-                layer = Conv2d(channels, spec["out"], spec["kernel"],
-                               stride=spec.get("stride", 1),
-                               padding=spec.get("padding", 0), rng=rng)
+                layer = Conv2d(channels, _count(spec, "out"), _count(spec, "kernel"),
+                               stride=_count(spec, "stride", 1),
+                               padding=_count(spec, "padding", 0, least=0), rng=rng)
                 h, w = layer.output_shape(h, w)
                 channels = spec["out"]
             elif kind == "batchnorm":
@@ -105,7 +115,7 @@ class Network:
             elif kind == "relu":
                 layer = ReLU()
             elif kind == "pool":
-                layer = MaxPool2d(spec.get("window", 3), spec.get("stride", 2))
+                layer = MaxPool2d(_count(spec, "window", 3), _count(spec, "stride", 2))
                 h, w = layer.output_shape(h, w)
             elif kind == "flatten":
                 layer = Flatten()
@@ -113,7 +123,7 @@ class Network:
             elif kind == "dense":
                 if flat is None:
                     raise ValueError("dense layer before flatten")
-                layer = Dense(flat, spec["out"], rng=rng)
+                layer = Dense(flat, _count(spec, "out"), rng=rng)
                 flat = spec["out"]
             else:
                 raise ValueError(f"unknown layer kind {kind!r}")
@@ -133,28 +143,19 @@ class Network:
             grad = layer.backward(grad)
         return grad
 
+    def _named(self, part):
+        return {f"layer{i:02d}.{name}": value for i, layer in enumerate(self.layers)
+                for name, value in getattr(layer, part)().items()}
+
     def named_params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.params().items():
-                out[f"layer{i:02d}.{name}"] = value
-        return out
+        return self._named("params")
 
     def named_grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.grads().items():
-                out[f"layer{i:02d}.{name}"] = value
-        return out
+        return self._named("grads")
 
     def named_state(self):
         """Non-trained tensors that still belong in a checkpoint."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm2d):
-                for name, value in layer.state().items():
-                    out[f"layer{i:02d}.{name}"] = value
-        return out
+        return self._named("state")
 
     def set_tensor(self, name, value):
         idx = int(name.split(".")[0].removeprefix("layer"))

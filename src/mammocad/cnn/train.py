@@ -56,13 +56,6 @@ def _sized(image, size):
     return resize_bilinear(img, size, size)
 
 
-def _accuracy(network, images, labels):
-    if not len(images):
-        return None
-    _, predicted = network.predict(images)
-    return float((predicted == np.asarray(labels)).mean())
-
-
 def train(dataset, network_config: NetworkConfig = NetworkConfig(),
           train_config: TrainConfig = TrainConfig()):
     """Fit the classifier; returns (network, history).
@@ -89,15 +82,13 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     test_items = [items[i] for i in test_idx]
     if train_config.augment:
         train_items = build_augmented_set(train_items, rng, size)
-    train_images = [_sized(im, size) for im, _ in train_items]
+        test_items = [(_sized(im, size), lab) for im, lab in test_items]
     train_labels = np.array([lab for _, lab in train_items])
-    test_images = [_sized(im, size) for im, _ in test_items]
-    test_labels = [lab for _, lab in test_items]
 
     network = Network(network_config, seed=train_config.seed)
     velocity = None
     history = []
-    n = len(train_images)
+    n = len(train_items)
     for epoch in range(1, train_config.epochs + 1):
         order = rng.permutation(n)
         losses = []
@@ -105,22 +96,21 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
             batch = order[start:start + train_config.batch_size]
             if len(batch) < 2:
                 continue  # batch statistics need at least two samples
-            x = np.stack([train_images[i] for i in batch])[:, None]
+            x = np.stack([train_items[i][0] for i in batch])[:, None]
             y = train_labels[batch]
             logits = network.forward(x, train=True)
             probs, _ = softmax_predict(logits)
             loss, grad = cross_entropy(probs, y)
             network.backward(grad)
-            params, velocity = sgd_step(
-                network.named_params(), network.named_grads(),
-                train_config.learning_rate, train_config.momentum, velocity)
-            for name, value in params.items():
-                network.set_tensor(name, value)
+            velocity = sgd_step(network.named_params(), network.named_grads(),
+                                train_config.learning_rate, train_config.momentum, velocity)
             losses.append(loss)
+        scored = score_dataset(network, test_items, train_config.batch_size)
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else None,
-            "test_accuracy": _accuracy(network, test_images, test_labels),
+            "test_accuracy": (float(np.mean([abnormal == truth for _, abnormal, truth in scored]))
+                              if scored else None),
         })
     return network, history
 
@@ -133,8 +123,10 @@ def write_history(history, path) -> None:
 
 
 def score_dataset(network: Network, items, batch_size: int = TrainConfig.batch_size):
-    """(abnormal probability, truth) pairs for metric computation.
+    """(abnormal probability, predicted abnormal, truth) for each film.
 
+    The prediction is `Network.predict`'s label, the one decision rule:
+    abnormal only when its probability is the larger, so a tie is normal.
     `items` is any iterable of (image, label) pairs, read once. Films are
     taken, resized and scored `batch_size` at a time, so memory follows
     the batch, not the number of films. Batch norm uses its running
@@ -146,6 +138,8 @@ def score_dataset(network: Network, items, batch_size: int = TrainConfig.batch_s
     items = iter(items)
     scored = []
     while chunk := list(islice(items, batch_size)):
-        probs, _ = network.predict([_sized(im, network.config.input_size) for im, _ in chunk])
-        scored.extend((float(p[1]), bool(lab)) for p, (_, lab) in zip(probs, chunk))
+        probs, labels = network.predict(
+            [_sized(im, network.config.input_size) for im, _ in chunk])
+        scored.extend((float(p[1]), bool(label), bool(truth))
+                      for p, label, (_, truth) in zip(probs, labels, chunk))
     return scored

@@ -12,6 +12,7 @@ values a run uses.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .denoise import Bm3dProfile, default_profile
@@ -71,7 +72,10 @@ def _coerce(current, text: str):
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
     return text
 
 
@@ -95,7 +99,10 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
         section = sections[section_name]
         if key not in {f.name for f in dataclasses.fields(section)}:
             raise ValueError(f"unknown config key {dotted!r}")
-        updates[section_name][key] = _coerce(getattr(section, key), text)
+        try:
+            updates[section_name][key] = _coerce(getattr(section, key), text)
+        except ValueError as exc:
+            raise ValueError(f"{dotted}: {exc}") from None
     # one replace per section, so checks across fields see the final values
     for name, values in updates.items():
         if values:

@@ -8,6 +8,7 @@ bool arrays of the same shape as the image they describe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -101,7 +102,18 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise TruncatedDataError(
             f"expected {width * height} pixel bytes, found {len(payload)}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and raw.max() > maxval:
+        raise ImageFormatError(f"pixel value {raw.max()} exceeds maxval {maxval}")
     return raw.astype(np.float64) / float(maxval)
+
+
+def read_pgm_file(path) -> np.ndarray:
+    """`read_pgm` on the bytes of a file; its errors name the file."""
+    data = Path(path).read_bytes()
+    try:
+        return read_pgm(data)
+    except (ImageFormatError, TruncatedDataError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_pgm(image) -> bytes:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import read_pgm
+from .core import read_pgm_file
 
 TISSUE_CODES = {"F", "G", "D"}
 ABNORMALITY_CODES = {"CALC", "CIRC", "SPIC", "MISC", "ARCH", "ASYM", "NORM"}
@@ -83,6 +83,8 @@ def parse_info(text: str) -> list[MiasRecord]:
                 x, y, radius = (int(t) for t in tokens[4:7])
             except ValueError:
                 raise InfoParseError(f"line {lineno}: non-integer lesion geometry") from None
+            if radius < 1:
+                raise InfoParseError(f"line {lineno}: lesion radius {radius} is below 1")
             center = (x, y)
         records.append(MiasRecord(id=ident, tissue=tissue, abnormality=abnormality,
                                   severity=severity, center=center, radius=radius))
@@ -135,11 +137,10 @@ def load_item(image_dir, records) -> LabeledImage:
     ident = records[0].id
     path = Path(image_dir) / f"{ident}.pgm"
     try:
-        data = path.read_bytes()
+        image = read_pgm_file(path)
     except OSError as exc:
         raise OSError(f"missing image file for record {ident!r}: {exc}") from exc
-    return LabeledImage(image=read_pgm(data), label=image_label(records),
-                        records=tuple(records))
+    return LabeledImage(image=image, label=image_label(records), records=tuple(records))
 
 
 def load_dataset(image_dir, info_path) -> list[LabeledImage]:

@@ -297,9 +297,8 @@ def test_criterion_9_mias_end_to_end(tmp_path):
     labels = [item.label for item in items]
     _, test_idx = stratified_split(labels, 0.2, np.random.default_rng(0))
     scored = [all_scored[i] for i in test_idx]
-    predictions = [(p >= 0.5, t) for p, t in scored]
-    achieved = compute_metrics(confusion(predictions))
-    auc_value = roc_auc(scored)
+    achieved = compute_metrics(confusion((abnormal, t) for _, abnormal, t in scored))
+    auc_value = roc_auc((p, t) for p, _, t in scored)
     assert achieved.accuracy > 0.63  # majority-class baseline
 
     abnormal = next(item for item in items

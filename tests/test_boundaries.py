@@ -1,0 +1,167 @@
+"""Every file boundary rejects malformed input with its declared error type.
+
+The properties feed arbitrary and near-valid inputs to the PGM reader,
+the annotation parser, the config parser and the checkpoint loader; each
+must either succeed or raise its own error type, never anything else.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mammocad.cnn.network import (
+    CheckpointError,
+    Network,
+    NetworkConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+from mammocad.config import PipelineConfig, parse_config
+from mammocad.core import ImageFormatError, TruncatedDataError, read_pgm
+from mammocad.dataset import InfoParseError, parse_info
+
+
+def _patched(data: bytes, patches, cut):
+    out = bytearray(data)
+    for position, value in patches:
+        out[position % len(out)] = value
+    return bytes(out[:len(out) - cut])
+
+
+_PATCHES = st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)), max_size=3)
+
+# --- PGM ---------------------------------------------------------------------
+
+_VALID_PGM = b"P5\n# comment\n3 2\n255\n" + bytes([0, 64, 128, 192, 255, 7])
+
+
+@given(st.binary(max_size=64))
+def test_read_pgm_raises_only_format_errors_on_any_bytes(data):
+    try:
+        image = read_pgm(data)
+    except (ImageFormatError, TruncatedDataError):
+        return
+    assert image.ndim == 2 and np.all((image >= 0) & (image <= 1))
+
+
+@given(_PATCHES, st.integers(0, len(_VALID_PGM) - 1))
+def test_read_pgm_raises_only_format_errors_on_patched_files(patches, cut):
+    try:
+        image = read_pgm(_patched(_VALID_PGM, patches, cut))
+    except (ImageFormatError, TruncatedDataError):
+        return
+    assert image.ndim == 2 and np.all((image >= 0) & (image <= 1))
+
+
+# --- info.txt ----------------------------------------------------------------
+
+_TOKENS = st.sampled_from(["mdb001", "G", "F", "D", "CIRC", "NORM", "SPIC", "B", "M",
+                           "30", "0", "-5", "1", "x", "1.5", "#", ""])
+_INFO_LINES = st.lists(st.lists(_TOKENS, max_size=8).map(" ".join), max_size=6).map("\n".join)
+
+
+@given(st.one_of(st.text(max_size=80), _INFO_LINES))
+def test_parse_info_raises_only_info_parse_errors(text):
+    try:
+        records = parse_info(text)
+    except InfoParseError:
+        return
+    for record in records:
+        assert record.radius is None or record.radius >= 1
+
+
+# --- config ------------------------------------------------------------------
+
+_KEYS = [f"{section.name}.{field.name}"
+         for section in dataclasses.fields(PipelineConfig)
+         for field in dataclasses.fields(getattr(PipelineConfig(), section.name))]
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999",
+                     "0", "1", "-1", "2.5", "true", "off", "", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=8))
+_CONFIG_LINES = st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=6)
+
+
+def _floats(config):
+    for section in dataclasses.fields(config):
+        for field in dataclasses.fields(getattr(config, section.name)):
+            value = getattr(getattr(config, section.name), field.name)
+            if isinstance(value, float):
+                yield f"{section.name}.{field.name}", value
+
+
+@given(_CONFIG_LINES)
+def test_parse_config_raises_only_value_errors_and_keeps_floats_finite(assignments):
+    text = "".join(f"{key} = {value}\n" for key, value in assignments)
+    try:
+        config = parse_config(text)
+    except ValueError:
+        return
+    assert all(math.isfinite(value) for _, value in _floats(config))
+
+
+@given(st.sampled_from([key for key, _ in _floats(PipelineConfig())]),
+       st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+def test_parse_config_names_the_key_of_a_non_finite_float(key, value):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        parse_config(f"{key} = {value}\n")
+
+
+@given(st.text(max_size=80))
+def test_parse_config_raises_only_value_errors_on_any_text(text):
+    try:
+        parse_config(text)
+    except ValueError:
+        pass
+
+
+# --- checkpoint --------------------------------------------------------------
+
+_SMALL = NetworkConfig(input_size=16, layers=[
+    {"kind": "conv", "out": 3, "kernel": 3, "stride": 1, "padding": 1},
+    {"kind": "batchnorm"},
+    {"kind": "relu"},
+    {"kind": "pool", "window": 2, "stride": 2},
+    {"kind": "flatten"},
+    {"kind": "dense", "out": 2},
+])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+    save_checkpoint(Network(_SMALL, seed=3), path)
+    return path.read_bytes()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(patches=_PATCHES, cut=st.integers(0, 64))
+def test_load_checkpoint_raises_only_checkpoint_errors(checkpoint_bytes, tmp_path,
+                                                       patches, cut):
+    path = tmp_path / "patched.bin"
+    path.write_bytes(_patched(checkpoint_bytes, patches, cut))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("key", ["out", "kernel", "stride", "window"])
+@pytest.mark.parametrize("value", [0, -1, 1.5])
+def test_load_checkpoint_rejects_layer_sizes_that_cannot_run(checkpoint_bytes, tmp_path,
+                                                             key, value):
+    layers = [dict(spec, **{key: value}) if key in spec else spec for spec in _SMALL.layers]
+    descriptor = _SMALL.to_json().encode()
+    bad = dataclasses.replace(_SMALL, layers=layers).to_json().encode()
+    start = checkpoint_bytes.index(descriptor)
+    path = tmp_path / "model.bin"
+    path.write_bytes(checkpoint_bytes[:start - 4] + len(bad).to_bytes(4, "little") + bad
+                     + checkpoint_bytes[start + len(descriptor):])
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)

@@ -302,6 +302,9 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
     ("levelset.smoothing_sigma=0", "smoothing_sigma"),
     ("levelset.iterations=0", "iterations"),
     ("levelset.early_stop_patience=0", "early_stop_patience"),
+    ("sfcm.tol=nan", "sfcm.tol"),
+    ("denoise.lambda_3d=nan", "denoise.lambda_3d"),
+    ("enhance.pectoral_tolerance=inf", "enhance.pectoral_tolerance"),
 ])
 def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, capsys,
                                                        assignment, field):
@@ -311,6 +314,68 @@ def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, ca
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and field in captured.err
     assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_is_rejected_before_any_stage(phantom_pgm, tmp_path, capsys, sigma):
+    out = tmp_path / "out"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "pipeline.sigma" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_pgm_errors_name_the_file(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    short = tmp_path / "short.pgm"
+    short.write_bytes(b"P5\n64 64\n255\n" + bytes(10))
+    assert main(["classify", "--model", str(model), str(short)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "short.pgm" in err and "found 10" in err
+
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb007.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(10))
+    assert main(["train", "--data", str(data), "--info", str(info),
+                 "-o", str(tmp_path / "m" / "model.bin"), "--desk", "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mdb007.pgm" in err and "found 10" in err
+
+
+def test_a_bad_lesion_radius_exits_2_naming_the_line(tmp_path, capsys):
+    data, info = tiny_training_dir(tmp_path)
+    info.write_text(info.read_text().replace("32 32 12", "30 30 -5", 1))
+    assert main(["train", "--data", str(data), "--info", str(info),
+                 "-o", str(tmp_path / "model.bin"), "--desk"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 6" in err and "radius -5" in err
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_a_tie_is_normal_in_classify_evaluate_and_predict(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    # a fresh desk network scores an all-zero film exactly [0.5, 0.5]
+    network = Network(NetworkConfig.desk())
+    probs, labels = network.predict([np.zeros((64, 64))])
+    assert probs[0].tolist() == [0.5, 0.5] and labels.tolist() == [0]
+    model = tmp_path / "model.bin"
+    save_checkpoint(network, model)
+    data, info = tiny_training_dir(tmp_path)
+    for film in data.iterdir():
+        film.write_bytes(write_pgm(np.zeros((64, 64))))
+
+    assert main(["classify", "--model", str(model), str(data / "mdb001.pgm")]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "normal"
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--info", str(info)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # every held-out film called normal: no abnormal one found, every normal one kept
+    assert (report["sensitivity"], report["specificity"]) == (0.0, 1.0)
 
 
 def test_python_m_mammocad_runs_the_cli(phantom_pgm, tmp_path):

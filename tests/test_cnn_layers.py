@@ -285,29 +285,33 @@ def test_cross_entropy_logit_gradient_matches_fd():
 def test_sgd_zero_gradient_no_change():
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.zeros(2)}
-    new, _ = sgd_step(params, grads, 0.1)
-    np.testing.assert_array_equal(new["w"], params["w"])
+    sgd_step(params, grads, 0.1)
+    np.testing.assert_array_equal(params["w"], [1.0, 2.0])
 
 
 def test_sgd_plain_step_without_momentum():
-    params = {"w": np.array([1.0])}
+    w = np.array([1.0])
+    params = {"w": w}
     grads = {"w": np.array([0.5])}
-    new, _ = sgd_step(params, grads, 0.1, momentum=0.0)
-    np.testing.assert_allclose(new["w"], [1.0 - 0.05])
+    sgd_step(params, grads, 0.1, momentum=0.0)
+    assert params["w"] is w  # updated in place
+    np.testing.assert_allclose(w, [1.0 - 0.05])
 
 
 def test_sgd_two_steps_with_momentum_hand_check():
     params = {"w": np.array([1.0])}
     v = None
-    params, v = sgd_step(params, {"w": np.array([1.0])}, 0.1, 0.9, v)
+    v = sgd_step(params, {"w": np.array([1.0])}, 0.1, 0.9, v)
     # v = 1.0, w = 1 - 0.1
     np.testing.assert_allclose(params["w"], [0.9])
-    params, v = sgd_step(params, {"w": np.array([1.0])}, 0.1, 0.9, v)
+    v = sgd_step(params, {"w": np.array([1.0])}, 0.1, 0.9, v)
     # v = 0.9*1 + 1 = 1.9, w = 0.9 - 0.19
     np.testing.assert_allclose(params["w"], [0.71])
     np.testing.assert_allclose(v["w"], [1.9])
 
 
 def test_sgd_shape_mismatch_rejected():
+    params = {"a": np.zeros(2), "w": np.zeros(2)}
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.1)
+        sgd_step(params, {"a": np.ones(2), "w": np.zeros(3)}, 0.1)
+    np.testing.assert_array_equal(params["a"], [0.0, 0.0])  # nothing updated

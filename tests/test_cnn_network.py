@@ -57,11 +57,8 @@ def test_training_step_carries_no_forward_cache():
             forward_peaks.append(tracemalloc.get_traced_memory()[1])
             net.backward(cross_entropy(probs, y)[1])
             assert all(layer._cache is None for layer in net.layers)
-            params, velocity = sgd_step(net.named_params(), net.named_grads(),
-                                        0.01, 0.9, velocity)
-            for name, value in params.items():
-                net.set_tensor(name, value)
-            del params, probs
+            velocity = sgd_step(net.named_params(), net.named_grads(), 0.01, 0.9, velocity)
+            del probs
     finally:
         tracemalloc.stop()
     # between steps only the gradients and the momentum are new; a cache

@@ -126,14 +126,16 @@ def test_write_history_jsonl(tmp_path):
     assert record["epoch"] == 1
 
 
-def test_score_dataset_probability_truth_pairs():
+def test_score_dataset_probability_prediction_truth():
     items = blob_dataset(n_per_class=4)
     net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=8, seed=6))
     scored = score_dataset(net, items)
     assert len(scored) == len(items)
-    for prob, truth in scored:
+    _, labels = net.predict([im for im, _ in items])
+    for (prob, abnormal, truth), label, (_, lab) in zip(scored, labels, items):
         assert 0.0 <= prob <= 1.0
-        assert isinstance(truth, bool)
+        assert abnormal is bool(label)
+        assert truth is bool(lab)
 
 
 def test_score_dataset_in_chunks_matches_one_batch():
@@ -141,8 +143,8 @@ def test_score_dataset_in_chunks_matches_one_batch():
     net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=4, seed=6))
     whole = score_dataset(net, items, batch_size=len(items))
     chunked = score_dataset(net, items, batch_size=3)
-    assert [t for _, t in chunked] == [t for _, t in whole]
-    np.testing.assert_allclose([p for p, _ in chunked], [p for p, _ in whole],
+    assert [t for *_, t in chunked] == [t for *_, t in whole]
+    np.testing.assert_allclose([p for p, *_ in chunked], [p for p, *_ in whole],
                                rtol=0, atol=1e-12)
     assert score_dataset(net, items, batch_size=3) == chunked
     with pytest.raises(ValueError, match="batch_size"):
@@ -166,3 +168,24 @@ def test_score_dataset_peak_memory_does_not_grow_with_the_film_count():
 
     one_chunk = batch_size * net.config.input_size ** 2 * 8
     assert peak(films) - peak(films[:8]) <= one_chunk
+
+
+def test_training_peak_memory_does_not_grow_with_the_held_out_films():
+    rng = np.random.default_rng(0)
+    net_cfg, train_cfg = NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=2, seed=0)
+
+    def peak(n_per_class):
+        films = [(rng.random((64, 64)), i % 2) for i in range(2 * n_per_class)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(films, net_cfg, train_cfg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # 2 and 16 held-out films at batch 2; the films are already
+    # input-sized, so train keeps no copy of them
+    one_chunk = train_cfg.batch_size * net_cfg.input_size ** 2 * 8
+    bookkeeping = 64 * 1024
+    assert peak(40) - peak(5) <= one_chunk + bookkeeping

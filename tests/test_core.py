@@ -8,6 +8,7 @@ from mammocad.core import (
     largest_component,
     mask_contour,
     read_pgm,
+    read_pgm_file,
     resize_bilinear,
     write_pgm,
     write_ppm_overlay,
@@ -48,11 +49,22 @@ def test_read_pgm_rejects_bad_magic_and_maxval():
         read_pgm(b"P6\n1 1\n255\n\x00\x00\x00")
     with pytest.raises(ImageFormatError):
         read_pgm(make_pgm(1, 1, [0] * 2, maxval=65535))
+    with pytest.raises(ImageFormatError, match="exceeds maxval"):
+        read_pgm(make_pgm(2, 1, [7, 200], maxval=100))
 
 
 def test_read_pgm_truncated_payload():
     with pytest.raises(TruncatedDataError):
         read_pgm(b"P5\n4 4\n255\n" + bytes(7))
+
+
+def test_read_pgm_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "film.pgm"
+    path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
+    with pytest.raises(ImageFormatError, match="film.pgm: unsupported magic"):
+        read_pgm_file(path)
+    path.write_bytes(make_pgm(2, 2, [0, 255, 0, 255]))
+    np.testing.assert_array_equal(read_pgm_file(path), [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_pgm_round_trip_bit_exact():

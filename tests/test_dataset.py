@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from mammocad.core import write_pgm
+from mammocad.core import TruncatedDataError, write_pgm
 from mammocad.dataset import (
     InfoParseError,
+    MiasRecord,
     combined_ground_truth,
     ground_truth_mask,
     load_dataset,
+    load_item,
     parse_info,
 )
 
@@ -52,6 +54,18 @@ def test_parse_rejects_geometry_on_normal():
         parse_info("mdb001 G NORM B 10 10 5")
 
 
+@pytest.mark.parametrize("radius", ["-5", "0"])
+def test_parse_rejects_radius_below_one(radius):
+    with pytest.raises(InfoParseError, match="line 2.*radius"):
+        parse_info(f"mdb001 G NORM\nmdb002 G CIRC B 30 30 {radius}\n")
+
+
+def test_load_item_pgm_errors_name_the_file(tmp_path):
+    (tmp_path / "mdb001.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(10))
+    with pytest.raises(TruncatedDataError, match="mdb001.pgm.*found 10"):
+        load_item(tmp_path, parse_info("mdb001 G NORM"))
+
+
 def test_parse_skips_blank_and_comment_lines():
     records = parse_info("# header\n\nmdb001 G NORM\n")
     assert len(records) == 1
@@ -64,7 +78,7 @@ def test_parse_keeps_duplicate_ids():
 
 
 def test_ground_truth_zero_radius_single_pixel():
-    rec = parse_info("mdb001 G CIRC B 10 20 0")[0]
+    rec = MiasRecord("mdb001", "G", "CIRC", "B", center=(10, 20), radius=0)
     mask = ground_truth_mask(rec, (64, 64))
     assert mask.sum() == 1
     assert mask[64 - 20, 10]
