@@ -241,6 +241,10 @@ def load_checkpoint(path) -> Network:
             raise CheckpointError(f"tensor {name!r} has shape {shape}, "
                                   f"expected {expected[name]}")
         arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and np.any(arr < 0):
+            raise CheckpointError(f"tensor {name!r} holds a negative variance")
         network.set_tensor(name, arr.astype(np.float64))
     missing = sorted(set(expected) - seen)
     if missing:

@@ -28,6 +28,10 @@ class PipelineSection:
     sigma: float = 25.0             # assumed noise std, 8-bit scale
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"pipeline.sigma must be positive, got {self.sigma}")
+
 
 @dataclass(frozen=True)
 class NetworkSection:

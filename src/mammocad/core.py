@@ -187,19 +187,12 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 def connected_components(mask) -> LabelMap:
-    """Label 8-connected components, numbered by first row-major encounter."""
-    m = as_mask(mask)
-    raw, count = ndimage.label(m, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return LabelMap(labels=raw.astype(np.int32), component_count=0)
-    # relabel so component k is the k-th one met in a row-major scan
-    flat = raw.ravel()
-    nz = np.flatnonzero(flat)
-    uniq, first = np.unique(flat[nz], return_index=True)
-    order = uniq[np.argsort(first)]
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[order] = np.arange(1, count + 1, dtype=np.int32)
-    return LabelMap(labels=remap[raw], component_count=int(count))
+    """Label 8-connected components, numbered by first row-major encounter.
+
+    `ndimage.label` already numbers them in that order.
+    """
+    labels, count = ndimage.label(as_mask(mask), structure=_EIGHT_CONNECTED)
+    return LabelMap(labels=labels, component_count=int(count))
 
 
 def largest_component(label_map: LabelMap) -> np.ndarray:

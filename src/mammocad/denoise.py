@@ -63,10 +63,9 @@ def default_profile(sigma: float) -> Bm3dProfile:
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """Stack of matched blocks; the first slice is the reference."""
+    """Matched blocks; the first one is the reference."""
 
     coordinates: np.ndarray         # (G, 2) top-left (row, col)
-    stack: np.ndarray               # (G, k, k)
 
 
 def _reference_grid(extent: int, k: int, step: int) -> list[int]:
@@ -93,9 +92,12 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     difference stays below tau (rescaled from the 8-bit convention).
     The group is sorted by ascending distance with the reference first,
     truncated to the stage's maximum size, and padded with copies of
-    the reference up to a power of two.
+    the reference up to a power of two. Only the search window is
+    checked for non-finite intensities; the stages check the whole film.
     """
-    img = as_gray(image)
+    img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
     if stage == "hard":
         k, n_max, tau = profile.k_hard, profile.n_hard, profile.tau_hard
     elif stage == "wiener":
@@ -111,7 +113,7 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
     c0, c1 = max(0, c - rad), min(w - k, c + rad)
     ref_block = img[r:r + k, c:c + k]
-    windows = sliding_window_view(img[r0:r1 + k, c0:c1 + k], (k, k))
+    windows = sliding_window_view(as_gray(img[r0:r1 + k, c0:c1 + k]), (k, k))
     dists = ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
     threshold = tau / (k * k * 255.0 * 255.0)
 
@@ -129,10 +131,7 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     if len(coords) < target:
         pad = np.repeat(coords[:1], target - len(coords), axis=0)
         coords = np.concatenate([coords, pad])
-    else:
-        coords = coords[:target]
-    stack = windows[coords[:, 0] - r0, coords[:, 1] - c0]
-    return BlockGroup(coordinates=coords, stack=stack)
+    return BlockGroup(coordinates=coords)
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,8 +163,8 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
                         shrink) -> np.ndarray:
     """Group, transform, shrink and aggregate over every reference block.
 
-    Groups are matched on `match_on` and the same coordinates are cut
-    from `image`. One row of reference blocks is filtered at a time:
+    Groups are matched on `match_on`; both stacks are cut at the group
+    coordinates by one gather from each input. One row of reference blocks is filtered at a time:
     its groups are stacked by size into (B, G, k, k) arrays, and
     `shrink(matched_stacks, image_stacks)` returns the shrunk 3-D
     coefficients and one aggregation weight per group. Blocks are
@@ -178,7 +177,8 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
         raise ValueError("image smaller than one block")
     acc = np.zeros(h * w)
     weights = np.zeros(h * w)
-    windows = sliding_window_view(image, (k, k))
+    matched_windows = sliding_window_view(match_on, (k, k))
+    image_windows = sliding_window_view(image, (k, k))
     block_offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
     anchor_cols = _reference_grid(w, k, profile.step)
     for r in _reference_grid(h, k, profile.step):
@@ -191,11 +191,9 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
         for g in np.unique(sizes):
             refs = np.flatnonzero(sizes == g)
             slots = (starts[refs, None] + np.arange(g)).ravel()
-            matched_g = np.stack([groups[i].stack for i in refs])
-            if image is match_on:
-                image_g = matched_g
-            else:
-                image_g = windows[coords[slots, 0], coords[slots, 1]].reshape(-1, g, k, k)
+            rows, cols = coords[slots, 0], coords[slots, 1]
+            matched_g = matched_windows[rows, cols].reshape(-1, g, k, k)
+            image_g = image_windows[rows, cols].reshape(-1, g, k, k)
             coeffs, weight = shrink(matched_g, image_g)
             estimates[slots] = _inverse_3d(coeffs).reshape(-1, k, k)
             block_weights[slots] = np.repeat(weight, g)

@@ -75,11 +75,6 @@ def normalize(image, r1: int = 60, r2: int = 210) -> np.ndarray:
     return (r1 + ratio * (r2 - r1)) / 255.0
 
 
-def _histogram_256(image: np.ndarray) -> np.ndarray:
-    levels = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.int64)
-    return np.bincount(levels.ravel(), minlength=256).astype(np.float64)
-
-
 def otsu_level(hist) -> int:
     """Threshold maximizing between-class variance on a 256-bin histogram.
 
@@ -108,10 +103,8 @@ def otsu_level(hist) -> int:
 
 def otsu_threshold(image) -> tuple[int, np.ndarray]:
     """Otsu threshold level and the mask of pixels above it."""
-    img = as_gray(image)
-    hist = _histogram_256(img)
-    t = otsu_level(hist)
-    levels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.int64)
+    levels = np.rint(np.clip(as_gray(image), 0.0, 1.0) * 255.0).astype(np.int64)
+    t = otsu_level(np.bincount(levels.ravel(), minlength=256).astype(np.float64))
     return t, levels > t
 
 

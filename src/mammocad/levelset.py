@@ -40,6 +40,8 @@ class LevelSetConfig:
             raise ValueError("binarization threshold must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("Dirac width must be positive")
+        if self.tau <= 0:
+            raise ValueError(f"time step tau must be positive, got {self.tau}")
         if self.smoothing_sigma <= 0:
             raise ValueError(f"smoothing_sigma must be positive, got {self.smoothing_sigma}")
         for name in ("iterations", "early_stop_patience"):
@@ -68,18 +70,20 @@ def dirac(x, epsilon: float) -> np.ndarray:
     if epsilon <= 0:
         raise ValueError("Dirac width must be positive")
     arr = np.asarray(x, dtype=np.float64)
-    inside = np.abs(arr) <= epsilon
-    out = np.zeros_like(arr)
-    out[inside] = (1.0 / (2.0 * epsilon)) * (1.0 + np.cos(np.pi * arr[inside] / epsilon))
-    return out
+    return np.where(np.abs(arr) <= epsilon,
+                    (1.0 / (2.0 * epsilon)) * (1.0 + np.cos(np.pi * arr / epsilon)), 0.0)
 
 
-def _grad(f):
-    """Central differences with replicate borders: (d/drow, d/dcol)."""
-    p = np.pad(f, 1, mode="edge")
-    gr = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    gc = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
-    return gr, gc
+def _d_row(f):
+    """Central difference down the rows, replicate borders."""
+    p = np.pad(f, ((1, 1), (0, 0)), mode="edge")
+    return (p[2:] - p[:-2]) / 2.0
+
+
+def _d_col(f):
+    """Central difference along the columns, replicate borders."""
+    p = np.pad(f, ((0, 0), (1, 1)), mode="edge")
+    return (p[:, 2:] - p[:, :-2]) / 2.0
 
 
 def _laplacian(f):
@@ -99,32 +103,22 @@ def edge_indicator(image, sigma: float = 1.5) -> np.ndarray:
     img = as_gray(image)
     smooth = ndimage.gaussian_filter(img * 255.0, sigma=sigma, mode="nearest",
                                      truncate=3.0)
-    gr, gc = _grad(smooth)
-    return 1.0 / (1.0 + gr ** 2 + gc ** 2)
+    return 1.0 / (1.0 + _d_row(smooth) ** 2 + _d_col(smooth) ** 2)
 
 
 def evolve_step(phi, g, config: LevelSetConfig) -> np.ndarray:
     """One explicit evolution step of the field."""
     phi = np.asarray(phi, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(phi, g, config)
+        gr, gc = _d_row(phi), _d_col(phi)
+        mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), config.grad_floor)
+        nr, nc = gr / mag, gc / mag
+        regularize = _laplacian(phi) - (_d_row(nr) + _d_col(nc))
 
-
-def _step(phi, g, config):
-    gr, gc = _grad(phi)
-    mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), config.grad_floor)
-    nr, nc = gr / mag, gc / mag
-
-    curv_r, _ = _grad(nr)
-    _, curv_c = _grad(nc)
-    regularize = _laplacian(phi) - (curv_r + curv_c)
-
-    delta = dirac(phi, config.epsilon)
-    er, _ = _grad(g * nr)
-    _, ec = _grad(g * nc)
-    edge_term = config.lmda * delta * (er + ec) + config.nu * g * delta
-
-    out = phi + config.tau * (config.mu * regularize + edge_term)
+        delta = dirac(phi, config.epsilon)
+        edge_term = (config.lmda * delta * (_d_row(g * nr) + _d_col(g * nc))
+                     + config.nu * g * delta)
+        out = phi + config.tau * (config.mu * regularize + edge_term)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("level-set evolution diverged to non-finite values")
     return out
@@ -152,12 +146,12 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
     g = edge_indicator(img, config.smoothing_sigma)
     phi = init_phi(binarize_membership(r_k, config.b0), config.epsilon)
     n_pixels = phi.size
-    mask = extract_mask(phi)
+    mask = phi > 0.0
     calm_streak = 0
     steps = 0
     for steps in range(1, config.iterations + 1):
-        new_phi = evolve_step(phi, g, config)
-        new_mask = extract_mask(new_phi)
+        new_phi = evolve_step(phi, g, config)  # rejects a non-finite field
+        new_mask = new_phi > 0.0
         changed = int(np.count_nonzero(new_mask != mask))
         if on_iteration is not None:
             on_iteration(steps, int(new_mask.sum()), float(np.abs(new_phi - phi).mean()))

@@ -271,6 +271,32 @@ def test_classify_rejects_a_bad_checkpoint(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "truncated" in captured.err
 
 
+@pytest.mark.parametrize("tensor, value, message", [
+    ("layer01.running_var", -1.0, "negative variance"),
+    ("layer00.weight", float("nan"), "non-finite"),
+])
+def test_classify_rejects_a_checkpoint_with_bad_values(tmp_path, capsys, tensor, value,
+                                                        message):
+    import struct
+
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    data = bytearray(model.read_bytes())
+    at = data.index(tensor.encode()) + len(tensor)
+    rank = struct.unpack_from("<I", data, at)[0]
+    struct.pack_into("<d", data, at + 4 + 8 * rank, value)  # first entry of the tensor
+    model.write_bytes(bytes(data))
+    image = tmp_path / "mdb001.pgm"
+    image.write_bytes(write_pgm(np.full((64, 64), 0.5)))
+    assert main(["classify", "--model", str(model), str(image)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert tensor in captured.err and message in captured.err
+
+
 @pytest.mark.parametrize("command, assignment", [
     ("train", "train.batch_size=1"),
     ("segment", "sfcm.max_iter=0"),
@@ -305,6 +331,7 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
     ("sfcm.tol=nan", "sfcm.tol"),
     ("denoise.lambda_3d=nan", "denoise.lambda_3d"),
     ("enhance.pectoral_tolerance=inf", "enhance.pectoral_tolerance"),
+    ("levelset.tau=-1", "tau"),
 ])
 def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, capsys,
                                                        assignment, field):
@@ -316,7 +343,7 @@ def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, ca
     assert not out.exists()  # rejected before any stage ran
 
 
-@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-5"])
 def test_non_finite_sigma_is_rejected_before_any_stage(phantom_pgm, tmp_path, capsys, sigma):
     out = tmp_path / "out"
     assert main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", sigma]) == 2

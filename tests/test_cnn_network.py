@@ -155,9 +155,22 @@ def test_checkpoint_helper_matches_save(tmp_path, desk_tensors):
     ("reshaped", "has shape"),
     ("trailing", "after the last tensor"),
     ("truncated", "truncated"),
+    ("negative_var", "'layer01.running_var' holds a negative variance"),
+    ("nan_weight", "'layer00.weight' holds a non-finite value"),
+    ("inf_mean", "'layer05.running_mean' holds a non-finite value"),
 ])
 def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
     name, arr = desk_tensors[0]
+
+    def first_entry(target, value):
+        tensors = []
+        for tensor_name, tensor in desk_tensors:
+            if tensor_name == target:
+                tensor = tensor.copy()
+                tensor.flat[0] = value
+            tensors.append((tensor_name, tensor))
+        return _checkpoint(tensors)
+
     data = {
         "empty": lambda: _checkpoint([]),
         "missing": lambda: _checkpoint(desk_tensors[1:]),
@@ -166,6 +179,9 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
         "reshaped": lambda: _checkpoint([(name, arr.reshape(1, -1))] + desk_tensors[1:]),
         "trailing": lambda: _checkpoint(desk_tensors) + b"\0",
         "truncated": lambda: _checkpoint(desk_tensors)[:-3],
+        "negative_var": lambda: first_entry("layer01.running_var", -1.0),
+        "nan_weight": lambda: first_entry("layer00.weight", np.nan),
+        "inf_mean": lambda: first_entry("layer05.running_mean", np.inf),
     }[case]()
     path = tmp_path / "bad.bin"
     path.write_bytes(data)

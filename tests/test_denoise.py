@@ -73,7 +73,8 @@ def test_block_match_constant_image_full_group():
     group = block_match(img, (8, 8), prof, stage="hard")
     assert len(group.coordinates) == prof.n_hard
     assert tuple(group.coordinates[0]) == (8, 8)
-    np.testing.assert_allclose(group.stack, 0.5)
+    for r, c in group.coordinates:
+        np.testing.assert_allclose(img[r:r + 8, c:c + 8], 0.5)
 
 
 def test_block_match_reference_first():
@@ -81,7 +82,20 @@ def test_block_match_reference_first():
     img = rng.random((40, 40))
     group = block_match(img, (12, 16), Bm3dProfile(), stage="hard")
     assert tuple(group.coordinates[0]) == (12, 16)
-    np.testing.assert_array_equal(group.stack[0], img[12:20, 16:24])
+    r, c = group.coordinates[0]
+    np.testing.assert_array_equal(img[r:r + 8, c:c + 8], img[12:20, 16:24])
+
+
+def test_block_match_rejects_nan_in_its_search_window():
+    img = np.random.default_rng(9).random((64, 64))
+    prof = Bm3dProfile(search_radius=4)
+    clean = block_match(img, (0, 0), prof, stage="hard").coordinates
+    img[60, 60] = np.nan  # outside the window of (0, 0), which ends at row/col 11
+    np.testing.assert_array_equal(block_match(img, (0, 0), prof, stage="hard").coordinates,
+                                  clean)
+    img[11, 11] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        block_match(img, (0, 0), prof, stage="hard")
 
 
 def test_block_match_rejects_out_of_bounds():
@@ -138,6 +152,20 @@ def test_hard_stage_huge_sigma_flattens():
 def test_hard_stage_rejects_bad_sigma():
     with pytest.raises(ValueError):
         hard_stage(np.zeros((16, 16)), sigma=0.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda img, clean: hard_stage(img, 25.0),
+    lambda img, clean: wiener_stage(img, clean, 25.0),
+    lambda img, clean: wiener_stage(clean, img, 25.0),
+    lambda img, clean: bm3d_denoise(img, 25.0),
+], ids=["hard", "wiener-noisy", "wiener-basic", "bm3d"])
+def test_stages_reject_nan_anywhere_in_the_film(run):
+    clean = np.full((40, 40), 0.5)
+    img = clean.copy()
+    img[39, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run(img, clean)
 
 
 def test_wiener_stage_dimension_mismatch():
