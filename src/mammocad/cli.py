@@ -89,6 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the dedicated flags and the config keys they assign
+_FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "pipeline.seed", "desk": "network.desk",
+              "epochs": "train.epochs", "augment": "train.augment"}
+
+
 def load_pipeline_config(args) -> PipelineConfig:
     """The config file, then --set, then the dedicated flags; later wins."""
     assignments = []
@@ -99,16 +104,11 @@ def load_pipeline_config(args) -> PipelineConfig:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         dotted, value = item.split("=", 1)
         assignments.append((dotted.strip(), value.strip()))
-    if getattr(args, "sigma", None) is not None:
-        assignments.append(("pipeline.sigma", str(args.sigma)))
-    if getattr(args, "seed", None) is not None:
-        assignments.append(("pipeline.seed", str(args.seed)))
-    if getattr(args, "desk", False):
-        assignments.append(("network.desk", "true"))
-    if getattr(args, "epochs", None) is not None:
-        assignments.append(("train.epochs", str(args.epochs)))
-    if getattr(args, "augment", False):
-        assignments.append(("train.augment", "true"))
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        # an unset flag is None, an unset switch False; 0 is a value
+        if value is not None and value is not False:
+            assignments.append((key, str(value)))
     return apply_assignments(PipelineConfig(), assignments)
 
 
@@ -130,14 +130,19 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _films(data_dir, groups):
+    """(image, label) of each image's records, each film decoded as it is read."""
+    return ((load_item(data_dir, recs).image, image_label(recs)) for recs in groups)
+
+
 def cmd_train(args) -> int:
     config = load_pipeline_config(args)
     model_path = Path(args.output)
     _echo_config(config, model_path.parent)
     groups = group_records(parse_info(Path(args.info).read_text()))
-    # decoded lazily, so train keeps only its input-size copy of each film
-    dataset = ((load_item(args.data, recs).image, image_label(recs)) for recs in groups)
-    network, history = train(dataset, config.network_config(), config.train_config())
+    # train keeps only its input-size copy of each film
+    network, history = train(_films(args.data, groups), config.network_config(),
+                             config.train_config())
     save_checkpoint(network, model_path)
     write_history(history, model_path.with_suffix(".history.jsonl"))
     last = history[-1]
@@ -204,11 +209,13 @@ def cmd_evaluate(args) -> int:
     labels = [image_label(recs) for recs in groups]
     rng = np.random.default_rng(config.train_config().seed)
     _, test_idx = stratified_split(labels, 0.2, rng)
-    # decoded lazily, so only one batch of films is alive at a time
-    test_items = ((load_item(args.data, groups[i]).image, labels[i]) for i in test_idx)
-    scored = score_dataset(network, test_items, config.train_config().batch_size)
+    # only one batch of films is alive at a time
+    scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]),
+                           config.train_config().batch_size)
     report = compute_metrics(confusion((abnormal, truth) for _, abnormal, truth in scored))
-    report = dataclasses.replace(report, auc=roc_auc((p, truth) for p, _, truth in scored))
+    # the ROC is undefined when the held-out films are all one class
+    if len({truth for _, _, truth in scored}) == 2:
+        report = dataclasses.replace(report, auc=roc_auc((p, truth) for p, _, truth in scored))
     text = report.to_json()
     if args.output:
         Path(args.output).write_text(text + "\n")

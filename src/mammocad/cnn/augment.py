@@ -72,17 +72,14 @@ def augment_with_params(image, angle_deg, mirror, scale, crop_rc, shift_rc,
     if mirror:
         img = img[:, ::-1]
     in_h, in_w = img.shape
-    sh, sw = _scaled_shape(img.shape, scale) if scale != 1.0 else img.shape
+    sh, sw = _scaled_shape(img.shape, scale)
     h, w = _shorter_side_shape((sh, sw), target_size)
     if r + target_size > h or c + target_size > w:
         raise ValueError("crop window falls outside the resized image")
     rows, crop_rows = _crop_axis(sh, h, r, target_size)
     cols, crop_cols = _crop_axis(sw, w, c, target_size)
-    if scale != 1.0:
-        film = bilinear_gather(img, tuple(t[rows] for t in bilinear_samples(in_h, sh)),
-                               tuple(t[cols] for t in bilinear_samples(in_w, sw)))
-    else:
-        film = img[np.ix_(rows, cols)]
+    film = bilinear_gather(img, tuple(t[rows] for t in bilinear_samples(in_h, sh)),
+                           tuple(t[cols] for t in bilinear_samples(in_w, sw)))
     return _shift(bilinear_gather(film, crop_rows, crop_cols), *shift_rc)
 
 

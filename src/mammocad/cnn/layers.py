@@ -253,45 +253,33 @@ class Dense(Layer):
 
 
 def softmax_predict(logits):
-    """Class probabilities and argmax labels (ties go to the lowest index).
-
-    Accepts a single logit vector or a batch; max-subtraction keeps the
-    exponentials finite.
+    """Class probabilities and argmax labels (ties go to the lowest index)
+    of an (N, classes) batch; max-subtraction keeps the exponentials finite.
     """
     arr = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("logits must be finite")
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
     shifted = arr - arr.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
-    labels = probs.argmax(axis=1)
-    if squeeze:
-        return probs[0], int(labels[0])
-    return probs, labels
+    return probs, probs.argmax(axis=1)
 
 
 def cross_entropy(probs, labels):
-    """Mean negative log-likelihood and its gradient w.r.t. the logits.
+    """Mean negative log-likelihood of an (N, classes) batch and its
+    gradient w.r.t. the logits.
 
     The probability of the true class is clamped at 1e-12 before the
     log; for softmax outputs the logit gradient is (p - onehot) / N.
     """
     p = np.asarray(probs, dtype=np.float64)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    y = np.asarray(labels, dtype=np.int64)
     n = p.shape[0]
     picked = np.clip(p[np.arange(n), y], 1e-12, None)
     loss = float(-np.log(picked).mean())
     grad = p.copy()
     grad[np.arange(n), y] -= 1.0
     grad /= n
-    if squeeze:
-        grad = grad[0]
     return loss, grad
 
 

@@ -9,6 +9,7 @@ works on 64x64 inputs so CPU training stays tractable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -66,21 +67,15 @@ class NetworkConfig:
         return NetworkConfig(input_size=64, channel_scale=4)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "input_size": self.input_size,
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "channel_scale": self.channel_scale,
-            "layers": self.layers,
-        }, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "NetworkConfig":
         d = json.loads(text)
-        return NetworkConfig(
-            input_size=d["input_size"], num_classes=d["num_classes"],
-            feature_dim=d["feature_dim"], channel_scale=d["channel_scale"],
-            layers=d["layers"])
+        names = {f.name for f in dataclasses.fields(NetworkConfig)}
+        if not isinstance(d, dict) or set(d) != names:
+            raise ValueError(f"descriptor must hold exactly the fields {sorted(names)}")
+        return NetworkConfig(**d)
 
 
 def _count(spec, key, default=None, least=1):

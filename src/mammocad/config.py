@@ -50,10 +50,8 @@ class PipelineConfig:
     train: TrainConfig = TrainConfig()
 
     def network_config(self) -> NetworkConfig:
-        if self.network.desk:
-            return NetworkConfig(input_size=self.network.input_size,
-                                 channel_scale=NetworkConfig.desk().channel_scale)
-        return NetworkConfig(input_size=self.network.input_size)
+        profile = NetworkConfig.desk() if self.network.desk else NetworkConfig()
+        return dataclasses.replace(profile, input_size=self.network.input_size)
 
     def sfcm_config(self) -> SfcmConfig:
         return self.sfcm
@@ -73,14 +71,11 @@ def _coerce(current, text: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {text!r}")
-        return value
-    return text
+    value = type(current)(text)     # every other field is an int or a float
+    # compare rather than call math.isfinite, which overflows on a huge int
+    if value in (math.inf, -math.inf) or value != value:
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:

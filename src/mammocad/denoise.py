@@ -76,13 +76,6 @@ def _reference_grid(extent: int, k: int, step: int) -> list[int]:
     return anchors
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
                 stage: str = "hard") -> BlockGroup:
     """Group the blocks nearest to the reference block.
@@ -117,21 +110,12 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     dists = ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
     threshold = tau / (k * k * 255.0 * 255.0)
 
+    dists[r - r0, c - c0] = -1.0    # the reference leads; ties keep row-major order
     rows, cols = np.nonzero(dists <= threshold)
-    rows, cols = rows + r0, cols + c0
-    d = dists[rows - r0, cols - c0]
-    not_ref = (rows != r) | (cols != c)
-    order = np.argsort(d[not_ref], kind="stable")
-    coords = np.concatenate([
-        np.array([[r, c]], dtype=np.int64),
-        np.stack([rows[not_ref][order], cols[not_ref][order]], axis=1),
-    ])
-    coords = coords[:n_max]
-    target = min(_next_pow2(len(coords)), n_max)
-    if len(coords) < target:
-        pad = np.repeat(coords[:1], target - len(coords), axis=0)
-        coords = np.concatenate([coords, pad])
-    return BlockGroup(coordinates=coords)
+    order = np.argsort(dists[rows, cols], kind="stable")[:n_max]
+    pad = (1 << (len(order) - 1).bit_length()) - len(order)
+    order = np.concatenate([order, np.repeat(order[:1], pad)])
+    return BlockGroup(coordinates=np.stack([rows[order] + r0, cols[order] + c0], axis=1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_gray, connected_components, largest_component
+from .core import as_gray, connected_components, largest_component, to_u8
 
 
 class DegenerateInputError(ValueError):
@@ -45,8 +45,6 @@ def median_filter(image, window: int) -> np.ndarray:
     img = as_gray(image)
     if window < 1:
         raise ValueError("window must be at least 1 pixel")
-    if window == 1:
-        return img.copy()
     before = window // 2
     after = window - 1 - before
     padded = np.pad(img, ((before, after), (before, after)), mode="edge")
@@ -103,7 +101,7 @@ def otsu_level(hist) -> int:
 
 def otsu_threshold(image) -> tuple[int, np.ndarray]:
     """Otsu threshold level and the mask of pixels above it."""
-    levels = np.rint(np.clip(as_gray(image), 0.0, 1.0) * 255.0).astype(np.int64)
+    levels = to_u8(as_gray(image))
     t = otsu_level(np.bincount(levels.ravel(), minlength=256).astype(np.float64))
     return t, levels > t
 

@@ -6,6 +6,7 @@ must either succeed or raise its own error type, never anything else.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -164,4 +165,16 @@ def test_load_checkpoint_rejects_layer_sizes_that_cannot_run(checkpoint_bytes, t
     path.write_bytes(checkpoint_bytes[:start - 4] + len(bad).to_bytes(4, "little") + bad
                      + checkpoint_bytes[start + len(descriptor):])
     with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_descriptor_with_an_unknown_field(checkpoint_bytes,
+                                                                    tmp_path):
+    descriptor = _SMALL.to_json().encode()
+    bad = json.dumps(dict(json.loads(descriptor), dropout=0.5), sort_keys=True).encode()
+    start = checkpoint_bytes.index(descriptor)
+    path = tmp_path / "model.bin"
+    path.write_bytes(checkpoint_bytes[:start - 4] + len(bad).to_bytes(4, "little") + bad
+                     + checkpoint_bytes[start + len(descriptor):])
+    with pytest.raises(CheckpointError, match="descriptor"):
         load_checkpoint(path)

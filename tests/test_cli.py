@@ -162,6 +162,39 @@ def test_evaluate_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
+def test_evaluate_reports_a_null_auc_when_the_held_out_films_are_one_class(tmp_path,
+                                                                         capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    data, info = tiny_training_dir(tmp_path)
+    # five normal films and one abnormal: the split keeps the lone abnormal
+    # film for training, so every held-out film is normal
+    info.write_text("".join(info.read_text().splitlines(keepends=True)[:6]))
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--info", str(info)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["auc"] is None and report["sensitivity"] is None
+    assert report["accuracy"] is not None
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_flags_override_the_config_file_and_unset_switches_leave_it(tmp_path, capsys):
+    data, info = tiny_training_dir(tmp_path, n_per_class=3)
+    config = tmp_path / "run.cfg"
+    config.write_text("pipeline.seed = 3\npipeline.sigma = 50\nnetwork.desk = true\n")
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--config", str(config), "--epochs", "1", "--seed", "0",
+                 "--sigma", "5"]) == 0
+    echo = (model.parent / "config.echo").read_text().splitlines()
+    for line in ("pipeline.seed = 0", "sfcm.seed = 0", "train.seed = 0",
+                 "pipeline.sigma = 5.0", "network.desk = True", "network.input_size = 64"):
+        assert line in echo
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
 def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
     from mammocad.cnn.train import stratified_split
     from mammocad.dataset import group_records, image_label, parse_info
@@ -295,6 +328,25 @@ def test_classify_rejects_a_checkpoint_with_bad_values(tmp_path, capsys, tensor,
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert tensor in captured.err and message in captured.err
+
+
+def test_classify_rejects_a_descriptor_with_an_unknown_field(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    data = model.read_bytes()
+    descriptor = NetworkConfig.desk().to_json().encode()
+    bad = json.dumps(dict(json.loads(descriptor), dropout=0.5), sort_keys=True).encode()
+    start = data.index(descriptor)
+    model.write_bytes(data[:start - 4] + len(bad).to_bytes(4, "little") + bad
+                      + data[start + len(descriptor):])
+    image = tmp_path / "mdb001.pgm"
+    image.write_bytes(write_pgm(np.full((64, 64), 0.5)))
+    assert main(["classify", "--model", str(model), str(image)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "descriptor" in captured.err
 
 
 @pytest.mark.parametrize("command, assignment", [

@@ -231,14 +231,14 @@ def test_backward_needs_a_forward_pass(layer, x):
 
 
 def test_softmax_symmetric_tie():
-    probs, label = softmax_predict(np.array([0.0, 0.0]))
-    np.testing.assert_allclose(probs, [0.5, 0.5])
-    assert label == 0
+    probs, labels = softmax_predict(np.array([[0.0, 0.0]]))
+    np.testing.assert_allclose(probs, [[0.5, 0.5]])
+    assert labels.tolist() == [0]
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(12)
-    z = rng.normal(size=5)
+    z = rng.normal(size=(1, 5))
     p1, _ = softmax_predict(z)
     p2, _ = softmax_predict(z + 123.456)
     np.testing.assert_allclose(p1, p2, atol=1e-12)
@@ -246,11 +246,11 @@ def test_softmax_shift_invariance():
 
 
 def test_softmax_known_values():
-    probs, label = softmax_predict(np.array([1.0, 3.0]))
+    probs, labels = softmax_predict(np.array([[1.0, 3.0]]))
     e2 = np.exp(2.0)
-    np.testing.assert_allclose(probs, [1 / (1 + e2), e2 / (1 + e2)], atol=1e-12)
-    np.testing.assert_allclose(probs, [0.1192, 0.8808], atol=1e-4)
-    assert label == 1
+    np.testing.assert_allclose(probs, [[1 / (1 + e2), e2 / (1 + e2)]], atol=1e-12)
+    np.testing.assert_allclose(probs, [[0.1192, 0.8808]], atol=1e-4)
+    assert labels.tolist() == [1]
 
 
 def test_softmax_rejects_non_finite():
@@ -259,12 +259,12 @@ def test_softmax_rejects_non_finite():
 
 
 def test_cross_entropy_certain_prediction():
-    loss, _ = cross_entropy(np.array([1.0, 0.0]), 0)
+    loss, _ = cross_entropy(np.array([[1.0, 0.0]]), np.array([0]))
     assert loss == 0.0
 
 
 def test_cross_entropy_uniform_two_class():
-    loss, _ = cross_entropy(np.array([0.5, 0.5]), 1)
+    loss, _ = cross_entropy(np.array([[0.5, 0.5]]), np.array([1]))
     assert abs(loss - np.log(2)) < 1e-12
 
 

@@ -80,6 +80,12 @@ def test_master_seed_flows_to_sections():
     assert (pinned.sfcm.seed, pinned.train.seed) == (3, 7)
 
 
+def test_an_int_beyond_the_float_range_is_finite():
+    assert parse_config(f"sfcm.max_iter = {10 ** 400}\n").sfcm.max_iter == 10 ** 400
+    with pytest.raises(ValueError, match="^sfcm.max_iter: "):
+        parse_config("sfcm.max_iter = 1e3\n")
+
+
 def test_desk_network_profile():
     cfg = parse_config("network.desk = true\n")
     assert cfg.network.input_size == 64

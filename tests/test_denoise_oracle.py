@@ -5,11 +5,16 @@ shrink and aggregate one reference block's group at a time, as
 `mammocad.denoise` did before it batched a row of references into
 (B, G, k, k) stacks. The batched pass does the same float operations in
 the same per-pixel order, so its output must match this one byte for
-byte.
+byte. `oracle_block_match` assembles a group as `block_match` did before
+it sorted the reference together with the other matches: the reference,
+then the others by stable distance order, truncated, then padded. The
+oracle pass matches through it, so the stage oracles never call
+`block_match`.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dctn, idctn
 from scipy.linalg import hadamard
 
@@ -23,6 +28,40 @@ from mammocad.denoise import (
     hard_stage,
     wiener_stage,
 )
+
+
+def _next_pow2(n):
+    p = 1
+    while p < n:
+        p *= 2
+    return p
+
+
+def oracle_block_match(image, ref, profile, stage):
+    if stage == "hard":
+        k, n_max, tau = profile.k_hard, profile.n_hard, profile.tau_hard
+    else:
+        k, n_max, tau = profile.k_wie, profile.n_wie, profile.tau_wie
+    h, w = image.shape
+    r, c = ref
+    rad = profile.search_radius
+    r0, r1 = max(0, r - rad), min(h - k, r + rad)
+    c0, c1 = max(0, c - rad), min(w - k, c + rad)
+    windows = sliding_window_view(image[r0:r1 + k, c0:c1 + k], (k, k))
+    dists = ((windows - image[r:r + k, c:c + k]) ** 2).sum(axis=(2, 3)) / (k * k)
+    rows, cols = np.nonzero(dists <= tau / (k * k * 255.0 * 255.0))
+    rows, cols = rows + r0, cols + c0
+    d = dists[rows - r0, cols - c0]
+    not_ref = (rows != r) | (cols != c)
+    order = np.argsort(d[not_ref], kind="stable")
+    coords = np.concatenate([
+        np.array([[r, c]], dtype=np.int64),
+        np.stack([rows[not_ref][order], cols[not_ref][order]], axis=1),
+    ])[:n_max]
+    target = min(_next_pow2(len(coords)), n_max)
+    if len(coords) < target:
+        coords = np.concatenate([coords, np.repeat(coords[:1], target - len(coords), axis=0)])
+    return coords
 
 
 def _forward_3d(stack):
@@ -50,7 +89,7 @@ def _collaborative_pass(match_on, image, profile, stage, shrink):
     weights = np.zeros_like(image)
     for r in denoise._reference_grid(h, k, profile.step):
         for c in denoise._reference_grid(w, k, profile.step):
-            coords = block_match(match_on, (r, c), profile, stage).coordinates
+            coords = oracle_block_match(match_on, (r, c), profile, stage)
             matched = np.stack([match_on[i:i + k, j:j + k] for i, j in coords])
             stack = np.stack([image[i:i + k, j:j + k] for i, j in coords])
             coeffs, weight = shrink(matched, stack)
@@ -161,3 +200,30 @@ def test_oracle_profiles_mix_group_sizes_within_a_row(monkeypatch, name):
     for stage, n_max in (("hard", profile.n_hard), ("wiener", profile.n_wie)):
         mixed = max(len(s) for (st, _), s in sizes.items() if st == stage)
         assert mixed == 1 if n_max == 1 else mixed >= 2, stage
+
+
+def _assert_groups_match_the_oracle(image, profile):
+    h, w = image.shape
+    for stage, k in (("hard", profile.k_hard), ("wiener", profile.k_wie)):
+        for r in denoise._reference_grid(h, k, profile.step):
+            for c in denoise._reference_grid(w, k, profile.step):
+                coords = block_match(image, (r, c), profile, stage).coordinates
+                old = oracle_block_match(image, (r, c), profile, stage)
+                assert coords.dtype == old.dtype, (stage, r, c)
+                assert np.array_equal(coords, old), (stage, r, c)
+
+
+@pytest.mark.parametrize("name, shape, sigma", CASES,
+                         ids=[f"{n}-{h}x{w}-{s:g}" for n, (h, w), s in CASES])
+def test_block_match_assembles_the_groups_of_the_oracle(name, shape, sigma):
+    _assert_groups_match_the_oracle(film(shape, sigma), PROFILES[name] or default_profile(sigma))
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_block_match_breaks_ties_as_the_oracle_does(name):
+    # every block of the constant film ties with the reference, and the
+    # 4-level film's distances are multiples of 1/9, so many of them tie
+    levels = np.floor(np.random.default_rng(3).random((30, 37)) * 4) / 3
+    profile = PROFILES[name] or default_profile(50.0)
+    for image in (np.full((21, 26), 0.3), levels):
+        _assert_groups_match_the_oracle(image, profile)
