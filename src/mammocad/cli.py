@@ -141,8 +141,7 @@ def cmd_train(args) -> int:
     _echo_config(config, model_path.parent)
     groups = group_records(parse_info(Path(args.info).read_text()))
     # train keeps only its input-size copy of each film
-    network, history = train(_films(args.data, groups), config.network_config(),
-                             config.train_config())
+    network, history = train(_films(args.data, groups), config.network_config(), config.train)
     save_checkpoint(network, model_path)
     write_history(history, model_path.with_suffix(".history.jsonl"))
     last = history[-1]
@@ -207,11 +206,11 @@ def cmd_evaluate(args) -> int:
     # the split needs only the labels; decode just the held-out films
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]
-    rng = np.random.default_rng(config.train_config().seed)
+    rng = np.random.default_rng(config.train.seed)
     _, test_idx = stratified_split(labels, 0.2, rng)
     # only one batch of films is alive at a time
     scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]),
-                           config.train_config().batch_size)
+                           config.train.batch_size)
     report = compute_metrics(confusion((abnormal, truth) for _, abnormal, truth in scored))
     # the ROC is undefined when the held-out films are all one class
     if len({truth for _, _, truth in scored}) == 2:

@@ -4,7 +4,9 @@ Activations are float64 arrays in NCHW layout. Every layer caches what
 its backward pass needs during forward; backward consumes that cache,
 returns the gradient with respect to the input and stores parameter
 gradients on the layer. A cache lives from one forward to the next
-backward, so no layer holds activations between training steps.
+backward, so no layer holds activations between training steps. A
+layer is built from the tensors it holds; the network draws their
+initial values or reads them from a checkpoint.
 """
 
 from __future__ import annotations
@@ -38,15 +40,19 @@ class Layer:
         return {}
 
 
-class Conv2d(Layer):
-    """2-D cross-correlation with zero padding and stride."""
+def window_positions(size, window, stride, padding=0):
+    """How many places a window takes as it slides at `stride` over an
+    extent of `size`, zero-padded by `padding` on each side."""
+    return (size + 2 * padding - window) // stride + 1
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        fan_in = in_channels * kernel * kernel
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                 (out_channels, in_channels, kernel, kernel))
-        self.bias = np.zeros(out_channels)
+
+class Conv2d(Layer):
+    """2-D cross-correlation with zero padding and stride; the weight is
+    (out channels, in channels, kernel, kernel)."""
+
+    def __init__(self, weight, bias, stride=1, padding=0):
+        self.weight = weight
+        self.bias = bias
         self.stride = stride
         self.padding = padding
         self.grad_weight = None
@@ -54,7 +60,7 @@ class Conv2d(Layer):
 
     def output_shape(self, h, w):
         k, s, p = self.weight.shape[2], self.stride, self.padding
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        return window_positions(h, k, s, p), window_positions(w, k, s, p)
 
     def _columns(self, xp, ho, wo):
         """im2col: one row per output pixel, columns in (channel, kernel
@@ -110,19 +116,19 @@ class Conv2d(Layer):
         return {"weight": self.grad_weight, "bias": self.grad_bias}
 
 
+# the widest pool window whose positions a uint8 index can name
+MAX_POOL_WINDOW = 16
+
+
 class MaxPool2d(Layer):
     """Windowed maximum; gradients route to the first maximum per window."""
 
     def __init__(self, window=3, stride=2):
-        if window * window - 1 > np.iinfo(np.uint8).max:
+        if window > MAX_POOL_WINDOW:
             raise ValueError(f"pool window {window} has more positions than a "
                              "uint8 window index can name")
         self.window = window
         self.stride = stride
-
-    def output_shape(self, h, w):
-        k, s = self.window, self.stride
-        return (h - k) // s + 1, (w - k) // s + 1
 
     def forward(self, x, train=False):
         k, s = self.window, self.stride
@@ -156,11 +162,11 @@ class MaxPool2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel normalization with running statistics for inference."""
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+    def __init__(self, gamma, beta, running_mean, running_var, momentum=0.9, eps=1e-5):
+        self.gamma = gamma
+        self.beta = beta
+        self.running_mean = running_mean
+        self.running_var = running_var
         self.momentum = momentum
         self.eps = eps
         self.grad_gamma = None
@@ -222,13 +228,11 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    """Affine map on flattened features."""
+    """Affine map on flattened features; the weight is (in, out)."""
 
-    def __init__(self, in_features, out_features, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / in_features),
-                                 (in_features, out_features))
-        self.bias = np.zeros(out_features)
+    def __init__(self, weight, bias):
+        self.weight = weight
+        self.bias = bias
         self.grad_weight = None
         self.grad_bias = None
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .layers import BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU, softmax_predict
+from .layers import (MAX_POOL_WINDOW, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU,
+                     softmax_predict, window_positions)
 
 CHECKPOINT_MAGIC = b"MCADNET1"
 CHECKPOINT_VERSION = 1
@@ -49,6 +52,15 @@ def _default_layers(channel_scale: int, feature_dim: int, num_classes: int):
     ]
 
 
+def _count(value, what, least=1, most=None):
+    """`value`, checked to be an integer in range: a descriptor read from
+    a checkpoint may carry any value."""
+    if type(value) is not int or value < least or (most is not None and value > most):
+        bound = f"of at least {least}" if most is None else f"from {least} to {most}"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     input_size: int = 256
@@ -58,6 +70,11 @@ class NetworkConfig:
     layers: list = field(default_factory=list)
 
     def __post_init__(self):
+        # checked before the default layers are worked out from them
+        for name in ("input_size", "num_classes", "feature_dim", "channel_scale"):
+            _count(getattr(self, name), name)
+        if not isinstance(self.layers, list):
+            raise ValueError(f"layers must be a list, got {self.layers!r}")
         if not self.layers:
             object.__setattr__(self, "layers", _default_layers(
                 self.channel_scale, self.feature_dim, self.num_classes))
@@ -78,55 +95,105 @@ class NetworkConfig:
         return NetworkConfig(**d)
 
 
-def _count(spec, key, default=None, least=1):
-    """A layer's integer setting, checked: a descriptor read from a
-    checkpoint may carry any value."""
-    value = spec.get(key, default)
-    if type(value) is not int or value < least:
-        raise ValueError(f"{spec['kind']} {key} must be an integer of at least {least}, "
-                         f"got {value!r}")
-    return value
+# each layer kind's class, and the keys its spec may carry besides the kind
+_LAYER_KINDS = {"conv": (Conv2d, {"out", "kernel", "stride", "padding"}),
+                "batchnorm": (BatchNorm2d, set()), "relu": (ReLU, set()),
+                "pool": (MaxPool2d, {"window", "stride"}), "flatten": (Flatten, set()),
+                "dense": (Dense, {"out"})}
+
+
+class PlannedLayer(NamedTuple):
+    """One layer as the network builds it: its kind, the settings its
+    constructor takes and the shape of each tensor it holds, by name."""
+    kind: str
+    settings: dict
+    shapes: dict
+
+
+def layer_plan(config: NetworkConfig) -> list[PlannedLayer]:
+    """Check each layer of `config` and work out its tensor shapes,
+    allocating nothing, so a checkpoint's descriptor is judged before any
+    tensor is read. This is the one walk over `config.layers`."""
+    plan = []
+    channels, size = 1, config.input_size
+    flat = None                     # the feature width, once flattened
+    for i, spec in enumerate(config.layers):
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+            raise ValueError(f"layer {i} has no known kind: {spec!r}")
+        unknown = set(spec) - {"kind"} - _LAYER_KINDS[kind][1]
+        if unknown:
+            raise ValueError(f"{kind} layer {i} takes no {', '.join(sorted(unknown))}")
+        if flat is not None and kind in ("conv", "batchnorm", "pool", "flatten"):
+            raise ValueError(f"{kind} layer {i} comes after flatten")
+
+        def setting(key, default=None, least=1, most=None):
+            return _count(spec.get(key, default), f"{kind} {key}", least, most)
+
+        settings, shapes = {}, {}
+        if kind == "conv":
+            out, kernel = setting("out"), setting("kernel")
+            settings = {"stride": setting("stride", 1), "padding": setting("padding", 0, least=0)}
+            shapes = {"weight": (out, channels, kernel, kernel), "bias": (out,)}
+            channels = out
+            size = window_positions(size, kernel, settings["stride"], settings["padding"])
+        elif kind == "batchnorm":
+            shapes = dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (channels,))
+        elif kind == "pool":
+            settings = {"window": setting("window", 3, most=MAX_POOL_WINDOW),
+                        "stride": setting("stride", 2)}
+            size = window_positions(size, settings["window"], settings["stride"])
+        elif kind == "flatten":
+            flat = channels * size * size
+        elif kind == "dense":
+            if flat is None:
+                raise ValueError("dense layer before flatten")
+            out = setting("out")
+            shapes = {"weight": (flat, out), "bias": (out,)}
+            flat = out
+        if size < 1:
+            raise ValueError(f"spatial extent collapsed to {size}x{size} at {kind}")
+        plan.append(PlannedLayer(kind, settings, shapes))
+    if flat != config.num_classes:
+        raise ValueError(f"head produces {flat} outputs, expected {config.num_classes}")
+    return plan
+
+
+def _tensor_name(index: int, name: str) -> str:
+    return f"layer{index:02d}.{name}"
+
+
+def _initial_tensors(plan, rng):
+    """He-normal weights, drawn layer by layer, with zero biases, shifts
+    and running means, and unit scales and running variances."""
+    tensors = {}
+    for i, step in enumerate(plan):
+        for name, shape in step.shapes.items():
+            if name == "weight":
+                # a conv weight is (out, in, k, k), a dense one (in, out)
+                fan_in = math.prod(shape[1:]) if step.kind == "conv" else shape[0]
+                tensor = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+            else:
+                tensor = np.full(shape, 1.0 if name in ("gamma", "running_var") else 0.0)
+            tensors[_tensor_name(i, name)] = tensor
+    return tensors
 
 
 class Network:
-    """Layer stack with shape checking done once at construction."""
+    """Layer stack built from its layer plan, so shapes are checked once."""
 
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    def __init__(self, config: NetworkConfig, seed: int = 0, tensors=None):
+        """`tensors` maps each name of `named_params()` and `named_state()`
+        to an array of the plan's shape, which the network keeps; without
+        it the initial values are drawn from `seed`."""
+        plan = layer_plan(config)
+        if tensors is None:
+            tensors = _initial_tensors(plan, np.random.default_rng(seed))
         self.config = config
-        rng = np.random.default_rng(seed)
-        self.layers = []
-        channels, h, w = 1, config.input_size, config.input_size
-        flat = None
-        for spec in config.layers:
-            kind = spec["kind"]
-            if kind == "conv":
-                layer = Conv2d(channels, _count(spec, "out"), _count(spec, "kernel"),
-                               stride=_count(spec, "stride", 1),
-                               padding=_count(spec, "padding", 0, least=0), rng=rng)
-                h, w = layer.output_shape(h, w)
-                channels = spec["out"]
-            elif kind == "batchnorm":
-                layer = BatchNorm2d(channels)
-            elif kind == "relu":
-                layer = ReLU()
-            elif kind == "pool":
-                layer = MaxPool2d(_count(spec, "window", 3), _count(spec, "stride", 2))
-                h, w = layer.output_shape(h, w)
-            elif kind == "flatten":
-                layer = Flatten()
-                flat = channels * h * w
-            elif kind == "dense":
-                if flat is None:
-                    raise ValueError("dense layer before flatten")
-                layer = Dense(flat, _count(spec, "out"), rng=rng)
-                flat = spec["out"]
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-            if kind in ("conv", "pool") and (h < 1 or w < 1):
-                raise ValueError(f"spatial extent collapsed to {h}x{w} at {kind}")
-            self.layers.append(layer)
-        if flat != config.num_classes:
-            raise ValueError(f"head produces {flat} outputs, expected {config.num_classes}")
+        self.layers = [
+            _LAYER_KINDS[step.kind][0](**step.settings, **{
+                name: tensors[_tensor_name(i, name)] for name in step.shapes})
+            for i, step in enumerate(plan)]
 
     def forward(self, x, train=False):
         for layer in self.layers:
@@ -139,7 +206,7 @@ class Network:
         return grad
 
     def _named(self, part):
-        return {f"layer{i:02d}.{name}": value for i, layer in enumerate(self.layers)
+        return {_tensor_name(i, name): value for i, layer in enumerate(self.layers)
                 for name, value in getattr(layer, part)().items()}
 
     def named_params(self):
@@ -152,6 +219,7 @@ class Network:
         """Non-trained tensors that still belong in a checkpoint."""
         return self._named("state")
 
+    # perfbench, which wraps it by name, is its last user; ROADMAP item 1b deletes it
     def set_tensor(self, name, value):
         idx = int(name.split(".")[0].removeprefix("layer"))
         attr = name.split(".", 1)[1]
@@ -191,59 +259,71 @@ def save_checkpoint(network: Network, path) -> None:
 
 def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint; every parameter and state
-    tensor must appear exactly once, and nothing may follow the last."""
+    tensor must appear exactly once, and nothing may follow the last.
+
+    The descriptor's layer plan fixes each tensor's shape, so the bytes
+    left in the file are checked to hold them all before any is read,
+    and each is read once, into the array the network then keeps."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a model checkpoint (bad magic)")
-    pos = 8
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a model checkpoint (bad magic)")
+        pos = 8
 
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(data):
-            raise CheckpointError(f"checkpoint truncated: needs byte {pos + size}, "
-                                  f"file has {len(data)}")
-        pos += size
-        return data[pos - size:pos]
+        def take(count: int) -> bytes:
+            nonlocal pos
+            if pos + count > size:
+                raise CheckpointError(f"checkpoint truncated: needs byte {pos + count}, "
+                                      f"file has {size}")
+            pos += count
+            return fh.read(count)
 
-    def u32() -> int:
-        return struct.unpack("<I", take(4))[0]
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
 
-    version = u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    descriptor = take(u32())
-    try:
-        network = Network(NetworkConfig.from_json(descriptor.decode()))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"bad network descriptor: {exc}") from exc
-    expected = {name: value.shape for name, value in network.named_params().items()}
-    expected.update((name, value.shape) for name, value in network.named_state().items())
-    seen = set()
-    for _ in range(u32()):
+        version = u32()
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        descriptor = take(u32())
         try:
-            name = take(u32()).decode()
-        except UnicodeDecodeError:
-            raise CheckpointError("tensor name is not UTF-8") from None
-        if name not in expected:
-            raise CheckpointError(f"unknown tensor {name!r}")
-        if name in seen:
-            raise CheckpointError(f"tensor {name!r} appears twice")
-        seen.add(name)
-        rank = u32()
-        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        if shape != expected[name]:
-            raise CheckpointError(f"tensor {name!r} has shape {shape}, "
-                                  f"expected {expected[name]}")
-        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"tensor {name!r} holds a non-finite value")
-        if name.endswith(".running_var") and np.any(arr < 0):
-            raise CheckpointError(f"tensor {name!r} holds a negative variance")
-        network.set_tensor(name, arr.astype(np.float64))
-    missing = sorted(set(expected) - seen)
-    if missing:
-        raise CheckpointError(f"{len(missing)} tensors missing, first {missing[0]!r}")
-    if pos != len(data):
-        raise CheckpointError(f"{len(data) - pos} bytes after the last tensor")
-    return network
+            config = NetworkConfig.from_json(descriptor.decode())
+            shapes = {_tensor_name(i, name): shape for i, step in enumerate(layer_plan(config))
+                      for name, shape in step.shapes.items()}
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise CheckpointError(f"bad network descriptor: {exc}") from exc
+        count = u32()
+        if count < len(shapes):
+            raise CheckpointError(f"{len(shapes) - count} tensors missing")
+        # each entry: name length, name, rank, dimensions, float64 data
+        needed = sum(8 + len(name) + 8 * len(shape) + 8 * math.prod(shape)
+                     for name, shape in shapes.items())
+        if needed > size - pos:
+            raise CheckpointError(f"checkpoint truncated: the descriptor's tensors need "
+                                  f"{needed} bytes, {size - pos} remain")
+        tensors = {}
+        for _ in range(count):
+            try:
+                name = take(u32()).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError("tensor name is not UTF-8") from None
+            if name not in shapes:
+                raise CheckpointError(f"unknown tensor {name!r}")
+            if name in tensors:
+                raise CheckpointError(f"tensor {name!r} appears twice")
+            rank = u32()
+            shape = struct.unpack(f"<{rank}Q", take(8 * rank))
+            if shape != shapes[name]:
+                raise CheckpointError(f"tensor {name!r} has shape {shape}, "
+                                      f"expected {shapes[name]}")
+            # entries as the plan names and shapes them fit the budget above
+            tensor = np.empty(shape, dtype="<f8")
+            pos += fh.readinto(tensor)
+            if not np.all(np.isfinite(tensor)):
+                raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+            if name.endswith(".running_var") and np.any(tensor < 0):
+                raise CheckpointError(f"tensor {name!r} holds a negative variance")
+            tensors[name] = tensor
+        # `count` distinct planned names, no fewer than planned: none is missing
+        if pos != size:
+            raise CheckpointError(f"{size - pos} bytes after the last tensor")
+    return Network(config, tensors=tensors)

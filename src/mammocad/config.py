@@ -53,9 +53,11 @@ class PipelineConfig:
         profile = NetworkConfig.desk() if self.network.desk else NetworkConfig()
         return dataclasses.replace(profile, input_size=self.network.input_size)
 
+    # perfbench is the remaining caller; ROADMAP item 1b deletes it
     def sfcm_config(self) -> SfcmConfig:
         return self.sfcm
 
+    # perfbench is the remaining caller; ROADMAP item 1b deletes it
     def train_config(self) -> TrainConfig:
         return self.train
 

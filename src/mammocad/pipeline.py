@@ -43,7 +43,7 @@ def preprocess_image(image, config: PipelineConfig) -> PreprocessResult:
 
 def segment_image(image, config: PipelineConfig, on_iteration=None) -> SegmentationResult:
     pre = preprocess_image(image, config)
-    memberships, centers, sfcm_iters = sfcm_run(pre.final, config.sfcm_config())
+    memberships, centers, sfcm_iters = sfcm_run(pre.final, config.sfcm)
     r_k = tumor_membership_map(memberships, centers, pre.final.shape)
     phi, ls_iters = evolve(r_k, pre.final, config.levelset, on_iteration=on_iteration)
     return SegmentationResult(

@@ -190,15 +190,33 @@ def _max_rel_err(a, b):
     return float((np.abs(a - b) / denom).max())
 
 
+def conv_layer(in_channels, out_channels, kernel, rng, **settings):
+    """A conv layer with He-normal weights and zero bias, drawn as a network draws them."""
+    shape = (out_channels, in_channels, kernel, kernel)
+    weight = rng.normal(0.0, np.sqrt(2.0 / (in_channels * kernel * kernel)), shape)
+    return Conv2d(weight, np.zeros(out_channels), **settings)
+
+
+def dense_layer(in_features, out_features, rng):
+    weight = rng.normal(0.0, np.sqrt(2.0 / in_features), (in_features, out_features))
+    return Dense(weight, np.zeros(out_features))
+
+
+def batchnorm_layer(channels):
+    return BatchNorm2d(np.ones(channels), np.zeros(channels), np.zeros(channels),
+                       np.ones(channels))
+
+
 def test_criterion_7_cnn_suite():
     rng = np.random.default_rng(107)
     worst = 0.0
     cases = [
-        (Conv2d(3, 4, 3, rng=rng), rng.normal(size=(1, 3, 8, 8)), False),
-        (Conv2d(2, 3, 5, stride=2, padding=2, rng=rng), rng.normal(size=(2, 2, 9, 9)), False),
+        (conv_layer(3, 4, 3, rng=rng), rng.normal(size=(1, 3, 8, 8)), False),
+        (conv_layer(2, 3, 5, stride=2, padding=2, rng=rng), rng.normal(size=(2, 2, 9, 9)),
+         False),
         (MaxPool2d(3, 2), rng.normal(size=(2, 3, 9, 9)), False),
-        (BatchNorm2d(2), rng.normal(size=(4, 2, 3, 3)), True),
-        (Dense(6, 3, rng=rng), rng.normal(size=(4, 6)), False),
+        (batchnorm_layer(2), rng.normal(size=(4, 2, 3, 3)), True),
+        (dense_layer(6, 3, rng=rng), rng.normal(size=(4, 6)), False),
         (ReLU(), np.where(np.abs(z := rng.normal(size=(2, 3, 4, 4))) < 0.05, 0.1, z), False),
     ]
     for layer, x, train_mode in cases:

@@ -153,28 +153,63 @@ def test_load_checkpoint_raises_only_checkpoint_errors(checkpoint_bytes, tmp_pat
         pass
 
 
-@pytest.mark.parametrize("key", ["out", "kernel", "stride", "window"])
+def _with_descriptor(checkpoint: bytes, fields: dict) -> bytes:
+    """A checkpoint with its descriptor replaced by `fields` as JSON."""
+    descriptor = _SMALL.to_json().encode()
+    bad = json.dumps(fields, sort_keys=True).encode()
+    start = checkpoint.index(descriptor)
+    return (checkpoint[:start - 4] + len(bad).to_bytes(4, "little") + bad
+            + checkpoint[start + len(descriptor):])
+
+
+@pytest.mark.parametrize("key", ["out", "kernel", "stride", "window", "input_size",
+                                 "num_classes", "feature_dim", "channel_scale"])
 @pytest.mark.parametrize("value", [0, -1, 1.5])
 def test_load_checkpoint_rejects_layer_sizes_that_cannot_run(checkpoint_bytes, tmp_path,
                                                              key, value):
-    layers = [dict(spec, **{key: value}) if key in spec else spec for spec in _SMALL.layers]
-    descriptor = _SMALL.to_json().encode()
-    bad = dataclasses.replace(_SMALL, layers=layers).to_json().encode()
-    start = checkpoint_bytes.index(descriptor)
+    fields = json.loads(_SMALL.to_json())
+    if key in fields:
+        fields[key] = value
+    else:
+        fields["layers"] = [dict(spec, **{key: value}) if key in spec else spec
+                            for spec in fields["layers"]]
     path = tmp_path / "model.bin"
-    path.write_bytes(checkpoint_bytes[:start - 4] + len(bad).to_bytes(4, "little") + bad
-                     + checkpoint_bytes[start + len(descriptor):])
+    path.write_bytes(_with_descriptor(checkpoint_bytes, fields))
     with pytest.raises(CheckpointError, match=key):
         load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_a_descriptor_with_an_unknown_field(checkpoint_bytes,
                                                                     tmp_path):
-    descriptor = _SMALL.to_json().encode()
-    bad = json.dumps(dict(json.loads(descriptor), dropout=0.5), sort_keys=True).encode()
-    start = checkpoint_bytes.index(descriptor)
     path = tmp_path / "model.bin"
-    path.write_bytes(checkpoint_bytes[:start - 4] + len(bad).to_bytes(4, "little") + bad
-                     + checkpoint_bytes[start + len(descriptor):])
+    path.write_bytes(_with_descriptor(checkpoint_bytes,
+                                      dict(json.loads(_SMALL.to_json()), dropout=0.5)))
     with pytest.raises(CheckpointError, match="descriptor"):
         load_checkpoint(path)
+
+
+_SMALL_FIELDS = json.loads(_SMALL.to_json())
+_DESCRIPTOR_PATHS = [(key,) for key in _SMALL_FIELDS] + [
+    ("layers", i, key) for i, spec in enumerate(_SMALL_FIELDS["layers"]) for key in spec]
+_DESCRIPTOR_VALUES = st.one_of(
+    st.integers(-2, 10 ** 6), st.floats(), st.text(max_size=8), st.booleans(), st.none(),
+    st.recursive(st.integers(0, 3), lambda inner: st.lists(inner, max_size=3), max_leaves=6))
+
+
+# the default deadline holds each load to 200 ms, so a descriptor that
+# asks for far more than the file holds must be turned down unread
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(_DESCRIPTOR_PATHS), value=_DESCRIPTOR_VALUES)
+def test_load_checkpoint_raises_only_checkpoint_errors_on_patched_descriptors(
+        checkpoint_bytes, tmp_path, where, value):
+    fields = json.loads(_SMALL.to_json())
+    parent = fields
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = value
+    path = tmp_path / "model.bin"
+    path.write_bytes(_with_descriptor(checkpoint_bytes, fields))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

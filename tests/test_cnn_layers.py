@@ -17,6 +17,28 @@ STEP = 1e-3
 TOL = 1e-4
 
 
+def conv_layer(in_channels, out_channels, kernel, rng=None, **settings):
+    """A conv layer with He-normal weights and zero bias, drawn as a
+    network draws them (from seed 0 when no generator is given)."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    shape = (out_channels, in_channels, kernel, kernel)
+    weight = rng.normal(0.0, np.sqrt(2.0 / (in_channels * kernel * kernel)), shape)
+    return Conv2d(weight, np.zeros(out_channels), **settings)
+
+
+def dense_layer(in_features, out_features, rng=None):
+    """A dense layer with He-normal weights and zero bias."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    weight = rng.normal(0.0, np.sqrt(2.0 / in_features), (in_features, out_features))
+    return Dense(weight, np.zeros(out_features))
+
+
+def batchnorm_layer(channels, **settings):
+    """A batch-norm layer at unit scale, zero shift and fresh statistics."""
+    return BatchNorm2d(np.ones(channels), np.zeros(channels), np.zeros(channels),
+                       np.ones(channels), **settings)
+
+
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return (np.abs(a - b) / denom).max()
@@ -56,7 +78,7 @@ def check_layer_gradients(layer, x, train=False):
 def test_conv_identity_kernel():
     rng = np.random.default_rng(0)
     x = rng.random((2, 3, 5, 5))
-    conv = Conv2d(3, 3, 1, rng=rng)
+    conv = conv_layer(3, 3, 1, rng=rng)
     conv.weight = np.eye(3).reshape(3, 3, 1, 1).astype(float)
     conv.bias = np.zeros(3)
     np.testing.assert_allclose(conv.forward(x), x)
@@ -65,7 +87,7 @@ def test_conv_identity_kernel():
 def test_conv_zero_kernel_yields_bias():
     rng = np.random.default_rng(1)
     x = rng.random((1, 2, 6, 6))
-    conv = Conv2d(2, 4, 3, rng=rng)
+    conv = conv_layer(2, 4, 3, rng=rng)
     conv.weight = np.zeros_like(conv.weight)
     conv.bias = np.array([0.1, -0.2, 0.3, 0.4])
     out = conv.forward(x)
@@ -74,13 +96,13 @@ def test_conv_zero_kernel_yields_bias():
 
 
 def test_conv_output_shape_formula():
-    conv = Conv2d(1, 8, 11, stride=4, padding=2)
+    conv = conv_layer(1, 8, 11, stride=4, padding=2)
     assert conv.output_shape(64, 64) == (15, 15)
     assert conv.output_shape(256, 256) == (63, 63)
 
 
 def test_conv_rejects_channel_mismatch():
-    conv = Conv2d(3, 4, 3)
+    conv = conv_layer(3, 4, 3)
     with pytest.raises(ValueError):
         conv.forward(np.zeros((1, 2, 8, 8)))
 
@@ -88,13 +110,13 @@ def test_conv_rejects_channel_mismatch():
 def test_conv_gradients():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 3, 8, 8))
-    check_layer_gradients(Conv2d(3, 4, 3, rng=rng), x)
+    check_layer_gradients(conv_layer(3, 4, 3, rng=rng), x)
 
 
 def test_conv_gradients_strided_padded():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 2, 9, 9))
-    check_layer_gradients(Conv2d(2, 3, 3, stride=2, padding=1, rng=rng), x)
+    check_layer_gradients(conv_layer(2, 3, 3, stride=2, padding=1, rng=rng), x)
 
 
 def test_maxpool_constant_input():
@@ -131,7 +153,7 @@ def test_maxpool_gradients():
 
 def test_batchnorm_train_statistics():
     rng = np.random.default_rng(5)
-    bn = BatchNorm2d(3)
+    bn = batchnorm_layer(3)
     x = rng.normal(loc=2.0, scale=3.0, size=(4, 3, 5, 5))
     y = bn.forward(x, train=True)
     np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
@@ -139,7 +161,7 @@ def test_batchnorm_train_statistics():
 
 
 def test_batchnorm_gamma_zero_gives_beta():
-    bn = BatchNorm2d(2)
+    bn = batchnorm_layer(2)
     bn.gamma = np.zeros(2)
     bn.beta = np.array([1.5, -0.5])
     rng = np.random.default_rng(6)
@@ -150,11 +172,11 @@ def test_batchnorm_gamma_zero_gives_beta():
 
 def test_batchnorm_rejects_batch_of_one():
     with pytest.raises(ValueError):
-        BatchNorm2d(2).forward(np.zeros((1, 2, 4, 4)), train=True)
+        batchnorm_layer(2).forward(np.zeros((1, 2, 4, 4)), train=True)
 
 
 def test_batchnorm_running_stats_updated():
-    bn = BatchNorm2d(1, momentum=0.9)
+    bn = batchnorm_layer(1, momentum=0.9)
     x = np.ones((2, 1, 2, 2)) * 4.0
     bn.forward(x, train=True)
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 4.0])
@@ -166,11 +188,11 @@ def test_batchnorm_running_stats_updated():
 def test_batchnorm_gradients_train_mode():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 2, 3, 3))
-    check_layer_gradients(BatchNorm2d(2), x, train=True)
+    check_layer_gradients(batchnorm_layer(2), x, train=True)
 
 
 def test_dense_identity_passthrough():
-    dense = Dense(4, 4)
+    dense = dense_layer(4, 4)
     dense.weight = np.eye(4)
     dense.bias = np.zeros(4)
     rng = np.random.default_rng(8)
@@ -179,7 +201,7 @@ def test_dense_identity_passthrough():
 
 
 def test_dense_zero_weights_give_bias():
-    dense = Dense(5, 2)
+    dense = dense_layer(5, 2)
     dense.weight = np.zeros((5, 2))
     dense.bias = np.array([0.3, -0.7])
     out = dense.forward(np.ones((4, 5)))
@@ -188,13 +210,13 @@ def test_dense_zero_weights_give_bias():
 
 def test_dense_shape_mismatch():
     with pytest.raises(ValueError):
-        Dense(5, 2).forward(np.zeros((1, 4)))
+        dense_layer(5, 2).forward(np.zeros((1, 4)))
 
 
 def test_dense_gradients():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(4, 6))
-    check_layer_gradients(Dense(6, 3, rng=rng), x)
+    check_layer_gradients(dense_layer(6, 3, rng=rng), x)
 
 
 def test_relu_gradients():
@@ -214,12 +236,12 @@ def test_flatten_round_trip():
 
 
 @pytest.mark.parametrize("layer, x", [
-    (Conv2d(2, 3, 3), np.ones((2, 2, 5, 5))),
+    (conv_layer(2, 3, 3), np.ones((2, 2, 5, 5))),
     (MaxPool2d(3, 2), np.ones((2, 2, 5, 5))),
-    (BatchNorm2d(2), np.arange(100.0).reshape(2, 2, 5, 5)),
+    (batchnorm_layer(2), np.arange(100.0).reshape(2, 2, 5, 5)),
     (ReLU(), np.ones((2, 3))),
     (Flatten(), np.ones((2, 2, 5, 5))),
-    (Dense(3, 2), np.ones((2, 3))),
+    (dense_layer(3, 2), np.ones((2, 3))),
 ], ids=["conv", "pool", "batchnorm", "relu", "flatten", "dense"])
 def test_backward_needs_a_forward_pass(layer, x):
     with pytest.raises(RuntimeError, match="backward needs a forward pass first"):

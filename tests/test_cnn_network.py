@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -91,10 +93,13 @@ def test_predict_probabilities():
     assert set(labels) <= {0, 1}
 
 
-def test_checkpoint_round_trip(tmp_path):
-    net = Network(NetworkConfig.desk(), seed=5)
+@pytest.mark.parametrize("config", [NetworkConfig.desk(), NetworkConfig()],
+                         ids=["desk", "full"])
+def test_checkpoint_round_trip(tmp_path, config):
+    net = Network(config, seed=5)
+    size = config.input_size
     # make running stats non-trivial so they are exercised too
-    x = np.random.default_rng(5).random((4, 1, 64, 64))
+    x = np.random.default_rng(5).random((4, 1, size, size))
     net.forward(x, train=True)
     path = tmp_path / "model.bin"
     save_checkpoint(net, path)
@@ -103,8 +108,31 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(again.named_params()[name], tensor)
     for name, tensor in net.named_state().items():
         np.testing.assert_array_equal(again.named_state()[name], tensor)
-    img = np.random.default_rng(6).random((64, 64))
+    img = np.random.default_rng(6).random((size, size))
     np.testing.assert_array_equal(net.predict([img])[0], again.predict([img])[0])
+
+
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk(), seed=9), path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("loading a checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    load_checkpoint(path)
+
+
+def test_loading_allocates_about_the_file_size_once(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig(), seed=9), path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * path.stat().st_size
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -121,9 +149,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def _checkpoint(tensors):
-    """Checkpoint bytes of the desk network with the given (name, array) list."""
-    descriptor = NetworkConfig.desk().to_json().encode()
+def _checkpoint(tensors, descriptor=NetworkConfig.desk().to_json().encode()):
+    """Checkpoint bytes with the given (name, array) list, by default
+    under the desk network's descriptor."""
     out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(descriptor)),
            descriptor, struct.pack("<I", len(tensors))]
     for name, arr in tensors:
@@ -158,6 +186,9 @@ def test_checkpoint_helper_matches_save(tmp_path, desk_tensors):
     ("negative_var", "'layer01.running_var' holds a negative variance"),
     ("nan_weight", "'layer00.weight' holds a non-finite value"),
     ("inf_mean", "'layer05.running_mean' holds a non-finite value"),
+    ("nested", "bad network descriptor"),
+    ("relu_key", "relu layer 2 takes no out"),
+    ("conv_key", "conv layer 0 takes no extra"),
 ])
 def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
     name, arr = desk_tensors[0]
@@ -171,6 +202,11 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
             tensors.append((tensor_name, tensor))
         return _checkpoint(tensors)
 
+    def patched_layer(index, **keys):
+        fields = json.loads(NetworkConfig.desk().to_json())
+        fields["layers"][index].update(keys)
+        return _checkpoint(desk_tensors, json.dumps(fields, sort_keys=True).encode())
+
     data = {
         "empty": lambda: _checkpoint([]),
         "missing": lambda: _checkpoint(desk_tensors[1:]),
@@ -182,8 +218,27 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
         "negative_var": lambda: first_entry("layer01.running_var", -1.0),
         "nan_weight": lambda: first_entry("layer00.weight", np.nan),
         "inf_mean": lambda: first_entry("layer05.running_mean", np.inf),
+        "nested": lambda: _checkpoint(desk_tensors, b"[" * 100_000),
+        "relu_key": lambda: patched_layer(2, out=5),
+        "conv_key": lambda: patched_layer(0, extra=1),
     }[case]()
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("input_size", [4096, 1_000_000])
+def test_an_oversized_descriptor_is_rejected_before_any_tensor_is_read(tmp_path, desk_tensors,
+                                                                      input_size):
+    path = tmp_path / "model.bin"
+    config = dataclasses.replace(NetworkConfig.desk(), input_size=input_size)
+    path.write_bytes(_checkpoint(desk_tensors, config.to_json().encode()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size
