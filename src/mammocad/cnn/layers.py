@@ -2,11 +2,12 @@
 
 Activations are float64 arrays in NCHW layout. Every layer caches what
 its backward pass needs during forward; backward consumes that cache,
-returns the gradient with respect to the input and stores parameter
-gradients on the layer. A cache lives from one forward to the next
-backward, so no layer holds activations between training steps. A
-layer is built from the tensors it holds; the network draws their
-initial values or reads them from a checkpoint.
+stores parameter gradients on the layer and returns the gradient with
+respect to the input, or None when called with `input_grad=False`. A
+cache lives from one forward to the next backward, so no layer holds
+activations between training steps. A layer is built from the tensors
+it holds; the network draws their initial values or reads them from a
+checkpoint.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Conv2d(Layer):
         self._cache = (x.shape, xp)
         return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x_shape, xp = self._pop_cache()
         n, _, h, w = x_shape
         o, c, k, _ = self.weight.shape
@@ -98,6 +99,8 @@ class Conv2d(Layer):
         self.grad_weight = (g.T @ cols).reshape(self.weight.shape)
         del cols  # one im2col-sized buffer at a time
         self.grad_bias = g.sum(axis=0)
+        if not input_grad:
+            return None
         # weight columns in (kernel offset, channel) order, so each offset's
         # column gradient is a contiguous run of channels; the product is
         # the same one as with (channel, offset) columns, permuted
@@ -142,8 +145,10 @@ class MaxPool2d(Layer):
         self._cache = (x.shape, idx.astype(np.uint8))
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x_shape, idx = self._pop_cache()
+        if not input_grad:
+            return None
         k, s = self.window, self.stride
         n, c, h, w = x_shape
         _, _, ho, wo = idx.shape
@@ -187,10 +192,12 @@ class BatchNorm2d(Layer):
         self._cache = (xhat, inv_std, train)
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         xhat, inv_std, trained = self._pop_cache()
         self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
         self.grad_beta = grad.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         scale = (self.gamma * inv_std)[None, :, None, None]
         if not trained:
             return grad * scale
@@ -214,8 +221,9 @@ class ReLU(Layer):
         self._cache = x > 0
         return np.where(self._cache, x, 0.0)
 
-    def backward(self, grad):
-        return np.where(self._pop_cache(), grad, 0.0)
+    def backward(self, grad, input_grad=True):
+        positive = self._pop_cache()
+        return np.where(positive, grad, 0.0) if input_grad else None
 
 
 class Flatten(Layer):
@@ -223,8 +231,9 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad):
-        return grad.reshape(self._pop_cache())
+    def backward(self, grad, input_grad=True):
+        shape = self._pop_cache()
+        return grad.reshape(shape) if input_grad else None
 
 
 class Dense(Layer):
@@ -243,11 +252,11 @@ class Dense(Layer):
         self._cache = x
         return x @ self.weight + self.bias
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x = self._pop_cache()
         self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
-        return grad @ self.weight.T
+        return grad @ self.weight.T if input_grad else None
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}

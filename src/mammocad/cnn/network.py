@@ -201,9 +201,10 @@ class Network:
         return x
 
     def backward(self, grad):
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        """Leave every layer's parameter gradients for the loss gradient
+        `grad`; the first layer forms no gradient for the network input."""
+        for i, layer in reversed(list(enumerate(self.layers))):
+            grad = layer.backward(grad, input_grad=i > 0)
 
     def _named(self, part):
         return {_tensor_name(i, name): value for i, layer in enumerate(self.layers)

@@ -64,8 +64,10 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     one record per epoch with the mean train loss and test accuracy.
     `dataset` is any iterable of (image, label) pairs, read once. Each
     film is cut to the input size as it is read, so a lazy iterable keeps
-    no full-resolution film alive. Augmentation rotates the whole films
-    and fills the corners with their mean, so with it they are kept.
+    no full-resolution film alive. Augmentation keeps the whole films:
+    each rotation is evaluated only where its variants' crops read the
+    film, but a crop can fall anywhere on it, and the corners are filled
+    with the mean of all the films.
     """
     size = network_config.input_size
     keep = as_gray if train_config.augment else (lambda im: _sized(im, size))

@@ -2,14 +2,16 @@
 
 The oracles below are the whole-film implementations: resize the
 rotated, mirrored film to its scaled shape, resize its shorter side to
-the target, then crop and shift. The library renders only the cropped
-pixels; its output must be byte-identical to these.
+the target, then crop and shift. The library rotates only the film
+rows and columns its crops read and resizes only the cropped pixels;
+its output must be byte-identical to these.
 """
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from mammocad.cnn import augment
 from mammocad.cnn.augment import (
     SHIFT_LIMIT,
     augment_with_params,
@@ -104,6 +106,12 @@ def _scales(shape):
     return (1.0, 0.9, 1.0999, flip - 1e-9, flip + 1e-9)
 
 
+# the quarter turns and 45 degrees hit sindg/cosdg's exact values
+ANGLES = (0.0, 17.5, 45.0, 90.0, 180.0, 270.0)
+# a fill above 1 is cut by the clip after rotating
+FILLS = (0.4, 1.25)
+
+
 @pytest.mark.parametrize("target", [16, 24, 64])
 @pytest.mark.parametrize("film", sorted(FILMS))
 def test_augment_matches_full_frame_oracle(film, target):
@@ -112,18 +120,18 @@ def test_augment_matches_full_frame_oracle(film, target):
     cases = 0
     for scale in _scales(shape):
         h, w = oracle_shorter_side_shape(oracle_scaled_shape(shape, scale), target)
-        for angle in (0.0, 17.5):
+        for angle, fill in ((a, f) for a in ANGLES for f in FILLS):
             for mirror in (False, True):
                 for crop in ((0, 0), (h - target, w - target)):
                     for shift in ((0, 0), (-SHIFT_LIMIT, SHIFT_LIMIT),
                                   (SHIFT_LIMIT, -SHIFT_LIMIT)):
-                        args = (img, angle, mirror, scale, crop, shift, target, 0.4)
+                        args = (img, angle, mirror, scale, crop, shift, target, fill)
                         got = augment_with_params(*args)
                         want = oracle_augment(*args)
                         assert got.shape == (target, target)
                         assert got.tobytes() == want.tobytes(), args[1:]
                         cases += 1
-    assert cases == 5 * 2 * 2 * 2 * 3
+    assert cases == 5 * len(ANGLES) * len(FILLS) * 2 * 2 * 3
 
 
 def test_flip_scales_straddle_a_rounding_flip():
@@ -139,6 +147,57 @@ def test_build_set_matches_full_frame_oracle():
     got = build_augmented_set(items, np.random.default_rng(11), 32)
     want = oracle_build_set(items, np.random.default_rng(11), 32)
     assert [(im.tobytes(), lab) for im, lab in got] == [(im.tobytes(), lab) for im, lab in want]
+
+
+@pytest.fixture
+def rotated_points(monkeypatch):
+    """The number of points each rotation evaluates, in call order."""
+    counts = []
+    evaluate = augment.ndimage.map_coordinates
+
+    def counting(image, coordinates, **kwargs):
+        counts.append(np.asarray(coordinates)[0].size)
+        return evaluate(image, coordinates, **kwargs)
+
+    monkeypatch.setattr(augment.ndimage, "map_coordinates", counting)
+    return counts
+
+
+def test_build_set_matches_oracle_where_reads_cover_the_film(rotated_points):
+    rng = np.random.default_rng(13)
+    items = [(rng.random((64, 64)), 0), (rng.random((64, 64)), 1)]
+    got = build_augmented_set(items, np.random.default_rng(14), 32)
+    want = oracle_build_set(items, np.random.default_rng(14), 32)
+    assert [(im.tobytes(), lab) for im, lab in got] == [(im.tobytes(), lab) for im, lab in want]
+    assert len(rotated_points) == 8
+    assert max(rotated_points) == 64 * 64  # the whole film, and no more
+
+
+def test_variants_rendered_together_match_separate_calls():
+    img = np.random.default_rng(15).random((70, 48))
+    together = [im for im, _ in build_augmented_set([(img, 1)], np.random.default_rng(16), 24)]
+    fill = float(np.mean(img))  # the set's fill: the mean of its one film
+    rng = np.random.default_rng(16)  # replays the set's draws
+    mirrors = set()
+    for first in range(0, 16, 4):
+        angle = float(rng.uniform(0.0, 360.0))
+        for got in together[first:first + 4]:
+            params = augment._draw_params(img.shape, rng, 24)
+            mirrors.add(params[0])
+            want = augment_with_params(img, angle, *params, 24, fill)
+            assert got.tobytes() == want.tobytes()
+    assert mirrors == {False, True}
+
+
+def test_rotation_evaluates_only_what_the_crops_read(rotated_points):
+    rng = np.random.default_rng(17)
+    items = [(rng.random((256, 256)), i % 2) for i in range(3)]
+    build_augmented_set(items, np.random.default_rng(18), 16)
+    assert len(rotated_points) == 12
+    assert max(rotated_points) <= 0.10 * 256 * 256
+    film = rng.random((301, 517))
+    build_augmented_set([(film, 0)], np.random.default_rng(19), 300)
+    assert max(rotated_points[12:]) <= film.size
 
 
 @pytest.mark.parametrize("in_shape, out_hw", [((7, 11), (7, 11)), ((7, 11), (1, 1)),

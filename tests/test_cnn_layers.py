@@ -252,6 +252,25 @@ def test_backward_needs_a_forward_pass(layer, x):
         layer.backward(grad)  # the forward cache is consumed
 
 
+@pytest.mark.parametrize("make, x", [
+    (lambda: conv_layer(2, 3, 3), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
+    (lambda: MaxPool2d(3, 2), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
+    (lambda: batchnorm_layer(2), np.arange(100.0).reshape(2, 2, 5, 5)),
+    (ReLU, np.arange(6.0).reshape(2, 3) - 2),
+    (Flatten, np.ones((2, 2, 5, 5))),
+    (lambda: dense_layer(3, 2), np.arange(6.0).reshape(2, 3)),
+], ids=["conv", "pool", "batchnorm", "relu", "flatten", "dense"])
+def test_backward_without_input_gradient(make, x):
+    full, partial = make(), make()
+    grad = np.random.default_rng(12).normal(size=full.forward(x, train=True).shape)
+    partial.forward(x, train=True)
+    assert full.backward(grad).shape == x.shape
+    assert partial.backward(grad, input_grad=False) is None
+    assert partial._cache is None
+    for name, value in full.grads().items():
+        assert partial.grads()[name].tobytes() == value.tobytes(), name
+
+
 def test_softmax_symmetric_tie():
     probs, labels = softmax_predict(np.array([[0.0, 0.0]]))
     np.testing.assert_allclose(probs, [[0.5, 0.5]])

@@ -42,6 +42,28 @@ def test_full_profile_backward_pass():
     assert grads and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
+@pytest.mark.parametrize("config", [NetworkConfig.desk(), NetworkConfig()],
+                         ids=["desk", "full"])
+def test_backward_skips_only_the_input_gradient(config):
+    from mammocad.cnn.layers import cross_entropy, softmax_predict
+
+    size = config.input_size
+    x = np.random.default_rng(6).random((2, 1, size, size))
+    nets = [Network(config, seed=6) for _ in range(2)]
+    grads = [cross_entropy(softmax_predict(net.forward(x, train=True))[0],
+                           np.array([0, 1]))[1] for net in nets]
+    assert nets[0].backward(grads[0]) is None
+    grad = grads[1]
+    for layer in reversed(nets[1].layers):
+        grad = layer.backward(grad)  # every input gradient formed
+    assert grad.shape == x.shape
+    want = nets[1].named_grads()
+    got = nets[0].named_grads()
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_training_step_carries_no_forward_cache():
     from mammocad.cnn.layers import cross_entropy, sgd_step, softmax_predict
 
