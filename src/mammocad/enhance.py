@@ -17,7 +17,19 @@ from .core import as_gray, connected_components, largest_component, to_u8
 
 
 class DegenerateInputError(ValueError):
-    """Raised when an operation cannot work on a constant image."""
+    """Raised when an operation cannot work on a constant or flat image."""
+
+
+# elements of median_filter's window buffer (8 MB of float64)
+_MEDIAN_BUFFER = 1_000_000
+
+
+def _check_window(window, what) -> int:
+    # a bool is an int, and numpy's pad would reject a float width with
+    # a TypeError of its own; both are refused here
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise ValueError(f"{what} must be an integer of at least 1 pixel, got {window!r}")
+    return int(window)
 
 
 @dataclass(frozen=True)
@@ -31,8 +43,7 @@ class EnhanceConfig:
     def __post_init__(self):
         if not 0 <= self.r1 < self.r2 <= 255:
             raise ValueError(f"need 0 <= r1 < r2 <= 255, got {self.r1}, {self.r2}")
-        if self.median_window < 1:
-            raise ValueError("median window must be at least 1 pixel")
+        _check_window(self.median_window, "median window")
 
 
 def median_filter(image, window: int) -> np.ndarray:
@@ -41,21 +52,34 @@ def median_filter(image, window: int) -> np.ndarray:
     The output pixel sits at offset (window//2, window//2) inside its
     window, which makes even window sizes well defined; an even pixel
     count takes the mean of the two middle order statistics.
+
+    Each window is copied once into a reused buffer, and one
+    `partition` per chunk of rows puts the lower middle order statistic
+    at index `lower`, with nothing smaller after it. So the minimum of
+    the tail is the upper middle one, and (a + b) / 2 is the same double
+    that numpy's median takes.
     """
     img = as_gray(image)
-    if window < 1:
-        raise ValueError("window must be at least 1 pixel")
+    window = _check_window(window, "window")
     before = window // 2
     after = window - 1 - before
     padded = np.pad(img, ((before, after), (before, after)), mode="edge")
     h, w = img.shape
+    n = window * window
+    lower = (n - 1) // 2
     out = np.empty_like(img)
-    # chunk rows to keep the window view's memory bounded on large images
-    chunk = max(1, int(4e6 / (w * window * window)))
-    for r0 in range(0, h, chunk):
-        r1 = min(r0 + chunk, h)
-        view = sliding_window_view(padded[r0:r1 + window - 1], (window, window))
-        out[r0:r1] = np.median(view, axis=(2, 3))
+    rows = max(1, min(h, _MEDIAN_BUFFER // (w * n)))
+    buf = np.empty((rows, w, n))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        chunk = buf[:r1 - r0]
+        chunk.reshape(r1 - r0, w, window, window)[...] = sliding_window_view(
+            padded[r0:r1 + window - 1], (window, window))
+        chunk.partition(lower, axis=-1)
+        middle = chunk[..., lower]
+        if n % 2 == 0:
+            middle = (middle + chunk[..., lower + 1:].min(axis=-1)) / 2.0
+        out[r0:r1] = middle
     return out
 
 
@@ -64,11 +88,16 @@ def normalize(image, r1: int = 60, r2: int = 210) -> np.ndarray:
 
     Dividing before scaling makes the endpoints exact: the darkest
     pixel lands on r1/255 and the brightest on r2/255 bit-for-bit.
+    A spread under half an 8-bit gray level is refused as constant:
+    stretching it would turn rounding noise (a flat film comes out of
+    the denoiser with a spread near 1e-16) into structure.
     """
     img = as_gray(image)
     lo, hi = float(img.min()), float(img.max())
-    if hi <= lo:
-        raise DegenerateInputError("cannot normalize a constant image")
+    if hi - lo < 0.5 / 255.0:
+        raise DegenerateInputError(
+            f"cannot normalize a flat image: its intensities span {hi - lo:.3g}, "
+            "under half an 8-bit gray level")
     ratio = (img - lo) / (hi - lo)
     return (r1 + ratio * (r2 - r1)) / 255.0
 

@@ -99,6 +99,19 @@ def test_segment_gt_reports_dice(phantom_pgm, tmp_path, capsys):
     assert summary["dice"] >= 0.8  # lesion recovered, not just file plumbing
 
 
+def test_segment_rejects_a_flat_film(tmp_path, capsys):
+    # the denoiser leaves a flat film with a spread of about 1e-16, which
+    # normalization would stretch into a tumour-sized mask
+    flat = tmp_path / "flat.pgm"
+    flat.write_bytes(write_pgm(np.full((32, 32), 7 / 255)))
+    out = tmp_path / "seg_flat"
+    assert main(["segment", str(flat), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "flat image" in captured.err
+    assert not (out / "mask.pgm").exists()
+
+
 def test_segment_gt_requires_info(phantom_pgm, tmp_path):
     assert main(["segment", str(phantom_pgm), "-o", str(tmp_path / "x"), "--gt"]) == 2
 

@@ -45,13 +45,27 @@ def test_median_removes_impulse():
 def test_median_even_window_matches_brute_force():
     rng = np.random.default_rng(17)
     img = rng.random((16, 16))
-    np.testing.assert_allclose(median_filter(img, 10), brute_force_median(img, 10))
+    np.testing.assert_array_equal(median_filter(img, 10), brute_force_median(img, 10))
 
 
 def test_median_odd_window_matches_brute_force():
     rng = np.random.default_rng(18)
     img = rng.random((11, 13))
-    np.testing.assert_allclose(median_filter(img, 3), brute_force_median(img, 3))
+    np.testing.assert_array_equal(median_filter(img, 3), brute_force_median(img, 3))
+
+
+@pytest.mark.parametrize("window", [2.5, 10.0, True, False, 0, -3, "10", None])
+def test_median_window_must_be_a_positive_integer(window):
+    with pytest.raises(ValueError, match="must be an integer of at least 1 pixel"):
+        median_filter(np.zeros((4, 4)), window)
+    with pytest.raises(ValueError, match="median window must be an integer"):
+        EnhanceConfig(median_window=window)
+
+
+def test_median_takes_a_numpy_integer_window():
+    img = np.random.default_rng(19).random((6, 7))
+    np.testing.assert_array_equal(median_filter(img, np.int64(4)), median_filter(img, 4))
+    assert EnhanceConfig(median_window=np.int64(4)).median_window == 4
 
 
 def test_normalize_endpoints_exact():
@@ -72,6 +86,20 @@ def test_normalize_midpoint():
 def test_normalize_constant_rejected():
     with pytest.raises(DegenerateInputError):
         normalize(np.full((3, 3), 0.5))
+
+
+@pytest.mark.parametrize("spread", [1e-16, 1e-9, 0.49 / 255])
+def test_normalize_rejects_a_spread_under_half_a_gray_level(spread):
+    img = np.full((4, 4), 7 / 255)
+    img[1, 2] += spread
+    with pytest.raises(DegenerateInputError, match="half an 8-bit gray level"):
+        normalize(img)
+
+
+def test_normalize_stretches_half_a_gray_level():
+    img = np.array([[7 / 255, 7.5 / 255]])
+    out = normalize(img, 60, 210)
+    assert out[0, 0] == 60 / 255 and out[0, 1] == 210 / 255
 
 
 def brute_force_otsu(hist):
