@@ -20,7 +20,7 @@ from .config import PipelineConfig, apply_assignments, format_config, parse_assi
 from .core import mask_contour, read_pgm_file, write_pgm, write_ppm_overlay
 from .dataset import combined_ground_truth, group_records, image_label, load_item, parse_info
 from .cnn.network import load_checkpoint, save_checkpoint
-from .cnn.train import score_dataset, stratified_split, train, write_history
+from .cnn.train import HELD_OUT_FRACTION, score_dataset, stratified_split, train, write_history
 from .metrics import compute_metrics, confusion, dice, roc_auc
 from .pipeline import preprocess_image, segment_image
 
@@ -112,38 +112,41 @@ def load_pipeline_config(args) -> PipelineConfig:
     return apply_assignments(PipelineConfig(), assignments)
 
 
-def _echo_config(config: PipelineConfig, out_dir: Path):
+def _write_outputs(out_dir: Path, config: PipelineConfig, outputs: dict):
+    """Write a finished run's files, then `config.echo`, which a failed run never leaves."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in outputs.items():
+        (out_dir / name).write_bytes(data)
     (out_dir / "config.echo").write_text(format_config(config))
 
 
 def cmd_preprocess(args) -> int:
     config = load_pipeline_config(args)
+    result = preprocess_image(read_pgm_file(args.image), config)
     out_dir = Path(args.output)
-    _echo_config(config, out_dir)
-    image = read_pgm_file(args.image)
-    result = preprocess_image(image, config)
-    (out_dir / "denoised.pgm").write_bytes(write_pgm(result.denoised))
-    (out_dir / "enhanced.pgm").write_bytes(write_pgm(result.enhanced))
-    (out_dir / "pectoral_removed.pgm").write_bytes(write_pgm(result.final))
+    _write_outputs(out_dir, config, {"denoised.pgm": write_pgm(result.denoised),
+                                     "enhanced.pgm": write_pgm(result.enhanced),
+                                     "pectoral_removed.pgm": write_pgm(result.final)})
     print(f"wrote 3 stages to {out_dir}")
     return 0
 
 
 def _films(data_dir, groups):
     """(image, label) of each image's records, each film decoded as it is read."""
-    return ((load_item(data_dir, recs).image, image_label(recs)) for recs in groups)
+    items = (load_item(data_dir, recs) for recs in groups)
+    return ((item.image, item.label) for item in items)
 
 
 def cmd_train(args) -> int:
     config = load_pipeline_config(args)
     model_path = Path(args.output)
-    _echo_config(config, model_path.parent)
     groups = group_records(parse_info(Path(args.info).read_text()))
     # train keeps only its input-size copy of each film
     network, history = train(_films(args.data, groups), config.network_config(), config.train)
+    model_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(network, model_path)
     write_history(history, model_path.with_suffix(".history.jsonl"))
+    _write_outputs(model_path.parent, config, {})
     last = history[-1]
     print(json.dumps({"model": str(model_path), "epochs": len(history),
                       "final_train_loss": last["train_loss"],
@@ -165,9 +168,12 @@ def cmd_segment(args) -> int:
     if args.gt and not args.info:
         raise ValueError("--gt needs --info to locate the annotated circle")
     config = load_pipeline_config(args)
-    out_dir = Path(args.output)
-    _echo_config(config, out_dir)
     image = read_pgm_file(args.image)
+    if args.gt:
+        stem = Path(args.image).stem
+        records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
+        if not records:
+            raise ValueError(f"no annotation for image id {stem!r}")
 
     log = None
     if args.verbose:
@@ -176,13 +182,13 @@ def cmd_segment(args) -> int:
                               "mean_dphi": mean_dphi}, sort_keys=True))
 
     result = segment_image(image, config, on_iteration=log)
-    (out_dir / "mask.pgm").write_bytes(write_pgm(result.mask))
-    (out_dir / "overlay.ppm").write_bytes(
-        write_ppm_overlay(image, mask_contour(result.mask)))
-    (out_dir / "membership.pgm").write_bytes(write_pgm(result.membership))
     span = np.ptp(result.phi)
     phi_view = (result.phi - result.phi.min()) / span if span > 0 else np.zeros_like(result.phi)
-    (out_dir / "phi.pgm").write_bytes(write_pgm(phi_view))
+    _write_outputs(Path(args.output), config, {
+        "mask.pgm": write_pgm(result.mask),
+        "overlay.ppm": write_ppm_overlay(image, mask_contour(result.mask)),
+        "membership.pgm": write_pgm(result.membership),
+        "phi.pgm": write_pgm(phi_view)})
 
     summary = {
         "image": str(args.image),
@@ -191,10 +197,6 @@ def cmd_segment(args) -> int:
         "levelset_iterations": result.levelset_iterations,
     }
     if args.gt:
-        stem = Path(args.image).stem
-        records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
-        if not records:
-            raise ValueError(f"no annotation for image id {stem!r}")
         summary["dice"] = dice(result.mask, combined_ground_truth(records, image.shape))
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -207,7 +209,7 @@ def cmd_evaluate(args) -> int:
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]
     rng = np.random.default_rng(config.train.seed)
-    _, test_idx = stratified_split(labels, 0.2, rng)
+    _, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
     # only one batch of films is alive at a time
     scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]),
                            config.train.batch_size)

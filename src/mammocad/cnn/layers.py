@@ -19,8 +19,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 class Layer:
     """What every layer shares: a forward cache that backward consumes,
     and named parameters, gradients and checkpointed state, none by
-    default."""
+    default. A kind names its trained tensors in PARAMS, each with its
+    gradient in `grad_<name>`, and its other checkpointed ones in STATE."""
 
+    PARAMS = ()
+    STATE = ()
     _cache = None
 
     def _pop_cache(self):
@@ -32,13 +35,13 @@ class Layer:
         return cache
 
     def params(self):
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def grads(self):
-        return {}
+        return {name: getattr(self, "grad_" + name) for name in self.PARAMS}
 
     def state(self):
-        return {}
+        return {name: getattr(self, name) for name in self.STATE}
 
 
 def window_positions(size, window, stride, padding=0):
@@ -51,6 +54,8 @@ class Conv2d(Layer):
     """2-D cross-correlation with zero padding and stride; the weight is
     (out channels, in channels, kernel, kernel)."""
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, weight, bias, stride=1, padding=0):
         self.weight = weight
         self.bias = bias
@@ -58,10 +63,6 @@ class Conv2d(Layer):
         self.padding = padding
         self.grad_weight = None
         self.grad_bias = None
-
-    def output_shape(self, h, w):
-        k, s, p = self.weight.shape[2], self.stride, self.padding
-        return window_positions(h, k, s, p), window_positions(w, k, s, p)
 
     def _columns(self, xp, ho, wo):
         """im2col: one row per output pixel, columns in (channel, kernel
@@ -78,7 +79,7 @@ class Conv2d(Layer):
         n, _, h, w = x.shape
         o, _, k, _ = self.weight.shape
         s, p = self.stride, self.padding
-        ho, wo = self.output_shape(h, w)
+        ho, wo = window_positions(h, k, s, p), window_positions(w, k, s, p)
         if ho < 1 or wo < 1:
             raise ValueError(f"kernel {k} with stride {s} does not fit {h}x{w}")
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -111,12 +112,6 @@ class Conv2d(Layer):
             for j in range(k):
                 gxp[:, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, :, :, i, j]
         return np.ascontiguousarray(gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2))
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
 
 
 # the widest pool window whose positions a uint8 index can name
@@ -167,13 +162,16 @@ class MaxPool2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel normalization with running statistics for inference."""
 
-    def __init__(self, gamma, beta, running_mean, running_var, momentum=0.9, eps=1e-5):
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+    MOMENTUM = 0.9
+    EPS = 1e-5
+
+    def __init__(self, gamma, beta, running_mean, running_var):
         self.gamma = gamma
         self.beta = beta
         self.running_mean = running_mean
         self.running_var = running_var
-        self.momentum = momentum
-        self.eps = eps
         self.grad_gamma = None
         self.grad_beta = None
 
@@ -183,11 +181,11 @@ class BatchNorm2d(Layer):
                 raise ValueError("batch normalization needs a batch of at least 2 in training")
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mean
+            self.running_var = self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         self._cache = (xhat, inv_std, train)
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
@@ -205,15 +203,6 @@ class BatchNorm2d(Layer):
         correction = (self.grad_beta[None, :, None, None]
                       + xhat * self.grad_gamma[None, :, None, None]) / m
         return scale * (grad - correction)
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class ReLU(Layer):
@@ -239,6 +228,8 @@ class Flatten(Layer):
 class Dense(Layer):
     """Affine map on flattened features; the weight is (in, out)."""
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, weight, bias):
         self.weight = weight
         self.bias = bias
@@ -257,12 +248,6 @@ class Dense(Layer):
         self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
         return grad @ self.weight.T if input_grad else None
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
 
 
 def softmax_predict(logits):

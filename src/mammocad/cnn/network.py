@@ -138,7 +138,7 @@ def layer_plan(config: NetworkConfig) -> list[PlannedLayer]:
             channels = out
             size = window_positions(size, kernel, settings["stride"], settings["padding"])
         elif kind == "batchnorm":
-            shapes = dict.fromkeys(("gamma", "beta", "running_mean", "running_var"), (channels,))
+            shapes = dict.fromkeys(BatchNorm2d.PARAMS + BatchNorm2d.STATE, (channels,))
         elif kind == "pool":
             settings = {"window": setting("window", 3, most=MAX_POOL_WINDOW),
                         "stride": setting("stride", 2)}

@@ -36,6 +36,9 @@ class TrainConfig:
             raise ValueError("batch size must be at least 2 (batch statistics)")
 
 
+HELD_OUT_FRACTION = 0.2     # of each class, held out by `train` and scored by `evaluate`
+
+
 def stratified_split(labels, test_fraction, rng):
     """Index split keeping the class ratio; at least one test item per class."""
     labels = np.asarray(labels)
@@ -79,7 +82,7 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
         raise ValueError("training needs both classes present")
 
     rng = np.random.default_rng(train_config.seed)
-    train_idx, test_idx = stratified_split(labels, 0.2, rng)
+    train_idx, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
     train_items = [items[i] for i in train_idx]
     test_items = [items[i] for i in test_idx]
     if train_config.augment:

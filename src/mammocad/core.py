@@ -7,7 +7,6 @@ bool arrays of the same shape as the image they describe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +41,6 @@ def as_mask(mask) -> np.ndarray:
 def to_u8(image: np.ndarray) -> np.ndarray:
     """Map [0, 1] intensities to the 8-bit scale (round-to-nearest)."""
     return np.rint(np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 255.0).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Dense 8-connected component labels; 0 is background."""
-
-    labels: np.ndarray
-    component_count: int
 
 
 def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -186,23 +177,14 @@ def resize_bilinear(image, out_w: int, out_h: int) -> np.ndarray:
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
-def connected_components(mask) -> LabelMap:
-    """Label 8-connected components, numbered by first row-major encounter.
-
-    `ndimage.label` already numbers them in that order.
-    """
+def largest_component(mask) -> np.ndarray:
+    """Mask of the biggest 8-connected component; a tie goes to the one
+    `ndimage.label` numbers first, the first met in row-major order."""
     labels, count = ndimage.label(as_mask(mask), structure=_EIGHT_CONNECTED)
-    return LabelMap(labels=labels, component_count=int(count))
-
-
-def largest_component(label_map: LabelMap) -> np.ndarray:
-    """Mask of the biggest component; ties go to the lowest label."""
-    if label_map.component_count == 0:
-        return np.zeros(label_map.labels.shape, dtype=bool)
-    counts = np.bincount(label_map.labels.ravel(),
-                         minlength=label_map.component_count + 1)[1:]
-    winner = int(np.argmax(counts)) + 1
-    return label_map.labels == winner
+    if count == 0:
+        return np.zeros(labels.shape, dtype=bool)
+    winner = int(np.argmax(np.bincount(labels.ravel())[1:])) + 1
+    return labels == winner
 
 
 def mask_contour(mask) -> np.ndarray:

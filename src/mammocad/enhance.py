@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_gray, connected_components, largest_component, to_u8
+from .core import as_gray, largest_component, to_u8
 
 
 class DegenerateInputError(ValueError):
@@ -143,7 +143,7 @@ def remove_artifacts(image) -> np.ndarray:
     """
     img = as_gray(image)
     _, mask = otsu_threshold(img)
-    breast = largest_component(connected_components(mask))
+    breast = largest_component(mask)
     out = img.copy()
     out[~breast] = 0.0
     return out

@@ -173,7 +173,7 @@ def objective(image, memberships, centers, fuzziness: float) -> float:
     return float(((mu ** fuzziness) * d2).sum())
 
 
-def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None, on_iteration=None):
+def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
     """Cluster an image; returns (memberships, centers, iterations_used).
 
     Starts from seeded random memberships (or an explicit init) and
@@ -202,8 +202,6 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None, on_iteration=N
         previous = mu
         mu, centers = fcm_iterate(img, mu, config)
         mu = spatial_refine(mu, config, img.shape)
-        if on_iteration is not None:
-            on_iteration(iterations, mu, centers)
         np.subtract(mu, previous, out=change)
         if np.abs(change, out=change).max() < config.tol:
             break

@@ -6,6 +6,7 @@ the full mammogram archive on disk and is skipped when the MIAS_DIR
 environment variable does not point at it.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -124,8 +125,13 @@ def test_criterion_4_fcm_two_valued():
     _, centers, _ = sfcm_run(img, SfcmConfig(clusters=2, seed=1))
     values = []
     cfg = SfcmConfig(clusters=2, q=0.0, seed=1, tol=1e-9, max_iter=50)
-    sfcm_run(img, cfg, on_iteration=lambda i, mu, c: values.append(
-        objective(img, mu, c, cfg.fuzziness)))
+    # a run is deterministic from its seed, so the k-iteration run ends
+    # at the k-th iterate; a run that stops short has converged
+    for k in range(1, cfg.max_iter + 1):
+        mu, c, used = sfcm_run(img, dataclasses.replace(cfg, max_iter=k))
+        if used < k:
+            break
+        values.append(objective(img, mu, c, cfg.fuzziness))
     elapsed = time.perf_counter() - start
     assert abs(min(centers) - 0.2) < 1e-3
     assert abs(max(centers) - 0.8) < 1e-3

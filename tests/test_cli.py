@@ -110,10 +110,31 @@ def test_segment_rejects_a_flat_film(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "flat image" in captured.err
     assert not (out / "mask.pgm").exists()
+    assert not (out / "config.echo").exists()
+
+
+def test_preprocess_rejects_a_flat_film_and_writes_nothing(tmp_path, capsys):
+    flat = tmp_path / "flat.pgm"
+    flat.write_bytes(write_pgm(np.full((32, 32), 7 / 255)))
+    out = tmp_path / "pre_flat"
+    assert main(["preprocess", str(flat), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_segment_gt_requires_info(phantom_pgm, tmp_path):
     assert main(["segment", str(phantom_pgm), "-o", str(tmp_path / "x"), "--gt"]) == 2
+
+
+def test_segment_gt_without_an_annotation_fails_before_writing(phantom_pgm, tmp_path, capsys):
+    info = tmp_path / "info.txt"
+    info.write_text("mdb002 G NORM\n")
+    out = tmp_path / "seg_unannotated"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--gt", "--info", str(info)]) == 2
+    assert "no annotation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_segment_verbose_diagnostics(phantom_pgm, tmp_path, capsys):

@@ -11,6 +11,7 @@ from mammocad.cnn.layers import (
     cross_entropy,
     sgd_step,
     softmax_predict,
+    window_positions,
 )
 
 STEP = 1e-3
@@ -33,10 +34,10 @@ def dense_layer(in_features, out_features, rng=None):
     return Dense(weight, np.zeros(out_features))
 
 
-def batchnorm_layer(channels, **settings):
+def batchnorm_layer(channels):
     """A batch-norm layer at unit scale, zero shift and fresh statistics."""
     return BatchNorm2d(np.ones(channels), np.zeros(channels), np.zeros(channels),
-                       np.ones(channels), **settings)
+                       np.ones(channels))
 
 
 def rel_err(a, b):
@@ -96,9 +97,10 @@ def test_conv_zero_kernel_yields_bias():
 
 
 def test_conv_output_shape_formula():
+    assert window_positions(64, 11, 4, 2) == 15
+    assert window_positions(256, 11, 4, 2) == 63
     conv = conv_layer(1, 8, 11, stride=4, padding=2)
-    assert conv.output_shape(64, 64) == (15, 15)
-    assert conv.output_shape(256, 256) == (63, 63)
+    assert conv.forward(np.zeros((1, 1, 64, 64))).shape == (1, 8, 15, 15)
 
 
 def test_conv_rejects_channel_mismatch():
@@ -176,12 +178,12 @@ def test_batchnorm_rejects_batch_of_one():
 
 
 def test_batchnorm_running_stats_updated():
-    bn = batchnorm_layer(1, momentum=0.9)
+    bn = batchnorm_layer(1)
     x = np.ones((2, 1, 2, 2)) * 4.0
     bn.forward(x, train=True)
     np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 4.0])
     y = bn.forward(x, train=False)
-    expected = bn.gamma[0] * (4.0 - bn.running_mean[0]) / np.sqrt(bn.running_var[0] + bn.eps)
+    expected = bn.gamma[0] * (4.0 - bn.running_mean[0]) / np.sqrt(bn.running_var[0] + bn.EPS)
     np.testing.assert_allclose(y, expected)
 
 

@@ -12,6 +12,7 @@ from mammocad.cnn.network import (
     CheckpointError,
     Network,
     NetworkConfig,
+    layer_plan,
     load_checkpoint,
     save_checkpoint,
 )
@@ -92,6 +93,14 @@ def test_training_step_carries_no_forward_cache():
     carried += sum(v.nbytes for v in velocity.values())
     bookkeeping = 64 * 1024
     assert forward_peaks[1] <= forward_peaks[0] + carried + bookkeeping
+
+
+@pytest.mark.parametrize("config", [NetworkConfig.desk(), NetworkConfig()],
+                         ids=["desk", "full"])
+def test_plan_names_the_tensors_each_layer_kind_declares(config):
+    net = Network(config, seed=0)
+    for step, layer in zip(layer_plan(config), net.layers, strict=True):
+        assert tuple(step.shapes) == type(layer).PARAMS + type(layer).STATE, step.kind
 
 
 def test_desk_profile_channel_scaling():

@@ -4,7 +4,6 @@ import pytest
 from mammocad.core import (
     ImageFormatError,
     TruncatedDataError,
-    connected_components,
     largest_component,
     mask_contour,
     read_pgm,
@@ -160,58 +159,66 @@ def flood_fill_components(mask):
     return labels, count
 
 
+def oracle_largest(mask):
+    """Biggest flood-fill component; the lowest label wins a tie."""
+    labels, count = flood_fill_components(mask)
+    sizes = [int((labels == k).sum()) for k in range(1, count + 1)]
+    if not sizes:
+        return np.zeros(mask.shape, dtype=bool)
+    return labels == 1 + sizes.index(max(sizes))
+
+
 def test_components_empty():
-    lm = connected_components(np.zeros((4, 4), dtype=bool))
-    assert lm.component_count == 0
-    assert not lm.labels.any()
+    keep = largest_component(np.zeros((4, 4), dtype=bool))
+    assert keep.shape == (4, 4) and keep.dtype == bool
+    assert not keep.any()
 
 
 def test_components_diagonal_touch_is_one():
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 0] = mask[1, 1] = True
-    assert connected_components(mask).component_count == 1
+    np.testing.assert_array_equal(largest_component(mask), mask)
 
 
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(11)
     for _ in range(30):
         mask = rng.random((12, 15)) < 0.35
-        lm = connected_components(mask)
-        oracle_labels, oracle_count = flood_fill_components(mask)
-        assert lm.component_count == oracle_count
-        # partition equality: same pixels per component, same encounter order
-        np.testing.assert_array_equal(lm.labels > 0, mask)
-        for k in range(1, oracle_count + 1):
-            ours = set(zip(*np.nonzero(lm.labels == k)))
-            theirs = set(zip(*np.nonzero(oracle_labels == k)))
-            assert ours == theirs
+        np.testing.assert_array_equal(largest_component(mask), oracle_largest(mask))
+        # the mask twice, side by side: every size ties, so the lowest label decides
+        twice = np.hstack([mask, np.zeros((12, 1), dtype=bool), mask])
+        keep = largest_component(twice)
+        np.testing.assert_array_equal(keep, oracle_largest(twice))
+        assert keep[:, :15].any() and not keep[:, 15:].any()
 
 
 def test_two_blobs_separated_by_column():
     mask = np.ones((4, 5), dtype=bool)
     mask[:, 2] = False
-    lm = connected_components(mask)
-    assert lm.component_count == 2
+    # two 8-pixel blobs tie; the first one met in row-major order wins
+    expected = np.zeros_like(mask)
+    expected[:, :2] = True
+    np.testing.assert_array_equal(largest_component(mask), expected)
 
 
 def test_largest_component_keeps_biggest():
     mask = np.zeros((6, 10), dtype=bool)
     mask[0:2, 0:5] = True      # 10 pixels
     mask[4:5, 7:10] = True     # 3 pixels
-    keep = largest_component(connected_components(mask))
+    keep = largest_component(mask)
     assert keep.sum() == 10
     assert keep[0, 0] and not keep[4, 8]
 
 
 def test_largest_component_of_nothing_is_empty():
-    keep = largest_component(connected_components(np.zeros((3, 3), dtype=bool)))
+    keep = largest_component(np.zeros((3, 3), dtype=bool))
     assert not keep.any()
 
 
 def test_largest_component_single_blob_identity():
     mask = np.zeros((5, 5), dtype=bool)
     mask[1:4, 1:4] = True
-    keep = largest_component(connected_components(mask))
+    keep = largest_component(mask)
     np.testing.assert_array_equal(keep, mask)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,12 @@ def test_plain_fcm_objective_non_increasing():
     img = np.clip(rng.normal(0.5, 0.2, size=(16, 16)), 0, 1)
     cfg = SfcmConfig(clusters=3, q=0.0, seed=2, tol=1e-9, max_iter=40)
     values = []
-    sfcm_run(img, cfg, on_iteration=lambda i, mu, c: values.append(
-        objective(img, mu, c, cfg.fuzziness)))
+    # the k-iteration run ends at the k-th iterate of the full run
+    for k in range(1, cfg.max_iter + 1):
+        mu, c, used = sfcm_run(img, dataclasses.replace(cfg, max_iter=k))
+        if used < k:
+            break
+        values.append(objective(img, mu, c, cfg.fuzziness))
     assert len(values) > 3
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-12
