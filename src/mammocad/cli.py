@@ -25,15 +25,6 @@ from .metrics import compute_metrics, confusion, dice, roc_auc
 from .pipeline import preprocess_image, segment_image
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits 1 on usage errors instead of 2."""
-
-    def exit(self, status=0, message=None):
-        if message:
-            self._print_message(message, sys.stderr)
-        raise SystemExit(1 if status else 0)
-
-
 def _add_config_flags(sub):
     sub.add_argument("--config", help="pipeline config file (section.key = value lines)")
     sub.add_argument("--set", dest="overrides", action="append", default=[],
@@ -43,7 +34,7 @@ def _add_config_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mammocad", description=__doc__)
+    parser = argparse.ArgumentParser(prog="mammocad", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("preprocess", help="denoise and enhance one image")
@@ -97,9 +88,9 @@ _FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "pipeline.seed", "desk": "netwo
 def load_pipeline_config(args) -> PipelineConfig:
     """The config file, then --set, then the dedicated flags; later wins."""
     assignments = []
-    if getattr(args, "config", None):
+    if args.config:
         assignments += parse_assignments(Path(args.config).read_text())
-    for item in getattr(args, "overrides", []):
+    for item in args.overrides:
         if "=" not in item:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         dotted, value = item.split("=", 1)
@@ -229,11 +220,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error and 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except Exception as exc:
-        print(f"error: {getattr(args, 'command', 'mammocad')}: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

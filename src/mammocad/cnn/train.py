@@ -34,6 +34,8 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 (batch statistics)")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be non-negative, got {self.seed}")
 
 
 HELD_OUT_FRACTION = 0.2     # of each class, held out by `train` and scored by `evaluate`

@@ -19,7 +19,7 @@ from .denoise import Bm3dProfile, default_profile
 from .enhance import EnhanceConfig
 from .levelset import LevelSetConfig
 from .sfcm import SfcmConfig
-from .cnn.network import NetworkConfig
+from .cnn.network import NetworkConfig, layer_plan
 from .cnn.train import TrainConfig
 
 
@@ -31,6 +31,8 @@ class PipelineSection:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"pipeline.sigma must be positive, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"pipeline.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,13 @@ class PipelineConfig:
     levelset: LevelSetConfig = LevelSetConfig()
     network: NetworkSection = NetworkSection()
     train: TrainConfig = TrainConfig()
+
+    def __post_init__(self):
+        # refuse a network that `train` could not build before any film is read
+        try:
+            layer_plan(self.network_config())
+        except ValueError as exc:
+            raise ValueError(f"network.input_size = {self.network.input_size}: {exc}") from None
 
     def network_config(self) -> NetworkConfig:
         profile = NetworkConfig.desk() if self.network.desk else NetworkConfig()
@@ -136,10 +145,6 @@ def parse_assignments(text: str) -> list[tuple[str, str]]:
         dotted, value = (part.strip() for part in line.split("=", 1))
         assignments.append((dotted, value))
     return assignments
-
-
-def parse_config(text: str) -> PipelineConfig:
-    return apply_assignments(PipelineConfig(), parse_assignments(text))
 
 
 def format_config(config: PipelineConfig) -> str:

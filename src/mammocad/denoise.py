@@ -58,7 +58,7 @@ def default_profile(sigma: float) -> Bm3dProfile:
     """Stage thresholds picked by the noise level (8-bit sigma)."""
     if sigma >= HIGH_NOISE_SIGMA_CUTOFF:
         return Bm3dProfile(tau_hard=5000.0, tau_wie=3500.0)
-    return Bm3dProfile(tau_hard=400.0, tau_wie=2500.0)
+    return Bm3dProfile()
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def _reference_grid(extent: int, k: int, step: int) -> list[int]:
 
 
 def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
-                stage: str = "hard") -> BlockGroup:
+                stage: str) -> BlockGroup:
     """Group the blocks nearest to the reference block.
 
     Candidates are all blocks whose top-left corner lies within the
@@ -187,13 +187,12 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     return np.clip(acc / weights, 0.0, 1.0).reshape(h, w)
 
 
-def hard_stage(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.ndarray:
+def hard_stage(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
     """Hard-threshold pass; sigma is the noise std on the 8-bit scale."""
     if sigma <= 0:
         raise ValueError("noise sigma must be positive")
     img = as_gray(noisy)
-    prof = profile if profile is not None else default_profile(sigma)
-    threshold = prof.lambda_3d * sigma / 255.0
+    threshold = profile.lambda_3d * sigma / 255.0
 
     def shrink(_, stacks):
         coeffs = _forward_3d(stacks)
@@ -201,11 +200,10 @@ def hard_stage(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.nd
         keep[:, 0, 0, 0] = True     # never drop a group's DC component
         return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + keep.sum(axis=(1, 2, 3)))
 
-    return _collaborative_pass(img, img, prof, "hard", shrink)
+    return _collaborative_pass(img, img, profile, "hard", shrink)
 
 
-def wiener_stage(noisy, basic, sigma: float,
-                 profile: Bm3dProfile | None = None) -> np.ndarray:
+def wiener_stage(noisy, basic, sigma: float, profile: Bm3dProfile) -> np.ndarray:
     """Wiener pass: match on the basic estimate, shrink the noisy stack."""
     img = as_gray(noisy)
     base = as_gray(basic)
@@ -213,7 +211,6 @@ def wiener_stage(noisy, basic, sigma: float,
         raise ValueError("basic estimate dimensions do not match the noisy image")
     if sigma <= 0:
         raise ValueError("noise sigma must be positive")
-    prof = profile if profile is not None else default_profile(sigma)
     noise_var = (sigma / 255.0) ** 2
 
     def shrink(basic_stacks, noisy_stacks):
@@ -222,11 +219,10 @@ def wiener_stage(noisy, basic, sigma: float,
         energy = (gain ** 2).reshape(len(gain), -1).sum(axis=1)
         return gain * _forward_3d(noisy_stacks), 1.0 / (1.0 + energy)
 
-    return _collaborative_pass(base, img, prof, "wiener", shrink)
+    return _collaborative_pass(base, img, profile, "wiener", shrink)
 
 
-def bm3d_denoise(noisy, sigma: float, profile: Bm3dProfile | None = None) -> np.ndarray:
+def bm3d_denoise(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
     """Full two-stage denoise: Wiener pass guided by the hard pass."""
-    prof = profile if profile is not None else default_profile(sigma)
-    basic = hard_stage(noisy, sigma, prof)
-    return wiener_stage(noisy, basic, sigma, prof)
+    basic = hard_stage(noisy, sigma, profile)
+    return wiener_stage(noisy, basic, sigma, profile)

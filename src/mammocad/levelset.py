@@ -38,12 +38,10 @@ class LevelSetConfig:
     def __post_init__(self):
         if not 0.0 < self.b0 < 1.0:
             raise ValueError("binarization threshold must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("Dirac width must be positive")
-        if self.tau <= 0:
-            raise ValueError(f"time step tau must be positive, got {self.tau}")
-        if self.smoothing_sigma <= 0:
-            raise ValueError(f"smoothing_sigma must be positive, got {self.smoothing_sigma}")
+        # a zero grad_floor divides 0 by 0 where the initial field is flat
+        for name in ("epsilon", "tau", "smoothing_sigma", "grad_floor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("iterations", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

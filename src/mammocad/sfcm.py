@@ -41,11 +41,9 @@ class SfcmConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-        if self.window_radius < 0:
-            raise ValueError(f"window_radius must be non-negative, got {self.window_radius}")
-        for name in ("p", "q"):
+        for name in ("window_radius", "p", "q", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise ValueError(f"sfcm.{name} must be non-negative, got {getattr(self, name)}")
 
 
 def _check_memberships(mu: np.ndarray):

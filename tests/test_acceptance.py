@@ -29,7 +29,7 @@ from mammocad.cnn.layers import (
 from mammocad.cnn.network import NetworkConfig
 from mammocad.cnn.train import TrainConfig, stratified_split, train
 from mammocad.core import write_pgm
-from mammocad.denoise import hard_stage, wiener_stage
+from mammocad.denoise import Bm3dProfile, hard_stage, wiener_stage
 from mammocad.enhance import otsu_level
 from mammocad.levelset import (
     LevelSetConfig,
@@ -283,8 +283,8 @@ def test_criterion_8_bm3d_phantom():
         return 10 * np.log10(1.0 / ((a - b) ** 2).mean())
 
     start = time.perf_counter()
-    basic = hard_stage(noisy, 25.0)
-    final = wiener_stage(noisy, basic, 25.0)
+    basic = hard_stage(noisy, 25.0, Bm3dProfile())
+    final = wiener_stage(noisy, basic, 25.0, Bm3dProfile())
     elapsed = time.perf_counter() - start
     p_noisy, p_basic, p_final = psnr(img, noisy), psnr(img, basic), psnr(img, final)
     assert p_final >= p_noisy + 2.0

@@ -21,7 +21,7 @@ from mammocad.cnn.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from mammocad.config import PipelineConfig, parse_config
+from mammocad.config import PipelineConfig, apply_assignments, parse_assignments
 from mammocad.core import ImageFormatError, TruncatedDataError, read_pgm
 from mammocad.dataset import InfoParseError, parse_info
 
@@ -101,7 +101,7 @@ def _floats(config):
 def test_parse_config_raises_only_value_errors_and_keeps_floats_finite(assignments):
     text = "".join(f"{key} = {value}\n" for key, value in assignments)
     try:
-        config = parse_config(text)
+        config = apply_assignments(PipelineConfig(), parse_assignments(text))
     except ValueError:
         return
     assert all(math.isfinite(value) for _, value in _floats(config))
@@ -111,13 +111,13 @@ def test_parse_config_raises_only_value_errors_and_keeps_floats_finite(assignmen
        st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 def test_parse_config_names_the_key_of_a_non_finite_float(key, value):
     with pytest.raises(ValueError, match=f"^{key}: "):
-        parse_config(f"{key} = {value}\n")
+        apply_assignments(PipelineConfig(), parse_assignments(f"{key} = {value}\n"))
 
 
 @given(st.text(max_size=80))
 def test_parse_config_raises_only_value_errors_on_any_text(text):
     try:
-        parse_config(text)
+        apply_assignments(PipelineConfig(), parse_assignments(text))
     except ValueError:
         pass
 

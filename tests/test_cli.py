@@ -48,10 +48,11 @@ def tiny_training_dir(tmp_path, n_per_class=5, size=64):
     return data, info
 
 
-def test_usage_error_exit_code():
-    assert main(["no-such-command"]) == 1
-    assert main(["segment"]) == 1          # missing required arguments
-    assert main([]) == 1
+def test_usage_error_exit_code(capsys):
+    for argv in (["no-such-command"], ["segment"], []):   # [segment]: missing arguments
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mammocad") and "error:" in err
 
 
 def test_help_exits_zero(capsys):
@@ -418,6 +419,9 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
     ("denoise.lambda_3d=nan", "denoise.lambda_3d"),
     ("enhance.pectoral_tolerance=inf", "enhance.pectoral_tolerance"),
     ("levelset.tau=-1", "tau"),
+    ("levelset.grad_floor=0", "grad_floor"),
+    ("levelset.grad_floor=-1", "grad_floor"),
+    ("network.input_size=0", "network.input_size"),
 ])
 def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, capsys,
                                                        assignment, field):
@@ -437,6 +441,26 @@ def test_non_finite_sigma_is_rejected_before_any_stage(phantom_pgm, tmp_path, ca
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "pipeline.sigma" in captured.err
     assert not out.exists()
+
+
+def test_a_negative_seed_is_rejected_before_any_stage(phantom_pgm, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "pipeline.seed" in captured.err
+    assert not out.exists()
+
+
+def test_train_refuses_a_network_it_cannot_build_before_reading_films(tmp_path, capsys):
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb001.pgm").unlink()
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--set", "network.input_size=16"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "network.input_size = 16" in err
+    assert not model.parent.exists()
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mammocad.config import (
-    PipelineConfig,
-    apply_assignments,
-    format_config,
-    parse_config,
-)
+from mammocad.config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from mammocad.denoise import Bm3dProfile, default_profile
+
+
+def parse_config(text):
+    return apply_assignments(PipelineConfig(), parse_assignments(text))
 
 
 def test_empty_config_is_valid():
@@ -98,6 +97,20 @@ def test_desk_network_profile():
     assert full.input_size == 256 and full.channel_scale == 1
 
 
+@pytest.mark.parametrize("desk", ["false", "true"])
+@pytest.mark.parametrize("size", [0, 16, 62])
+def test_a_network_that_cannot_be_built_is_refused(desk, size):
+    with pytest.raises(ValueError, match=f"^network.input_size = {size}: "):
+        parse_config(f"network.desk = {desk}\nnetwork.input_size = {size}\n")
+    assert parse_config(f"network.desk = {desk}\nnetwork.input_size = 63\n").network.input_size == 63
+
+
+@pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "train.seed"])
+def test_a_negative_seed_is_refused(key):
+    with pytest.raises(ValueError, match=f"^{key} must be non-negative, got -1$"):
+        parse_config(f"{key} = -1\n")
+
+
 def test_accessors_read_the_resolved_sections():
     cfg = parse_config("pipeline.seed = 4\nsfcm.clusters = 3\ntrain.epochs = 2\n")
     assert cfg.sfcm_config() is cfg.sfcm
@@ -108,7 +121,7 @@ _KEYS = {
     "pipeline.sigma": st.floats(0.5, 100.0, allow_nan=False),
     "pipeline.seed": st.integers(0, 2 ** 31),
     "network.desk": st.booleans(),
-    "network.input_size": st.integers(16, 512),
+    "network.input_size": st.integers(63, 512),   # the least the default plan takes
     "sfcm.seed": st.integers(0, 2 ** 31),
     "train.seed": st.integers(0, 2 ** 31),
     "denoise.tau_hard": st.floats(1.0, 1e4, allow_nan=False),

@@ -138,27 +138,27 @@ def test_block_match_group_is_power_of_two():
 
 def test_hard_stage_constant_image_identity():
     img = np.full((32, 32), 0.5)
-    out = hard_stage(img, sigma=10.0)
+    out = hard_stage(img, sigma=10.0, profile=Bm3dProfile())
     np.testing.assert_allclose(out, img, atol=1e-12)
 
 
 def test_hard_stage_huge_sigma_flattens():
     rng = np.random.default_rng(5)
     img = np.clip(0.5 + rng.normal(0, 0.1, (32, 32)), 0, 1)
-    out = hard_stage(img, sigma=1e4)
+    out = hard_stage(img, sigma=1e4, profile=default_profile(1e4))
     assert out.var() < img.var()
 
 
 def test_hard_stage_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        hard_stage(np.zeros((16, 16)), sigma=0.0)
+        hard_stage(np.zeros((16, 16)), sigma=0.0, profile=Bm3dProfile())
 
 
 @pytest.mark.parametrize("run", [
-    lambda img, clean: hard_stage(img, 25.0),
-    lambda img, clean: wiener_stage(img, clean, 25.0),
-    lambda img, clean: wiener_stage(clean, img, 25.0),
-    lambda img, clean: bm3d_denoise(img, 25.0),
+    lambda img, clean: hard_stage(img, 25.0, Bm3dProfile()),
+    lambda img, clean: wiener_stage(img, clean, 25.0, Bm3dProfile()),
+    lambda img, clean: wiener_stage(clean, img, 25.0, Bm3dProfile()),
+    lambda img, clean: bm3d_denoise(img, 25.0, Bm3dProfile()),
 ], ids=["hard", "wiener-noisy", "wiener-basic", "bm3d"])
 def test_stages_reject_nan_anywhere_in_the_film(run):
     clean = np.full((40, 40), 0.5)
@@ -170,7 +170,7 @@ def test_stages_reject_nan_anywhere_in_the_film(run):
 
 def test_wiener_stage_dimension_mismatch():
     with pytest.raises(ValueError):
-        wiener_stage(np.zeros((16, 16)), np.zeros((16, 8)), 25.0)
+        wiener_stage(np.zeros((16, 16)), np.zeros((16, 8)), 25.0, Bm3dProfile())
 
 
 def test_wiener_tiny_sigma_returns_noisy():
@@ -179,22 +179,22 @@ def test_wiener_tiny_sigma_returns_noisy():
     rng = np.random.default_rng(6)
     img = rng.random((24, 24))
     basic = rng.random((24, 24))
-    out = wiener_stage(img, basic, sigma=1e-6)
+    out = wiener_stage(img, basic, sigma=1e-6, profile=Bm3dProfile())
     np.testing.assert_allclose(out, img, atol=1e-8)
 
 
 def test_wiener_zero_basic_smooths_hard():
     rng = np.random.default_rng(7)
     img = np.clip(0.5 + rng.normal(0, 0.1, (24, 24)), 0, 1)
-    out = wiener_stage(img, np.zeros_like(img), sigma=25.0)
+    out = wiener_stage(img, np.zeros_like(img), sigma=25.0, profile=Bm3dProfile())
     assert out.var() < 1e-6  # shrinkage weight is zero everywhere
 
 
 def test_stage_psnr_gains():
     clean, noisy = noisy_phantom(sigma8=25.0)
     base = psnr(clean, noisy)
-    basic = hard_stage(noisy, sigma=25.0)
-    final = wiener_stage(noisy, basic, sigma=25.0)
+    basic = hard_stage(noisy, sigma=25.0, profile=Bm3dProfile())
+    final = wiener_stage(noisy, basic, sigma=25.0, profile=Bm3dProfile())
     assert psnr(clean, basic) >= base + 2.0
     assert psnr(clean, final) >= psnr(clean, basic)
 
@@ -204,7 +204,7 @@ def test_bm3d_denoise_constant_any_sigma():
     # mean because the empirical shrinkage also touches the DC term
     img = np.full((24, 24), 0.3)
     for sigma in (5.0, 25.0, 80.0):
-        out = bm3d_denoise(img, sigma)
+        out = bm3d_denoise(img, sigma, default_profile(sigma))
         assert np.ptp(out) < 1e-12
         np.testing.assert_allclose(out, img, atol=1e-3)
 
@@ -214,7 +214,7 @@ def test_every_pixel_covered_on_awkward_sizes():
     rng = np.random.default_rng(8)
     img = rng.random((21, 19))
     # the default profile, and the largest step a block side allows
-    for profile in (None, Bm3dProfile(k_hard=4, step=4, search_radius=0)):
+    for profile in (Bm3dProfile(), Bm3dProfile(k_hard=4, step=4, search_radius=0)):
         out = hard_stage(img, sigma=15.0, profile=profile)
         assert np.all(np.isfinite(out))
         assert out.shape == img.shape
@@ -223,8 +223,8 @@ def test_every_pixel_covered_on_awkward_sizes():
 
 def test_bm3d_deterministic_and_bounded():
     _, noisy = noisy_phantom(sigma8=25.0)
-    a = bm3d_denoise(noisy, 25.0)
-    b = bm3d_denoise(noisy, 25.0)
+    a = bm3d_denoise(noisy, 25.0, Bm3dProfile())
+    b = bm3d_denoise(noisy, 25.0, Bm3dProfile())
     np.testing.assert_array_equal(a, b)
     assert a.shape == noisy.shape
     assert a.min() >= 0.0 and a.max() <= 1.0
@@ -236,7 +236,7 @@ def test_each_stage_matches_every_reference_once_in_row_major_order(monkeypatch)
     calls = []
     real = denoise.block_match
 
-    def counting(image, ref, profile, stage="hard"):
+    def counting(image, ref, profile, stage):
         calls.append((stage, ref))
         return real(image, ref, profile, stage)
 

@@ -99,10 +99,9 @@ def _collaborative_pass(match_on, image, profile, stage, shrink):
     return np.clip(acc / weights, 0.0, 1.0)
 
 
-def oracle_hard_stage(noisy, sigma, profile=None):
+def oracle_hard_stage(noisy, sigma, profile):
     img = as_gray(noisy)
-    prof = profile if profile is not None else default_profile(sigma)
-    threshold = prof.lambda_3d * sigma / 255.0
+    threshold = profile.lambda_3d * sigma / 255.0
 
     def shrink(_, stack):
         coeffs = _forward_3d(stack)
@@ -110,12 +109,11 @@ def oracle_hard_stage(noisy, sigma, profile=None):
         keep[0, 0, 0] = True
         return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + int(keep.sum()))
 
-    return _collaborative_pass(img, img, prof, "hard", shrink)
+    return _collaborative_pass(img, img, profile, "hard", shrink)
 
 
-def oracle_wiener_stage(noisy, basic, sigma, profile=None):
+def oracle_wiener_stage(noisy, basic, sigma, profile):
     img, base = as_gray(noisy), as_gray(basic)
-    prof = profile if profile is not None else default_profile(sigma)
     noise_var = (sigma / 255.0) ** 2
 
     def shrink(basic_stack, noisy_stack):
@@ -123,7 +121,7 @@ def oracle_wiener_stage(noisy, basic, sigma, profile=None):
         gain = basic_coeffs ** 2 / (basic_coeffs ** 2 + noise_var)
         return gain * _forward_3d(noisy_stack), 1.0 / (1.0 + float((gain ** 2).sum()))
 
-    return _collaborative_pass(base, img, prof, "wiener", shrink)
+    return _collaborative_pass(base, img, profile, "wiener", shrink)
 
 
 def film(shape, sigma, seed=0):
@@ -165,7 +163,7 @@ CASES = [(name, shape, SIGMAS[(i + j) % len(SIGMAS)])
 @pytest.mark.parametrize("name, shape, sigma", CASES,
                          ids=[f"{n}-{h}x{w}-{s:g}" for n, (h, w), s in CASES])
 def test_stages_match_the_oracle_byte_for_byte(name, shape, sigma):
-    profile = PROFILES[name]
+    profile = PROFILES[name] or default_profile(sigma)
     noisy = film(shape, sigma)
     basic = oracle_hard_stage(noisy, sigma, profile)
     assert_same_bytes(hard_stage(noisy, sigma, profile), basic)
@@ -177,9 +175,11 @@ def test_stages_match_the_oracle_byte_for_byte(name, shape, sigma):
 @pytest.mark.parametrize("sigma", [10.0, 50.0])
 def test_constant_image_matches_the_oracle(sigma):
     noisy = np.full((24, 40), 0.3)
-    basic = oracle_hard_stage(noisy, sigma)
-    assert_same_bytes(hard_stage(noisy, sigma), basic)
-    assert_same_bytes(bm3d_denoise(noisy, sigma), oracle_wiener_stage(noisy, basic, sigma))
+    profile = default_profile(sigma)
+    basic = oracle_hard_stage(noisy, sigma, profile)
+    assert_same_bytes(hard_stage(noisy, sigma, profile), basic)
+    assert_same_bytes(bm3d_denoise(noisy, sigma, profile),
+                      oracle_wiener_stage(noisy, basic, sigma, profile))
 
 
 @pytest.mark.parametrize("name", [name for name in PROFILES if name != "default"])
@@ -190,7 +190,7 @@ def test_oracle_profiles_mix_group_sizes_within_a_row(monkeypatch, name):
     sizes = {}
     real = denoise.block_match
 
-    def recording(image, ref, profile, stage="hard"):
+    def recording(image, ref, profile, stage):
         group = real(image, ref, profile, stage)
         sizes.setdefault((stage, ref[0]), set()).add(len(group.coordinates))
         return group
