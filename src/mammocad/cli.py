@@ -30,7 +30,7 @@ def _add_config_flags(sub):
     sub.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="SECTION.KEY=VALUE", help="override one config value")
     sub.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
-    sub.add_argument("--seed", type=int, help="master random seed")
+    sub.add_argument("--seed", type=int, help="training seed (train.seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the dedicated flags and the config keys they assign
-_FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "pipeline.seed", "desk": "network.desk",
+_FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "train.seed", "desk": "network.desk",
               "epochs": "train.epochs", "augment": "train.augment"}
 
 

@@ -4,9 +4,8 @@ The on-disk format is one `section.key = value` assignment per line,
 with '#' comments; every key has a default, so an empty file is valid.
 Values are typed from the dataclass fields they override. Values that
 follow from others (the block-match thresholds from the noise level,
-the stage seeds from the master seed, the desk input size) are worked
-out when the assignments are applied, so a config holds exactly the
-values a run uses.
+the desk input size) are worked out when the assignments are applied,
+so a config holds exactly the values a run uses.
 """
 
 from __future__ import annotations
@@ -26,13 +25,10 @@ from .cnn.train import TrainConfig
 @dataclass(frozen=True)
 class PipelineSection:
     sigma: float = 25.0             # assumed noise std, 8-bit scale
-    seed: int = 0
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"pipeline.sigma must be positive, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError(f"pipeline.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +90,8 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
 
     A derived value follows its source when the source is assigned here
     and the value itself is not: `pipeline.sigma` picks the denoise
-    profile unless a `denoise.*` key is assigned, `pipeline.seed` seeds
-    `sfcm.seed` and `train.seed`, and `network.desk` picks the desk input
-    size unless `network.input_size` is assigned.
+    profile unless a `denoise.*` key is assigned, and `network.desk`
+    picks the desk input size unless `network.input_size` is assigned.
     """
     sections = {name: getattr(config, name) for name in _SECTIONS}
     updates = {name: {} for name in _SECTIONS}
@@ -123,10 +118,6 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
     if "pipeline.sigma" in assigned and not any(
             key.startswith("denoise.") for key in assigned):
         sections["denoise"] = default_profile(pipeline.sigma)
-    if "pipeline.seed" in assigned:
-        for name in ("sfcm", "train"):
-            if f"{name}.seed" not in assigned:
-                sections[name] = dataclasses.replace(sections[name], seed=pipeline.seed)
     if "network.desk" in assigned and "network.input_size" not in assigned:
         size = (NetworkConfig.desk() if network.desk else NetworkConfig()).input_size
         sections["network"] = dataclasses.replace(network, input_size=size)

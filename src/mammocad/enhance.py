@@ -83,7 +83,7 @@ def median_filter(image, window: int) -> np.ndarray:
     return out
 
 
-def normalize(image, r1: int = 60, r2: int = 210) -> np.ndarray:
+def normalize(image, r1: int, r2: int) -> np.ndarray:
     """Affine rescale of the dynamic range onto [r1, r2] (8-bit scale).
 
     Dividing before scaling makes the endpoints exact: the darkest

@@ -50,14 +50,14 @@ class LevelSetConfig:
                 f"unstable step: tau*mu = {self.tau * self.mu:.3g} must stay below 0.25")
 
 
-def binarize_membership(r_k, b0: float = 0.5) -> np.ndarray:
+def binarize_membership(r_k, b0: float) -> np.ndarray:
     """Mask of pixels whose membership reaches the threshold."""
     if not 0.0 < b0 < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     return as_gray(r_k) >= b0
 
 
-def init_phi(b_k, epsilon: float = 1.5) -> np.ndarray:
+def init_phi(b_k, epsilon: float) -> np.ndarray:
     """Binary field +2*eps inside the mask, -2*eps outside."""
     mask = as_mask(b_k)
     return -4.0 * epsilon * (0.5 - mask.astype(np.float64))
@@ -89,7 +89,7 @@ def _laplacian(f):
     return p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4.0 * f
 
 
-def edge_indicator(image, sigma: float = 1.5) -> np.ndarray:
+def edge_indicator(image, sigma: float) -> np.ndarray:
     """g = 1 / (1 + |grad(G_sigma * I)|^2); 1 in flat areas, small on edges.
 
     Gradients are taken on the 8-bit intensity scale so that real

@@ -30,7 +30,6 @@ class SfcmConfig:
     window_radius: int = 2          # 5x5 neighbourhood
     tol: float = 1e-4               # convergence threshold on max |dmu|
     max_iter: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.clusters < 1:
@@ -41,7 +40,7 @@ class SfcmConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-        for name in ("window_radius", "p", "q", "seed"):
+        for name in ("window_radius", "p", "q"):
             if getattr(self, name) < 0:
                 raise ValueError(f"sfcm.{name} must be non-negative, got {getattr(self, name)}")
 
@@ -62,11 +61,7 @@ def _check_memberships(mu: np.ndarray):
 
 
 def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One c-means sweep: centers from memberships, then memberships back.
-
-    A pixel that coincides exactly with a center gets full membership
-    in the lowest such cluster.
-    """
+    """One c-means sweep: centers from memberships, then memberships back."""
     img = as_gray(image)
     intensities = img.ravel()
     mu = np.asarray(memberships, dtype=np.float64)
@@ -80,23 +75,31 @@ def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.
         dead = int(np.argmin(mass))
         raise DegenerateClusterError(f"cluster {dead} has no membership mass")
     centers = weights @ intensities / mass
-
     # the powered memberships are spent; their buffer takes the distances
-    np.subtract(intensities[None, :], centers[:, None], out=weights)
-    np.square(weights, out=weights)
+    return _memberships(intensities, centers, config.fuzziness, weights), centers
+
+
+def _memberships(intensities, centers, fuzziness, out) -> np.ndarray:
+    """Memberships of every pixel at fixed centers, written into `out` (C x N).
+
+    A pixel that coincides exactly with a center gets full membership
+    in the lowest such cluster.
+    """
+    np.subtract(intensities[None, :], centers[:, None], out=out)
+    np.square(out, out=out)
     # min() is NaN when any entry is, which also takes the exact-centre test
-    exact = None if weights.min() > 0.0 else weights == 0.0
+    exact = None if out.min() > 0.0 else out == 0.0
     # a distance of 0 powers to inf, so its column divides to NaN or 0;
     # those columns are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         # in-place ** takes the same scalar-exponent paths as the binary form
-        weights **= -1.0 / (config.fuzziness - 1.0)
-        weights /= weights.sum(axis=0)
+        out **= -1.0 / (fuzziness - 1.0)
+        out /= out.sum(axis=0)
     if exact is not None:
         singular = np.flatnonzero(exact.any(axis=0))
-        weights[:, singular] = 0.0
-        weights[np.argmax(exact[:, singular], axis=0), singular] = 1.0
-    return weights, centers
+        out[:, singular] = 0.0
+        out[np.argmax(exact[:, singular], axis=0), singular] = 1.0
+    return out
 
 
 def _box_mean_down(planes, size, out):
@@ -174,10 +177,13 @@ def objective(image, memberships, centers, fuzziness: float) -> float:
 def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
     """Cluster an image; returns (memberships, centers, iterations_used).
 
-    Starts from seeded random memberships (or an explicit init) and
+    Starts from the memberships at `clusters` centers spread evenly over
+    the image's intensity range (or from an explicit init) and
     alternates ``fcm_iterate`` and ``spatial_refine`` until the largest
-    membership change drops below the tolerance. Deterministic for a
-    fixed seed.
+    membership change drops below the tolerance. When every pixel sits
+    on a start center (a two-level image at three clusters), a center
+    with no pixel gets no membership and the first sweep raises
+    DegenerateClusterError.
     """
     img = as_gray(image)
     n = img.size
@@ -189,9 +195,8 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
             raise ValueError("init membership shape mismatch")
         _check_memberships(mu)
     else:
-        rng = np.random.default_rng(config.seed)
-        mu = rng.random((config.clusters, n))
-        mu /= mu.sum(axis=0)
+        start = np.linspace(img.min(), img.max(), config.clusters)
+        mu = _memberships(img.ravel(), start, config.fuzziness, np.empty((config.clusters, n)))
 
     centers = np.zeros(config.clusters)
     change = np.empty_like(mu)

@@ -122,13 +122,17 @@ def test_criterion_4_fcm_two_valued():
     img = np.full((64, 64), 0.2)
     img[:, 32:] = 0.8
     start = time.perf_counter()
-    _, centers, _ = sfcm_run(img, SfcmConfig(clusters=2, seed=1))
+    _, centers, _ = sfcm_run(img, SfcmConfig(clusters=2))
     values = []
-    cfg = SfcmConfig(clusters=2, q=0.0, seed=1, tol=1e-9, max_iter=50)
-    # a run is deterministic from its seed, so the k-iteration run ends
-    # at the k-th iterate; a run that stops short has converged
+    cfg = SfcmConfig(clusters=2, q=0.0, tol=1e-9, max_iter=50)
+    # the default start is already the two-valued answer, so the objective
+    # is followed from random memberships; a run is deterministic from its
+    # start, so the k-iteration run ends at the k-th iterate, and a run
+    # that stops short has converged
+    init = np.random.default_rng(1).random((2, img.size))
+    init /= init.sum(axis=0)
     for k in range(1, cfg.max_iter + 1):
-        mu, c, used = sfcm_run(img, dataclasses.replace(cfg, max_iter=k))
+        mu, c, used = sfcm_run(img, dataclasses.replace(cfg, max_iter=k), init=init)
         if used < k:
             break
         values.append(objective(img, mu, c, cfg.fuzziness))

@@ -218,14 +218,14 @@ def test_evaluate_reports_a_null_auc_when_the_held_out_films_are_one_class(tmp_p
 def test_flags_override_the_config_file_and_unset_switches_leave_it(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path, n_per_class=3)
     config = tmp_path / "run.cfg"
-    config.write_text("pipeline.seed = 3\npipeline.sigma = 50\nnetwork.desk = true\n")
+    config.write_text("train.seed = 3\npipeline.sigma = 50\nnetwork.desk = true\n")
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
                  "--config", str(config), "--epochs", "1", "--seed", "0",
                  "--sigma", "5"]) == 0
     echo = (model.parent / "config.echo").read_text().splitlines()
-    for line in ("pipeline.seed = 0", "sfcm.seed = 0", "train.seed = 0",
-                 "pipeline.sigma = 5.0", "network.desk = True", "network.input_size = 64"):
+    for line in ("train.seed = 0", "pipeline.sigma = 5.0", "network.desk = True",
+                 "network.input_size = 64"):
         assert line in echo
 
 
@@ -448,7 +448,24 @@ def test_a_negative_seed_is_rejected_before_any_stage(phantom_pgm, tmp_path, cap
     assert main(["segment", str(phantom_pgm), "-o", str(out), "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "pipeline.seed" in captured.err
+    assert captured.err.count("\n") == 1 and "train.seed" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed"])
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source):
+    out = tmp_path / "out"
+    if source == "set":
+        given = ["--set", f"{key}=3"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = 3\n")
+        given = ["--config", str(config)]
+    assert main(["segment", str(phantom_pgm), "-o", str(out), *given]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "unknown config key" in captured.err
     assert not out.exists()
 
 

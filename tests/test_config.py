@@ -71,14 +71,6 @@ def test_fields_checked_together_may_be_assigned_in_any_order():
         apply_assignments(PipelineConfig(), [("denoise.step", "10"), ("denoise.k_hard", "12")])
 
 
-def test_master_seed_flows_to_sections():
-    cfg = parse_config("pipeline.seed = 7\n")
-    assert cfg.sfcm.seed == 7
-    assert cfg.train.seed == 7
-    pinned = parse_config("pipeline.seed = 7\nsfcm.seed = 3\n")
-    assert (pinned.sfcm.seed, pinned.train.seed) == (3, 7)
-
-
 def test_an_int_beyond_the_float_range_is_finite():
     assert parse_config(f"sfcm.max_iter = {10 ** 400}\n").sfcm.max_iter == 10 ** 400
     with pytest.raises(ValueError, match="^sfcm.max_iter: "):
@@ -105,24 +97,22 @@ def test_a_network_that_cannot_be_built_is_refused(desk, size):
     assert parse_config(f"network.desk = {desk}\nnetwork.input_size = 63\n").network.input_size == 63
 
 
-@pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "train.seed"])
+@pytest.mark.parametrize("key", ["train.seed"])
 def test_a_negative_seed_is_refused(key):
     with pytest.raises(ValueError, match=f"^{key} must be non-negative, got -1$"):
         parse_config(f"{key} = -1\n")
 
 
 def test_accessors_read_the_resolved_sections():
-    cfg = parse_config("pipeline.seed = 4\nsfcm.clusters = 3\ntrain.epochs = 2\n")
+    cfg = parse_config("sfcm.clusters = 3\ntrain.epochs = 2\n")
     assert cfg.sfcm_config() is cfg.sfcm
     assert cfg.train_config() is cfg.train
 
 
 _KEYS = {
     "pipeline.sigma": st.floats(0.5, 100.0, allow_nan=False),
-    "pipeline.seed": st.integers(0, 2 ** 31),
     "network.desk": st.booleans(),
     "network.input_size": st.integers(63, 512),   # the least the default plan takes
-    "sfcm.seed": st.integers(0, 2 ** 31),
     "train.seed": st.integers(0, 2 ** 31),
     "denoise.tau_hard": st.floats(1.0, 1e4, allow_nan=False),
     "levelset.nu": st.floats(-10.0, 10.0, allow_nan=False),

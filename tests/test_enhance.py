@@ -85,7 +85,7 @@ def test_normalize_midpoint():
 
 def test_normalize_constant_rejected():
     with pytest.raises(DegenerateInputError):
-        normalize(np.full((3, 3), 0.5))
+        normalize(np.full((3, 3), 0.5), 60, 210)
 
 
 @pytest.mark.parametrize("spread", [1e-16, 1e-9, 0.49 / 255])
@@ -93,7 +93,7 @@ def test_normalize_rejects_a_spread_under_half_a_gray_level(spread):
     img = np.full((4, 4), 7 / 255)
     img[1, 2] += spread
     with pytest.raises(DegenerateInputError, match="half an 8-bit gray level"):
-        normalize(img)
+        normalize(img, 60, 210)
 
 
 def test_normalize_stretches_half_a_gray_level():

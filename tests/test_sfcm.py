@@ -177,7 +177,7 @@ def test_objective_matches_double_loop():
 
 def test_run_deterministic_for_seed():
     img = two_valued_image()
-    cfg = SfcmConfig(clusters=2, seed=123)
+    cfg = SfcmConfig(clusters=2)
     mu1, c1, it1 = sfcm_run(img, cfg)
     mu2, c2, it2 = sfcm_run(img, cfg)
     np.testing.assert_array_equal(mu1, mu2)
@@ -187,7 +187,7 @@ def test_run_deterministic_for_seed():
 
 def test_run_recovers_two_valued_centers():
     img = two_valued_image()
-    mu, centers, _ = sfcm_run(img, SfcmConfig(clusters=2, seed=1))
+    mu, centers, _ = sfcm_run(img, SfcmConfig(clusters=2))
     assert abs(min(centers) - 0.2) < 1e-3
     assert abs(max(centers) - 0.8) < 1e-3
 
@@ -195,7 +195,7 @@ def test_run_recovers_two_valued_centers():
 def test_plain_fcm_objective_non_increasing():
     rng = np.random.default_rng(13)
     img = np.clip(rng.normal(0.5, 0.2, size=(16, 16)), 0, 1)
-    cfg = SfcmConfig(clusters=3, q=0.0, seed=2, tol=1e-9, max_iter=40)
+    cfg = SfcmConfig(clusters=3, q=0.0, tol=1e-9, max_iter=40)
     values = []
     # the k-iteration run ends at the k-th iterate of the full run
     for k in range(1, cfg.max_iter + 1):
@@ -213,9 +213,30 @@ def test_constant_image_rejected():
         sfcm_run(np.full((8, 8), 0.5), SfcmConfig(clusters=2))
 
 
+def test_start_draws_no_random_number(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sfcm_run drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    _, centers, _ = sfcm_run(two_valued_image(), SfcmConfig(clusters=2))
+    np.testing.assert_allclose(centers, [0.2, 0.8], atol=1e-12)
+
+
+def test_every_pixel_on_a_start_center_leaves_an_empty_cluster():
+    # a two-level image at three clusters: the start centers are 0.2, 0.5
+    # and 0.8, every pixel sits on 0.2 or 0.8, and the middle one is empty
+    with pytest.raises(DegenerateClusterError, match="^cluster 1 has no membership mass$"):
+        sfcm_run(two_valued_image(), SfcmConfig(clusters=3))
+    # a pixel on the middle center is enough to keep all three
+    img = two_valued_image()
+    img[0, 0] = 0.5
+    _, centers, _ = sfcm_run(img, SfcmConfig(clusters=3))
+    assert len(set(centers)) == 3
+
+
 def test_label_permutation_symmetry():
     img = two_valued_image(16, 16)
-    cfg = SfcmConfig(clusters=3, seed=17, max_iter=20)
+    cfg = SfcmConfig(clusters=3, max_iter=20)
     rng = np.random.default_rng(17)
     init = rng.random((3, img.size))
     init /= init.sum(axis=0)
@@ -229,7 +250,7 @@ def test_label_permutation_symmetry():
 def test_intensity_shift_preserves_argmax_structure():
     rng = np.random.default_rng(19)
     img = np.clip(0.15 + 0.6 * rng.random((20, 20)), 0, 0.9)
-    cfg = SfcmConfig(clusters=3, seed=5, max_iter=30)
+    cfg = SfcmConfig(clusters=3, max_iter=30)
     mu_a, c_a, _ = sfcm_run(img, cfg)
     mu_b, c_b, _ = sfcm_run(img + 0.1, cfg)
     order_a = np.argsort(c_a)
@@ -240,7 +261,7 @@ def test_intensity_shift_preserves_argmax_structure():
 
 def test_tumor_map_selects_brightest_cluster():
     img = two_valued_image(8, 8)
-    mu, centers, _ = sfcm_run(img, SfcmConfig(clusters=2, seed=3))
+    mu, centers, _ = sfcm_run(img, SfcmConfig(clusters=2))
     r_k = tumor_membership_map(mu, centers, img.shape)
     assert r_k.shape == img.shape
     assert r_k[:, 6:].mean() > 0.9   # bright half

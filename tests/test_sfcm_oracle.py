@@ -4,9 +4,11 @@
 and `oracle_sfcm_run` below are the sweep, the spatial mix, the
 membership check and the run loop as `mammocad.sfcm` wrote them before
 it normalised, scaled and clamped in place and summed the windows down
-whole rows of all planes at once. The new versions do the same float
-operations in the same order, so memberships, centers and iteration
-counts must match these byte for byte.
+whole rows of all planes at once; `oracle_sfcm_run` starts from
+`oracle_memberships` at centers spread evenly over the intensity range.
+The new versions do the same float operations in the same order, so
+memberships, centers and iteration counts must match these byte for
+byte.
 """
 
 import itertools
@@ -42,11 +44,14 @@ def oracle_fcm_iterate(image, memberships, config):
         dead = int(np.argmin(mass))
         raise DegenerateClusterError(f"cluster {dead} has no membership mass")
     centers = powered @ intensities / mass
+    return oracle_memberships(intensities, centers, config.fuzziness), centers
 
+
+def oracle_memberships(intensities, centers, fuzziness):
     d2 = (intensities[None, :] - centers[:, None]) ** 2
     exact = d2 == 0.0
     with np.errstate(divide="ignore"):
-        weights = d2 ** (-1.0 / (config.fuzziness - 1.0))
+        weights = d2 ** (-1.0 / (fuzziness - 1.0))
     new_mu = np.empty_like(weights)
     singular = exact.any(axis=0)
     regular = ~singular
@@ -55,7 +60,7 @@ def oracle_fcm_iterate(image, memberships, config):
         new_mu[:, singular] = 0.0
         winners = np.argmax(exact[:, singular], axis=0)
         new_mu[winners, np.flatnonzero(singular)] = 1.0
-    return new_mu, centers
+    return new_mu
 
 
 def oracle_window_sum(plane, size):
@@ -86,9 +91,8 @@ def oracle_sfcm_run(image, config, init=None):
     if init is not None:
         mu = np.asarray(init, dtype=np.float64).copy()
     else:
-        rng = np.random.default_rng(config.seed)
-        mu = rng.random((config.clusters, img.size))
-        mu /= mu.sum(axis=0)
+        start = np.linspace(img.min(), img.max(), config.clusters)
+        mu = oracle_memberships(img.ravel(), start, config.fuzziness)
     centers = np.zeros(config.clusters)
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
@@ -128,11 +132,17 @@ RADII = [0, 1, 2]
 @pytest.mark.parametrize("clusters", [1, 2, 4, 5])
 @pytest.mark.parametrize("fuzziness", [1.5, 2.0, 3.0])
 def test_run_matches_oracle_byte_for_byte(clusters, fuzziness):
+    rng = np.random.default_rng(clusters)
     for shape, (p, q), radius in itertools.product(SHAPES, PQ, RADII):
         config = SfcmConfig(clusters=clusters, fuzziness=fuzziness, p=p, q=q,
-                            window_radius=radius, max_iter=30, seed=clusters)
+                            window_radius=radius, max_iter=30)
         image = smooth_image(shape, seed=radius)
         assert_same_bytes(sfcm.sfcm_run(image, config), oracle_sfcm_run(image, config))
+        # and from an arbitrary start
+        init = rng.random((clusters, image.size))
+        init /= init.sum(axis=0)
+        assert_same_bytes(sfcm.sfcm_run(image, config, init=init),
+                          oracle_sfcm_run(image, config, init=init))
 
 
 @pytest.mark.parametrize("clusters", [1, 2, 4, 5])
