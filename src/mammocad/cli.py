@@ -29,8 +29,6 @@ def _add_config_flags(sub):
     sub.add_argument("--config", help="pipeline config file (section.key = value lines)")
     sub.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="SECTION.KEY=VALUE", help="override one config value")
-    sub.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
-    sub.add_argument("--seed", type=int, help="training seed (train.seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("preprocess", help="denoise and enhance one image")
     p.add_argument("image", help="input PGM file")
     p.add_argument("-o", "--output", required=True, help="output directory")
+    p.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
     _add_config_flags(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -51,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quarter-width 64x64 profile for desk-scale runs")
     p.add_argument("--epochs", type=int)
     p.add_argument("--augment", action="store_true")
+    p.add_argument("--seed", type=int, help="training seed (train.seed)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -62,11 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("segment", help="segment the tumor region of one image")
     p.add_argument("image", help="input PGM file")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--gt", action="store_true",
-                   help="report Dice against the annotated lesion circle")
-    p.add_argument("--info", help="annotation file (needed for --gt)")
+    p.add_argument("--info", help="annotation file; reports Dice against the lesion circle")
     p.add_argument("--verbose", action="store_true",
                    help="print per-iteration evolution diagnostics")
+    p.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
     _add_config_flags(p)
     p.set_defaults(func=cmd_segment)
 
@@ -75,6 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with <id>.pgm images")
     p.add_argument("--info", required=True, help="annotation file")
     p.add_argument("-o", "--output", help="also write the JSON report here")
+    p.add_argument("--seed", type=int,
+                   help="the training seed, which picks the held-out split (train.seed); "
+                        "pass the one `train` used, or its config.echo via --config")
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -156,11 +158,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    if args.gt and not args.info:
-        raise ValueError("--gt needs --info to locate the annotated circle")
     config = load_pipeline_config(args)
     image = read_pgm_file(args.image)
-    if args.gt:
+    if args.info:
         stem = Path(args.image).stem
         records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
         if not records:
@@ -187,7 +187,7 @@ def cmd_segment(args) -> int:
         "sfcm_iterations": result.sfcm_iterations,
         "levelset_iterations": result.levelset_iterations,
     }
-    if args.gt:
+    if args.info:
         summary["dice"] = dice(result.mask, combined_ground_truth(records, image.shape))
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -13,6 +13,7 @@ from itertools import islice
 import numpy as np
 
 from ..core import as_gray, resize_bilinear
+from ..metrics import compute_metrics, confusion
 from .augment import build_augmented_set
 from .layers import cross_entropy, sgd_step, softmax_predict
 from .network import Network, NetworkConfig
@@ -113,11 +114,12 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
                                 train_config.learning_rate, train_config.momentum, velocity)
             losses.append(loss)
         scored = score_dataset(network, test_items, train_config.batch_size)
+        pairs = [(abnormal, truth) for _, abnormal, truth in scored]
         history.append({
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else None,
-            "test_accuracy": (float(np.mean([abnormal == truth for _, abnormal, truth in scored]))
-                              if scored else None),
+            # the accuracy `evaluate` reports
+            "test_accuracy": compute_metrics(confusion(pairs)).accuracy if pairs else None,
         })
     return network, history
 

@@ -2,10 +2,11 @@
 
 The on-disk format is one `section.key = value` assignment per line,
 with '#' comments; every key has a default, so an empty file is valid.
-Values are typed from the dataclass fields they override. Values that
-follow from others (the block-match thresholds from the noise level,
-the desk input size) are worked out when the assignments are applied,
-so a config holds exactly the values a run uses.
+Values are typed from the dataclass fields they override. The
+block-match thresholds follow the noise level; they are worked out when
+the assignments are applied, so a config holds exactly the values a run
+uses. The network profile fixes its own input size (256, or 64 with
+`network.desk`), so the config holds no size.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .denoise import Bm3dProfile, default_profile
 from .enhance import EnhanceConfig
 from .levelset import LevelSetConfig
 from .sfcm import SfcmConfig
-from .cnn.network import NetworkConfig, layer_plan
+from .cnn.network import NetworkConfig
 from .cnn.train import TrainConfig
 
 
@@ -33,7 +34,6 @@ class PipelineSection:
 
 @dataclass(frozen=True)
 class NetworkSection:
-    input_size: int = 256
     desk: bool = False              # quarter-width channels, 64x64 input
 
 
@@ -47,16 +47,8 @@ class PipelineConfig:
     network: NetworkSection = NetworkSection()
     train: TrainConfig = TrainConfig()
 
-    def __post_init__(self):
-        # refuse a network that `train` could not build before any film is read
-        try:
-            layer_plan(self.network_config())
-        except ValueError as exc:
-            raise ValueError(f"network.input_size = {self.network.input_size}: {exc}") from None
-
     def network_config(self) -> NetworkConfig:
-        profile = NetworkConfig.desk() if self.network.desk else NetworkConfig()
-        return dataclasses.replace(profile, input_size=self.network.input_size)
+        return NetworkConfig.desk() if self.network.desk else NetworkConfig()
 
     # perfbench is the remaining caller; ROADMAP item 1b deletes it
     def sfcm_config(self) -> SfcmConfig:
@@ -88,10 +80,8 @@ def _coerce(current, text: str):
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
     """Apply `section.key = value` pairs on top of a config.
 
-    A derived value follows its source when the source is assigned here
-    and the value itself is not: `pipeline.sigma` picks the denoise
-    profile unless a `denoise.*` key is assigned, and `network.desk`
-    picks the desk input size unless `network.input_size` is assigned.
+    The denoise profile follows `pipeline.sigma` when sigma is assigned
+    here and no `denoise.*` key is.
     """
     sections = {name: getattr(config, name) for name in _SECTIONS}
     updates = {name: {} for name in _SECTIONS}
@@ -114,13 +104,9 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
             sections[name] = dataclasses.replace(sections[name], **values)
     assigned = {f"{name}.{key}" for name, values in updates.items() for key in values}
 
-    pipeline, network = sections["pipeline"], sections["network"]
     if "pipeline.sigma" in assigned and not any(
             key.startswith("denoise.") for key in assigned):
-        sections["denoise"] = default_profile(pipeline.sigma)
-    if "network.desk" in assigned and "network.input_size" not in assigned:
-        size = (NetworkConfig.desk() if network.desk else NetworkConfig()).input_size
-        sections["network"] = dataclasses.replace(network, input_size=size)
+        sections["denoise"] = default_profile(sections["pipeline"].sigma)
     return PipelineConfig(**sections)
 
 

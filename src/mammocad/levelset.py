@@ -16,6 +16,9 @@ from scipy import ndimage
 
 from .core import as_gray, as_mask
 
+# keeps the unit normal grad(phi)/|grad(phi)| finite where phi is flat
+GRAD_FLOOR = 1e-10
+
 
 class DivergenceError(FloatingPointError):
     """Raised when the evolution produces non-finite field values."""
@@ -31,15 +34,13 @@ class LevelSetConfig:
     nu: float = 1.5                 # balloon weight; positive expands
     iterations: int = 200
     smoothing_sigma: float = 1.5    # Gaussian width for the edge map
-    grad_floor: float = 1e-10
     early_stop_frac: float = 1e-4   # 0 disables early stopping
     early_stop_patience: int = 5
 
     def __post_init__(self):
         if not 0.0 < self.b0 < 1.0:
             raise ValueError("binarization threshold must lie in (0, 1)")
-        # a zero grad_floor divides 0 by 0 where the initial field is flat
-        for name in ("epsilon", "tau", "smoothing_sigma", "grad_floor"):
+        for name in ("epsilon", "tau", "smoothing_sigma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("iterations", "early_stop_patience"):
@@ -109,7 +110,7 @@ def evolve_step(phi, g, config: LevelSetConfig) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         gr, gc = _d_row(phi), _d_col(phi)
-        mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), config.grad_floor)
+        mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), GRAD_FLOOR)
         nr, nc = gr / mag, gc / mag
         regularize = _laplacian(phi) - (_d_row(nr) + _d_col(nc))
 

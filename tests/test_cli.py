@@ -93,8 +93,7 @@ def test_segment_gt_reports_dice(phantom_pgm, tmp_path, capsys):
     info.write_text("mdb901 G CIRC B 36 48 12\n")  # matches the phantom lesion
     out = tmp_path / "seg_gt"
     code = main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
-                 "--gt", "--info", str(info),
-                 "--set", "levelset.iterations=30"])
+                 "--info", str(info), "--set", "levelset.iterations=30"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["dice"] >= 0.8  # lesion recovered, not just file plumbing
@@ -125,15 +124,11 @@ def test_preprocess_rejects_a_flat_film_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_segment_gt_requires_info(phantom_pgm, tmp_path):
-    assert main(["segment", str(phantom_pgm), "-o", str(tmp_path / "x"), "--gt"]) == 2
-
-
 def test_segment_gt_without_an_annotation_fails_before_writing(phantom_pgm, tmp_path, capsys):
     info = tmp_path / "info.txt"
     info.write_text("mdb002 G NORM\n")
     out = tmp_path / "seg_unannotated"
-    assert main(["segment", str(phantom_pgm), "-o", str(out), "--gt", "--info", str(info)]) == 2
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--info", str(info)]) == 2
     assert "no annotation" in capsys.readouterr().err
     assert not out.exists()
 
@@ -159,7 +154,7 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     assert code == 0
     assert model.exists()
     assert model.with_suffix(".history.jsonl").exists()
-    assert "network.input_size = 64\n" in (tmp_path / "config.echo").read_text()
+    assert "network.desk = True\n" in (tmp_path / "config.echo").read_text()
     capsys.readouterr()
 
     image = data / "mdb001.pgm"
@@ -221,11 +216,10 @@ def test_flags_override_the_config_file_and_unset_switches_leave_it(tmp_path, ca
     config.write_text("train.seed = 3\npipeline.sigma = 50\nnetwork.desk = true\n")
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--config", str(config), "--epochs", "1", "--seed", "0",
-                 "--sigma", "5"]) == 0
+                 "--config", str(config), "--epochs", "1", "--seed", "0"]) == 0
     echo = (model.parent / "config.echo").read_text().splitlines()
-    for line in ("train.seed = 0", "pipeline.sigma = 5.0", "network.desk = True",
-                 "network.input_size = 64"):
+    for line in ("train.seed = 0", "train.epochs = 1", "pipeline.sigma = 50.0",
+                 "network.desk = True"):
         assert line in echo
 
 
@@ -317,8 +311,7 @@ def test_segment_idempotent(phantom_pgm, tmp_path):
 
 def test_segment_reruns_from_its_config_echo(phantom_pgm, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["segment", str(phantom_pgm), "-o", str(first),
-                 "--sigma", "50", "--seed", "7"]) == 0
+    assert main(["segment", str(phantom_pgm), "-o", str(first), "--sigma", "50"]) == 0
     assert main(["segment", str(phantom_pgm), "-o", str(second),
                  "--config", str(first / "config.echo")]) == 0
     for name in ("config.echo", "mask.pgm", "membership.pgm", "phi.pgm"):
@@ -419,9 +412,9 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
     ("denoise.lambda_3d=nan", "denoise.lambda_3d"),
     ("enhance.pectoral_tolerance=inf", "enhance.pectoral_tolerance"),
     ("levelset.tau=-1", "tau"),
+    # grad_floor is a module constant now, so any value is an unknown key
     ("levelset.grad_floor=0", "grad_floor"),
     ("levelset.grad_floor=-1", "grad_floor"),
-    ("network.input_size=0", "network.input_size"),
 ])
 def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, capsys,
                                                        assignment, field):
@@ -443,16 +436,20 @@ def test_non_finite_sigma_is_rejected_before_any_stage(phantom_pgm, tmp_path, ca
     assert not out.exists()
 
 
-def test_a_negative_seed_is_rejected_before_any_stage(phantom_pgm, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["segment", str(phantom_pgm), "-o", str(out), "--seed", "-1"]) == 2
+def test_a_negative_seed_is_rejected_before_any_stage(tmp_path, capsys):
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb001.pgm").unlink()  # reading the films would fail differently
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "train.seed" in captured.err
-    assert not out.exists()
+    assert not model.parent.exists()
 
 
-@pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed"])
+@pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "network.input_size",
+                                 "levelset.grad_floor"])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source):
     out = tmp_path / "out"
@@ -469,15 +466,27 @@ def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source
     assert not out.exists()
 
 
-def test_train_refuses_a_network_it_cannot_build_before_reading_films(tmp_path, capsys):
+@pytest.mark.parametrize("command, flag", [
+    ("segment", "--gt"),
+    ("preprocess", "--seed=3"),
+    ("segment", "--seed=3"),
+    ("train", "--sigma=5"),
+    ("evaluate", "--sigma=5"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(phantom_pgm, tmp_path, capsys,
+                                                              command, flag):
     data, info = tiny_training_dir(tmp_path)
-    (data / "mdb001.pgm").unlink()
-    model = tmp_path / "out" / "model.bin"
-    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--set", "network.input_size=16"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "network.input_size = 16" in err
-    assert not model.parent.exists()
+    out = tmp_path / "out"
+    argv = {"preprocess": [str(phantom_pgm), "-o", str(out)],
+            "segment": [str(phantom_pgm), "-o", str(out), "--info", str(info)],
+            "train": ["--data", str(data), "--info", str(info), "-o", str(out / "model.bin")],
+            "evaluate": ["--model", str(tmp_path / "model.bin"), "--data", str(data),
+                         "--info", str(info), "-o", str(out / "report.json")]}[command]
+    assert main([command, *argv, flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")

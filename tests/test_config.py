@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mammocad.cnn.network import NetworkConfig, layer_plan
 from mammocad.config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from mammocad.denoise import Bm3dProfile, default_profile
 
@@ -78,13 +81,10 @@ def test_an_int_beyond_the_float_range_is_finite():
 
 
 def test_desk_network_profile():
-    cfg = parse_config("network.desk = true\n")
-    assert cfg.network.input_size == 64
-    net = cfg.network_config()
+    net = parse_config("network.desk = true\n").network_config()
+    assert net == NetworkConfig.desk()
     assert net.input_size == 64
     assert net.channel_scale == 4
-    pinned = parse_config("network.input_size = 96\nnetwork.desk = true\n")
-    assert pinned.network_config().input_size == 96
     full = PipelineConfig().network_config()
     assert full.input_size == 256 and full.channel_scale == 1
 
@@ -92,9 +92,13 @@ def test_desk_network_profile():
 @pytest.mark.parametrize("desk", ["false", "true"])
 @pytest.mark.parametrize("size", [0, 16, 62])
 def test_a_network_that_cannot_be_built_is_refused(desk, size):
-    with pytest.raises(ValueError, match=f"^network.input_size = {size}: "):
+    # the profile fixes the input size, so no config asks for one the plan refuses
+    profile = parse_config(f"network.desk = {desk}\n").network_config()
+    layer_plan(profile)
+    with pytest.raises(ValueError, match="input_size must|collapsed"):
+        layer_plan(dataclasses.replace(profile, input_size=size))
+    with pytest.raises(ValueError, match="^unknown config key 'network.input_size'$"):
         parse_config(f"network.desk = {desk}\nnetwork.input_size = {size}\n")
-    assert parse_config(f"network.desk = {desk}\nnetwork.input_size = 63\n").network.input_size == 63
 
 
 @pytest.mark.parametrize("key", ["train.seed"])
@@ -112,7 +116,6 @@ def test_accessors_read_the_resolved_sections():
 _KEYS = {
     "pipeline.sigma": st.floats(0.5, 100.0, allow_nan=False),
     "network.desk": st.booleans(),
-    "network.input_size": st.integers(63, 512),   # the least the default plan takes
     "train.seed": st.integers(0, 2 ** 31),
     "denoise.tau_hard": st.floats(1.0, 1e4, allow_nan=False),
     "levelset.nu": st.floats(-10.0, 10.0, allow_nan=False),

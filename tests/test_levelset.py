@@ -140,7 +140,7 @@ def reference_evolve_step(phi, g, cfg):
         return gr, gc
 
     gr, gc = grads(phi)
-    mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), cfg.grad_floor)
+    mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), 1e-10)
     nr, nc = gr / mag, gc / mag
     lap = np.zeros_like(phi)
     for r in range(h):
@@ -214,8 +214,7 @@ def test_config_rejects_settings_that_cannot_evolve():
     # zero iterations would hand back the unevolved seed field, a zero
     # patience would act as one, and a zero sigma fails only in evolve()
     for field, value in (("iterations", 0), ("early_stop_patience", 0),
-                         ("smoothing_sigma", 0.0), ("smoothing_sigma", -1.5),
-                         ("grad_floor", 0.0), ("grad_floor", -1.0)):
+                         ("smoothing_sigma", 0.0), ("smoothing_sigma", -1.5)):
         with pytest.raises(ValueError, match=field):
             LevelSetConfig(**{field: value})
     LevelSetConfig(iterations=1, early_stop_patience=1, smoothing_sigma=0.1)
