@@ -3,8 +3,11 @@
 Similar blocks are stacked into 3-D groups, transformed with a 2-D DCT
 per slice and a 1-D Walsh-Hadamard transform across the stack, shrunk
 in the transform domain, and aggregated back with per-group weights.
-Block-match thresholds are quoted on the 8-bit squared-distance scale
-and rescaled internally to the [0, 1] intensity domain.
+A candidate block joins a group when its per-pixel mean squared
+difference from the reference, on [0, 1] intensities, is at most
+tau / (k^2 * 255^2). That divides by the block area twice, so tau
+does not act on the 8-bit squared-distance scale its values come
+from (ROADMAP item 2a).
 """
 
 from __future__ import annotations
@@ -76,17 +79,69 @@ def _reference_grid(extent: int, k: int, step: int) -> list[int]:
     return anchors
 
 
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the first axis, one term after another."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the first axis in numpy's pairwise order for a contiguous run.
+
+    Below 8 terms: in sequence. From 8 to 128: eight running partial
+    sums, added as ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in
+    sequence. Above 128: the two halves, split at a multiple of 8.
+    """
+    n = len(terms)
+    if n < 8:
+        return _sequential_sum(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    tail = n - n % 8
+    part = terms[:8] if tail == 8 else terms[:8] + terms[8:16]
+    for i in range(16, tail, 8):
+        part += terms[i:i + 8]
+    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    for term in terms[tail:]:
+        total += term
+    return total
+
+
+def _window_distances(region: np.ndarray, ref_block: np.ndarray) -> np.ndarray:
+    """Per-pixel mean squared difference of every k x k window of `region` from `ref_block`.
+
+    The squared differences are formed as k x k planes over the whole
+    (nr, nc) candidate grid, then summed in the order numpy reduces a
+    (nr, nc, k, k) window stack over its last two axes: each block row's
+    k columns pairwise, then the k rows in sequence. On a one-column
+    grid numpy reduces each window's k^2 terms as one run, so they are
+    summed pairwise in (row, column) order.
+    """
+    k = len(ref_block)
+    nr, nc = region.shape[0] - k + 1, region.shape[1] - k + 1
+    squares = np.subtract(sliding_window_view(region, (nr, nc)), ref_block[:, :, None, None], order="C")
+    squares *= squares
+    if nc == 1:
+        return _pairwise_sum(squares.reshape(k * k, nr, nc)) / (k * k)
+    return _sequential_sum(_pairwise_sum(squares.swapaxes(0, 1))) / (k * k)
+
+
 def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
                 stage: str) -> BlockGroup:
     """Group the blocks nearest to the reference block.
 
     Candidates are all blocks whose top-left corner lies within the
     search radius; a candidate matches when its per-pixel mean squared
-    difference stays below tau (rescaled from the 8-bit convention).
-    The group is sorted by ascending distance with the reference first,
-    truncated to the stage's maximum size, and padded with copies of
-    the reference up to a power of two. Only the search window is
-    checked for non-finite intensities; the stages check the whole film.
+    difference is at most tau / (k^2 * 255^2), which divides by the
+    block area twice (ROADMAP item 2a). The group is sorted by
+    ascending distance, ties in row-major order, with the reference
+    first, truncated to the stage's maximum size, and padded with
+    copies of the reference up to a power of two. Only the search
+    window is checked for non-finite intensities; the stages check the
+    whole film.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
@@ -105,17 +160,19 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     rad = profile.search_radius
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
     c0, c1 = max(0, c - rad), min(w - k, c + rad)
-    ref_block = img[r:r + k, c:c + k]
-    windows = sliding_window_view(as_gray(img[r0:r1 + k, c0:c1 + k]), (k, k))
-    dists = ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
+    nc = c1 - c0 + 1
+    dists = _window_distances(as_gray(img[r0:r1 + k, c0:c1 + k]), img[r:r + k, c:c + k]).ravel()
     threshold = tau / (k * k * 255.0 * 255.0)
 
-    dists[r - r0, c - c0] = -1.0    # the reference leads; ties keep row-major order
-    rows, cols = np.nonzero(dists <= threshold)
-    order = np.argsort(dists[rows, cols], kind="stable")[:n_max]
+    dists[(r - r0) * nc + c - c0] = -1.0    # the reference leads; ties keep row-major order
+    found = np.flatnonzero(dists <= threshold)
+    if len(found) > n_max:
+        # a stable sort's first n_max entries are all within its n_max-th value
+        found = found[dists[found] <= np.partition(dists[found], n_max - 1)[n_max - 1]]
+    order = found[np.argsort(dists[found], kind="stable")[:n_max]]
     pad = (1 << (len(order) - 1).bit_length()) - len(order)
     order = np.concatenate([order, np.repeat(order[:1], pad)])
-    return BlockGroup(coordinates=np.stack([rows[order] + r0, cols[order] + c0], axis=1))
+    return BlockGroup(coordinates=np.stack([order // nc + r0, order % nc + c0], axis=1))
 
 
 @functools.lru_cache(maxsize=None)

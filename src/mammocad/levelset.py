@@ -69,8 +69,10 @@ def dirac(x, epsilon: float) -> np.ndarray:
     if epsilon <= 0:
         raise ValueError("Dirac width must be positive")
     arr = np.asarray(x, dtype=np.float64)
-    return np.where(np.abs(arr) <= epsilon,
-                    (1.0 / (2.0 * epsilon)) * (1.0 + np.cos(np.pi * arr / epsilon)), 0.0)
+    band = np.abs(arr) <= epsilon
+    out = np.zeros(arr.shape)
+    out[band] = (1.0 / (2.0 * epsilon)) * (1.0 + np.cos(np.pi * arr[band] / epsilon))
+    return out
 
 
 def _d_row(f):

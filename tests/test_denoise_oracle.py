@@ -1,19 +1,24 @@
-"""The one-group-at-a-time collaborative pass, kept as the oracle.
+"""The one-group-at-a-time collaborative pass and the old matcher, kept as oracles.
 
 `_forward_3d`, `_inverse_3d` and `_collaborative_pass` below transform,
 shrink and aggregate one reference block's group at a time, as
 `mammocad.denoise` did before it batched a row of references into
 (B, G, k, k) stacks. The batched pass does the same float operations in
 the same per-pixel order, so its output must match this one byte for
-byte. `oracle_block_match` assembles a group as `block_match` did before
-it sorted the reference together with the other matches: the reference,
-then the others by stable distance order, truncated, then padded. The
-oracle pass matches through it, so the stage oracles never call
-`block_match`.
+byte. `oracle_distances` is the distance expression `block_match` used
+before it summed (k, k, nr, nc) planes in a stated order: numpy's own
+reduction of the (nr, nc, k, k) window stack. `oracle_block_match` is
+`block_match` as it was then, stable-sorting every candidate under tau
+rather than only those within the group size's distance. The oracle
+pass matches through it, so the stage oracles never call `block_match`.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dctn, idctn
 from scipy.linalg import hadamard
@@ -30,11 +35,10 @@ from mammocad.denoise import (
 )
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+def oracle_distances(region, ref_block):
+    k = len(ref_block)
+    windows = sliding_window_view(region, (k, k))
+    return ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
 
 
 def oracle_block_match(image, ref, profile, stage):
@@ -47,21 +51,13 @@ def oracle_block_match(image, ref, profile, stage):
     rad = profile.search_radius
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
     c0, c1 = max(0, c - rad), min(w - k, c + rad)
-    windows = sliding_window_view(image[r0:r1 + k, c0:c1 + k], (k, k))
-    dists = ((windows - image[r:r + k, c:c + k]) ** 2).sum(axis=(2, 3)) / (k * k)
+    dists = oracle_distances(image[r0:r1 + k, c0:c1 + k], image[r:r + k, c:c + k])
+    dists[r - r0, c - c0] = -1.0
     rows, cols = np.nonzero(dists <= tau / (k * k * 255.0 * 255.0))
-    rows, cols = rows + r0, cols + c0
-    d = dists[rows - r0, cols - c0]
-    not_ref = (rows != r) | (cols != c)
-    order = np.argsort(d[not_ref], kind="stable")
-    coords = np.concatenate([
-        np.array([[r, c]], dtype=np.int64),
-        np.stack([rows[not_ref][order], cols[not_ref][order]], axis=1),
-    ])[:n_max]
-    target = min(_next_pow2(len(coords)), n_max)
-    if len(coords) < target:
-        coords = np.concatenate([coords, np.repeat(coords[:1], target - len(coords), axis=0)])
-    return coords
+    order = np.argsort(dists[rows, cols], kind="stable")[:n_max]
+    pad = (1 << (len(order) - 1).bit_length()) - len(order)
+    order = np.concatenate([order, np.repeat(order[:1], pad)])
+    return np.stack([rows[order] + r0, cols[order] + c0], axis=1)
 
 
 def _forward_3d(stack):
@@ -227,3 +223,50 @@ def test_block_match_breaks_ties_as_the_oracle_does(name):
     profile = PROFILES[name] or default_profile(50.0)
     for image in (np.full((21, 26), 0.3), levels):
         _assert_groups_match_the_oracle(image, profile)
+
+
+@st.composite
+def _match_cases(draw):
+    """A film, a profile and one reference block of either stage.
+
+    Films are one level of eighths with a drawn share of pixels moved,
+    so many candidates tie at zero. Moved by 1/8, every square is exact
+    and candidates also tie at one moved pixel; moved by a continuous
+    amount, the squares round, so the summation order shows in the
+    bytes. Sides equal to k give one-row and one-column candidate grids;
+    radii run from 0 to past every border.
+    """
+    k_hard = draw(st.integers(4, 24))
+    k_wie = draw(st.integers(4, 24).filter(lambda k: k != k_hard))
+    stage = draw(st.sampled_from(["hard", "wiener"]))
+    k = k_hard if stage == "hard" else k_wie
+    h, w = draw(st.integers(k, k + 40)), draw(st.integers(k, k + 40))
+    r = draw(st.sampled_from([0, h - k]) | st.integers(0, h - k))
+    c = draw(st.sampled_from([0, w - k]) | st.integers(0, w - k))
+    profile = dataclasses.replace(
+        default_profile(draw(st.sampled_from([25.0, 50.0]))),    # both tau pairs
+        k_hard=k_hard, k_wie=k_wie, search_radius=draw(st.integers(0, 44)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moved = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    steps = moved * (rng.choice([-1, 1], (h, w)) if draw(st.booleans()) else rng.normal(0.0, 1.0, (h, w)))
+    image = np.clip(draw(st.integers(0, 8)) + steps, 0, 8) / 8.0
+    return image, (r, c), profile, stage
+
+
+@settings(max_examples=300, deadline=None)
+@given(_match_cases())
+def test_block_match_keeps_the_old_distances_and_groups(case):
+    image, (r, c), profile, stage = case
+    k = profile.k_hard if stage == "hard" else profile.k_wie
+    h, w = image.shape
+    rad = profile.search_radius
+    region = image[max(0, r - rad):min(h - k, r + rad) + k, max(0, c - rad):min(w - k, c + rad) + k]
+    ref_block = image[r:r + k, c:c + k]
+    new = denoise._window_distances(region, ref_block)
+    old = oracle_distances(region, ref_block)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+    coords = block_match(image, (r, c), profile, stage).coordinates
+    expected = oracle_block_match(image, (r, c), profile, stage)
+    assert coords.dtype == expected.dtype
+    assert np.array_equal(coords, expected)

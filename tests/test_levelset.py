@@ -101,6 +101,30 @@ def test_dirac_even_symmetry():
     np.testing.assert_allclose(dirac(xs, 1.5), dirac(-xs, 1.5), atol=1e-15)
 
 
+def _whole_field_dirac(x, eps):
+    # the cosine over every pixel, then zero outside the band
+    return np.where(np.abs(x) <= eps, (1.0 / (2.0 * eps)) * (1.0 + np.cos(np.pi * x / eps)), 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.5, 3.0])
+@pytest.mark.parametrize("band", ["empty", "partial", "full"])
+def test_banded_dirac_matches_the_whole_field_formula(eps, band):
+    rng = np.random.default_rng(int(eps * 10))
+    field = rng.normal(0.0, 2.0, (517, 333))
+    if band == "empty":
+        field = np.sign(field) * (eps + 1e-9 + np.abs(field))
+    else:
+        if band == "full":
+            field = np.clip(field, -eps, eps)
+        field[::7, ::5] = eps       # values exactly on the band's edges
+        field[3::7, ::5] = -eps
+    share = np.mean(np.abs(field) <= eps)
+    assert {"empty": share == 0, "partial": 0 < share < 1, "full": share == 1}[band]
+    out = dirac(field, eps)
+    assert out.dtype == np.float64 and out.shape == field.shape
+    assert out.tobytes() == _whole_field_dirac(field, eps).tobytes()
+
+
 @pytest.mark.parametrize("eps", [0.5, 1.5, 3.0])
 def test_dirac_integrates_to_one(eps):
     xs = np.linspace(-eps, eps, 4001)
