@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
     config = load_pipeline_config(args)
     model_path = Path(args.output)
     groups = group_records(parse_info(Path(args.info).read_text()))
-    # train keeps only its input-size copy of each film
+    # train keeps only its input-size copy of each film; --augment keeps the 8-bit film
     network, history = train(_films(args.data, groups), config.network_config(), config.train)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(network, model_path)

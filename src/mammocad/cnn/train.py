@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..core import as_gray, resize_bilinear
+from ..core import Film, as_gray, resize_bilinear
 from ..metrics import compute_metrics, confusion
 from .augment import build_augmented_set
 from .layers import cross_entropy, sgd_step, softmax_predict
@@ -62,6 +62,12 @@ def _sized(image, size):
     return resize_bilinear(img, size, size)
 
 
+def _whole(image):
+    """A decoded `Film` as it is, one byte per pixel (it is 2-D and finite
+    by construction); anything else as `as_gray` checks and makes it."""
+    return image if isinstance(image, Film) else as_gray(image)
+
+
 def train(dataset, network_config: NetworkConfig = NetworkConfig(),
           train_config: TrainConfig = TrainConfig()):
     """Fit the classifier; returns (network, history).
@@ -73,10 +79,11 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     no full-resolution film alive. Augmentation keeps the whole films:
     each rotation is evaluated only where its variants' crops read the
     film, but a crop can fall anywhere on it, and the corners are filled
-    with the mean of all the films.
+    with the mean of all the films. A decoded `Film` is kept at one byte
+    per pixel and widened to float64 one film at a time as it is read.
     """
     size = network_config.input_size
-    keep = as_gray if train_config.augment else (lambda im: _sized(im, size))
+    keep = _whole if train_config.augment else (lambda im: _sized(im, size))
     items = [(keep(im), int(lab)) for im, lab in dataset]
     if not items:
         raise ValueError("empty dataset")

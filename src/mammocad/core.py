@@ -1,8 +1,11 @@
 """Image containers, PGM/PPM file I/O and pixel-level utilities.
 
 Grayscale images are 2-D float64 arrays with intensities in [0, 1];
-the 8-bit scale appears only at file boundaries. Binary masks are 2-D
-bool arrays of the same shape as the image they describe.
+the 8-bit scale appears only at file boundaries. A decoded PGM is a
+`Film`: it keeps the file's 8-bit raster and reads as that float64
+image wherever numpy takes it, one read at a time, so a held film costs
+one byte per pixel. Binary masks are 2-D bool arrays of the same shape
+as the image they describe.
 """
 
 from __future__ import annotations
@@ -63,8 +66,43 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary ('P5') PGM file into a [0, 1] grayscale image.
+class Film:
+    """A decoded 8-bit film that reads as `raw.astype(np.float64) / maxval`.
+
+    `raw` is the file's read-only uint8 raster. `np.asarray(film)` forms
+    the whole [0, 1] image and `film[key]` the part a slice, a pixel
+    index or an `np.ix_` gather selects; each read is a new writable
+    float64 array, so no stage can write into the raster. A read that
+    asks numpy for no copy (`copy=False`) is refused.
+    """
+
+    __slots__ = ("raw", "maxval")
+
+    def __init__(self, raw: np.ndarray, maxval: int):
+        self.raw = raw
+        self.maxval = maxval
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.raw.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.raw.ndim
+
+    def __getitem__(self, key):
+        pixels = self.raw[key].astype(np.float64)
+        pixels /= float(self.maxval)
+        return pixels
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a film reads as float64 only through a copy of its 8-bit raster")
+        return self[...]        # numpy casts it to any dtype asked for
+
+
+def read_pgm(data: bytes) -> Film:
+    """Parse a binary ('P5') PGM file into a [0, 1] grayscale `Film`.
 
     Header comments are tolerated; maxval must be at most 255. Raises
     ImageFormatError for anything that is not binary 8-bit PGM and
@@ -95,10 +133,10 @@ def read_pgm(data: bytes) -> np.ndarray:
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     if maxval < 255 and raw.max() > maxval:
         raise ImageFormatError(f"pixel value {raw.max()} exceeds maxval {maxval}")
-    return raw.astype(np.float64) / float(maxval)
+    return Film(raw, maxval)
 
 
-def read_pgm_file(path) -> np.ndarray:
+def read_pgm_file(path) -> Film:
     """`read_pgm` on the bytes of a file; its errors name the file."""
     data = Path(path).read_bytes()
     try:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import read_pgm_file
+from .core import Film, read_pgm_file
 
 TISSUE_CODES = {"F", "G", "D"}
 ABNORMALITY_CODES = {"CALC", "CIRC", "SPIC", "MISC", "ARCH", "ASYM", "NORM"}
@@ -45,7 +45,9 @@ class MiasRecord:
 
 @dataclass(frozen=True)
 class LabeledImage:
-    image: np.ndarray
+    """One decoded film with its label and records; the film keeps its
+    8-bit raster (one byte per pixel) and reads as a [0, 1] image."""
+    image: Film
     label: int                      # 1 = abnormal
     records: tuple[MiasRecord, ...]
 

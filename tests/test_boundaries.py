@@ -46,7 +46,8 @@ def test_read_pgm_raises_only_format_errors_on_any_bytes(data):
         image = read_pgm(data)
     except (ImageFormatError, TruncatedDataError):
         return
-    assert image.ndim == 2 and np.all((image >= 0) & (image <= 1))
+    pixels = np.asarray(image)
+    assert pixels.ndim == 2 and np.all((pixels >= 0) & (pixels <= 1))
 
 
 @given(_PATCHES, st.integers(0, len(_VALID_PGM) - 1))
@@ -55,7 +56,8 @@ def test_read_pgm_raises_only_format_errors_on_patched_files(patches, cut):
         image = read_pgm(_patched(_VALID_PGM, patches, cut))
     except (ImageFormatError, TruncatedDataError):
         return
-    assert image.ndim == 2 and np.all((image >= 0) & (image <= 1))
+    pixels = np.asarray(image)
+    assert pixels.ndim == 2 and np.all((pixels >= 0) & (pixels <= 1))
 
 
 # --- info.txt ----------------------------------------------------------------

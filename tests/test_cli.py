@@ -299,6 +299,53 @@ def test_train_peak_memory_grows_only_by_the_sized_films(tmp_path, capsys):
     assert peaks[1] - peaks[0] <= sized_copies + bookkeeping
 
 
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_augmented_train_peak_memory_grows_by_one_byte_per_film_pixel(tmp_path, capsys):
+    peaks = []
+    # as above: the 6 extra films at 512x512 are all training films
+    for n_per_class in (3, 6):
+        root = tmp_path / f"n{n_per_class}"
+        root.mkdir()
+        data, info = tiny_training_dir(root, n_per_class=n_per_class, size=512)
+        tracemalloc.start()
+        try:
+            assert main(["train", "--data", str(data), "--info", str(info),
+                         "-o", str(root / "model.bin"), "--desk", "--augment",
+                         "--epochs", "1", "--set", "train.batch_size=2"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    # --augment keeps each whole film, at one byte per pixel (as float64
+    # they would take 12 MB), and its 16 variants at the 64x64 input; each
+    # variant is a view of its edge-padded 72x72 shift buffer
+    kept_films = 6 * 512 * 512
+    variants = 6 * 16 * 72 * 72 * 8
+    bookkeeping = 256 * 1024
+    assert peaks[1] - peaks[0] <= kept_films + variants + bookkeeping
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_loaded_dataset_items_hold_one_byte_per_film_pixel(tmp_path):
+    from mammocad.dataset import load_dataset
+
+    held = []
+    for n_per_class in (2, 6):
+        root = tmp_path / f"n{n_per_class}"
+        root.mkdir()
+        data, info = tiny_training_dir(root, n_per_class=n_per_class, size=512)
+        tracemalloc.start()
+        try:
+            items = load_dataset(data, info)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 2 * n_per_class
+    extra_pixels = 8 * 512 * 512      # as float64 they would take 16 MB
+    bookkeeping = 64 * 1024
+    assert held[1] - held[0] <= extra_pixels + bookkeeping
+
+
 def test_segment_idempotent(phantom_pgm, tmp_path):
     out = tmp_path / "seg_twice"
     args = ["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mammocad.core import read_pgm, write_pgm
 from mammocad.cnn.network import Network, NetworkConfig
 from mammocad.cnn.train import (
     TrainConfig,
@@ -115,6 +116,34 @@ def test_augmented_training_runs():
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
     net, history = train(items, NetworkConfig.desk(), cfg)
     assert len(history) == 1
+
+
+@pytest.mark.parametrize("augment", [False, True])
+@pytest.mark.parametrize("bad, message", [
+    (np.full((64, 64), np.nan), "non-finite"),
+    (np.zeros((64, 64, 1)), "2-D"),
+], ids=["non-finite", "3-D"])
+def test_a_bad_film_is_refused_before_the_split(augment, bad, message):
+    # one class only: a film check made after the split would meet
+    # "both classes" first
+    items = [(bad, 1)] + [(np.zeros((64, 64)), 1) for _ in range(5)]
+    with pytest.raises(ValueError, match=message):
+        train(items, NetworkConfig.desk(), TrainConfig(epochs=1, augment=augment))
+
+
+def test_augmented_training_reads_decoded_films_like_their_arrays():
+    items = blob_dataset(n_per_class=3, size=48)
+    films = [(read_pgm(write_pgm(image)), label) for image, label in items]
+    arrays = [(np.asarray(film), label) for film, label in films]
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
+    net1, hist1 = train(films, NetworkConfig.desk(), cfg)
+    net2, hist2 = train(arrays, NetworkConfig.desk(), cfg)
+    assert hist1 == hist2
+    for name, tensor in net1.named_params().items():
+        assert net2.named_params()[name].tobytes() == tensor.tobytes()
+    # training read the films without writing into their rasters
+    assert all(np.asarray(film).tobytes() == array.tobytes()
+               for (film, _), (array, _) in zip(films, arrays))
 
 
 def test_write_history_jsonl(tmp_path):
