@@ -69,14 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_segment)
 
-    p = commands.add_parser("evaluate", help="metric report on the held-out split")
+    p = commands.add_parser("evaluate", help="metric report on the films the model held out")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="directory with <id>.pgm images")
     p.add_argument("--info", required=True, help="annotation file")
     p.add_argument("-o", "--output", help="also write the JSON report here")
-    p.add_argument("--seed", type=int,
-                   help="the training seed, which picks the held-out split (train.seed); "
-                        "pass the one `train` used, or its config.echo via --config")
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -194,12 +191,12 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_pipeline_config(args)
+    config = load_pipeline_config(args)   # read for train.batch_size alone
     network = load_checkpoint(args.model)
-    # the split needs only the labels; decode just the held-out films
+    # the split needs the labels and the training seed; decode just the held-out films
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]
-    rng = np.random.default_rng(config.train.seed)
+    rng = np.random.default_rng(network.seed)
     _, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
     # only one batch of films is alive at a time
     scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]),

@@ -60,11 +60,11 @@ def _shorter_side_shape(shape, target):
 
 
 def _shift(image, dr, dc):
-    padded = np.pad(image, SHIFT_LIMIT, mode="edge")
+    """`image` moved by (dr, dc) with replicate fill, as a fresh array of
+    its own size: output pixel (i, j) reads (i + dr, j + dc), clipped."""
     h, w = image.shape
-    r0 = SHIFT_LIMIT + dr
-    c0 = SHIFT_LIMIT + dc
-    return padded[r0:r0 + h, c0:c0 + w]
+    rows, cols = np.clip(np.arange(h) + dr, 0, h - 1), np.clip(np.arange(w) + dc, 0, w - 1)
+    return image.take(rows, axis=0).take(cols, axis=1)
 
 
 def _crop_axis(n_film, n_scaled, n_out, start, size):

@@ -23,7 +23,7 @@ from .layers import (MAX_POOL_WINDOW, BatchNorm2d, Conv2d, Dense, Flatten, MaxPo
                      softmax_predict, window_positions)
 
 CHECKPOINT_MAGIC = b"MCADNET1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -185,11 +185,12 @@ class Network:
     def __init__(self, config: NetworkConfig, seed: int = 0, tensors=None):
         """`tensors` maps each name of `named_params()` and `named_state()`
         to an array of the plan's shape, which the network keeps; without
-        it the initial values are drawn from `seed`."""
+        it the initial values are drawn from `seed`, which the checkpoint keeps."""
         plan = layer_plan(config)
         if tensors is None:
             tensors = _initial_tensors(plan, np.random.default_rng(seed))
         self.config = config
+        self.seed = seed
         self.layers = [
             _LAYER_KINDS[step.kind][0](**step.settings, **{
                 name: tensors[_tensor_name(i, name)] for name in step.shapes})
@@ -238,13 +239,13 @@ class Network:
 
 
 def save_checkpoint(network: Network, path) -> None:
-    """Versioned binary container with named little-endian float64 tensors."""
+    """Versioned binary container: seed (u64), descriptor, named float64 tensors."""
     tensors = dict(network.named_params())
     tensors.update(network.named_state())
     descriptor = network.config.to_json().encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, network.seed))
         fh.write(struct.pack("<I", len(descriptor)))
         fh.write(descriptor)
         fh.write(struct.pack("<I", len(tensors)))
@@ -285,6 +286,7 @@ def load_checkpoint(path) -> Network:
         version = u32()
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        seed = struct.unpack("<Q", take(8))[0]
         descriptor = take(u32())
         try:
             config = NetworkConfig.from_json(descriptor.decode())
@@ -327,4 +329,4 @@ def load_checkpoint(path) -> Network:
         # `count` distinct planned names, no fewer than planned: none is missing
         if pos != size:
             raise CheckpointError(f"{size - pos} bytes after the last tensor")
-    return Network(config, tensors=tensors)
+    return Network(config, seed, tensors)

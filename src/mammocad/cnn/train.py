@@ -37,6 +37,8 @@ class TrainConfig:
             raise ValueError("batch size must be at least 2 (batch statistics)")
         if self.seed < 0:
             raise ValueError(f"train.seed must be non-negative, got {self.seed}")
+        if self.seed >= 2 ** 64:    # the checkpoint stores it as a u64
+            raise ValueError(f"train.seed must be below 2**64, got {self.seed}")
 
 
 HELD_OUT_FRACTION = 0.2     # of each class, held out by `train` and scored by `evaluate`
@@ -76,11 +78,11 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     one record per epoch with the mean train loss and test accuracy.
     `dataset` is any iterable of (image, label) pairs, read once. Each
     film is cut to the input size as it is read, so a lazy iterable keeps
-    no full-resolution film alive. Augmentation keeps the whole films:
-    each rotation is evaluated only where its variants' crops read the
-    film, but a crop can fall anywhere on it, and the corners are filled
-    with the mean of all the films. A decoded `Film` is kept at one byte
-    per pixel and widened to float64 one film at a time as it is read.
+    no full-resolution film alive. Augmentation keeps the whole films
+    until its set is built: each rotation is evaluated only where the
+    crops read a film, but a crop can fall anywhere on it, and corners
+    are filled with the mean of all the films. A decoded `Film` is kept
+    at one byte per pixel and widened to float64 one film at a time.
     """
     size = network_config.input_size
     keep = _whole if train_config.augment else (lambda im: _sized(im, size))
@@ -95,6 +97,7 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     train_idx, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
     train_items = [items[i] for i in train_idx]
     test_items = [items[i] for i in test_idx]
+    del items   # the whole films of an augmented run die with the two lists below
     if train_config.augment:
         train_items = build_augmented_set(train_items, rng, size)
         test_items = [(_sized(im, size), lab) for im, lab in test_items]

@@ -100,12 +100,13 @@ def compute_metrics(c: ConfusionCounts) -> MetricReport:
 def roc_curve(scored) -> list[tuple[float, float]]:
     """(FPR, TPR) points swept over descending score thresholds.
 
-    A prediction is positive when its score is >= the threshold; the
-    (0, 0) and (1, 1) sentinels are always included.
+    A prediction is positive when its score is >= the threshold. The
+    curve starts at the (0, 0) sentinel and needs no (1, 1) one: the last
+    threshold is the lowest (finite) score, which every prediction meets.
     """
     pairs = [(float(s), bool(t)) for s, t in scored]
-    if not pairs:
-        raise ValueError("cannot build a ROC curve from zero predictions")
+    if not pairs or not all(math.isfinite(s) for s, _ in pairs):
+        raise ValueError("a ROC curve needs at least one prediction, each with a finite score")
     n_pos = sum(1 for _, t in pairs if t)
     n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -116,8 +117,6 @@ def roc_curve(scored) -> list[tuple[float, float]]:
         tp = sum(1 for s, t in pairs if s >= thr and t)
         fp = sum(1 for s, t in pairs if s >= thr and not t)
         points.append((fp / n_neg, tp / n_pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
     return points
 
 

@@ -167,7 +167,7 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
 
     report_path = tmp_path / "report.json"
     code = main(["evaluate", "--model", str(model), "--data", str(data),
-                 "--info", str(info), "--seed", "1", "-o", str(report_path)])
+                 "--info", str(info), "-o", str(report_path)])
     assert code == 0
     report = json.loads(report_path.read_text())
     assert set(report) == {"accuracy", "sensitivity", "specificity", "precision",
@@ -182,10 +182,10 @@ def test_evaluate_deterministic(tmp_path, capsys):
                  "-o", str(model), "--desk", "--epochs", "1", "--seed", "2"]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--data", str(data),
-                 "--info", str(info), "--seed", "2"]) == 0
+                 "--info", str(info)]) == 0
     first = capsys.readouterr().out
     assert main(["evaluate", "--model", str(model), "--data", str(data),
-                 "--info", str(info), "--seed", "2"]) == 0
+                 "--info", str(info)]) == 0
     second = capsys.readouterr().out
     assert first == second
 
@@ -232,8 +232,8 @@ def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
     model = tmp_path / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info),
                  "-o", str(model), "--desk", "--epochs", "1", "--seed", "3"]) == 0
-    evaluate = ["evaluate", "--model", str(model), "--data", str(data),
-                "--info", str(info), "--seed", "3"]
+    # no seed is given: the checkpoint's, 3, picks the held-out films
+    evaluate = ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]
     capsys.readouterr()
     assert main(evaluate) == 0
     full = capsys.readouterr().out
@@ -379,6 +379,25 @@ def test_classify_rejects_a_bad_checkpoint(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "truncated" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_a_version_1_checkpoint_exits_2(tmp_path, capsys):
+    import struct
+
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig.desk()), model)
+    current = model.read_bytes()
+    model.write_bytes(current[:8] + struct.pack("<I", 1) + current[20:])  # no seed in v1
+    data, info = tiny_training_dir(tmp_path)
+    for argv in (["classify", "--model", str(model), str(data / "mdb001.pgm")],
+                 ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "unsupported checkpoint version 1" in captured.err
+
+
 @pytest.mark.parametrize("tensor, value, message", [
     ("layer01.running_var", -1.0, "negative variance"),
     ("layer00.weight", float("nan"), "non-finite"),
@@ -495,6 +514,18 @@ def test_a_negative_seed_is_rejected_before_any_stage(tmp_path, capsys):
     assert not model.parent.exists()
 
 
+def test_a_seed_the_checkpoint_cannot_store_is_rejected_before_any_stage(tmp_path, capsys):
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb001.pgm").unlink()  # reading the films would fail differently
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--seed", str(2 ** 64)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "train.seed must be below 2**64" in captured.err
+    assert not model.parent.exists()
+
+
 @pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "network.input_size",
                                  "levelset.grad_floor"])
 @pytest.mark.parametrize("source", ["set", "config"])
@@ -519,6 +550,7 @@ def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source
     ("segment", "--seed=3"),
     ("train", "--sigma=5"),
     ("evaluate", "--sigma=5"),
+    ("evaluate", "--seed=3"),
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(phantom_pgm, tmp_path, capsys,
                                                               command, flag):

@@ -113,6 +113,16 @@ def test_build_set_sixteen_fold():
     assert all(im.shape == (32, 32) for im, _ in out)
 
 
+def test_every_variant_owns_a_buffer_of_the_target_size():
+    # a view into the shift's padded buffer would keep (target + 8)^2 pixels alive
+    rng = np.random.default_rng(7)
+    items = [(rng.random((40, 56)), 0), (rng.random((56, 40)), 1)]
+    target = 24
+    out = build_augmented_set(items, np.random.default_rng(2), target)
+    assert len(out) == 32
+    assert all(im.base is None and im.nbytes == target * target * 8 for im, _ in out)
+
+
 def test_build_set_inherits_labels():
     rng = np.random.default_rng(4)
     items = [(rng.random((36, 36)), 0), (rng.random((36, 36)), 1)]

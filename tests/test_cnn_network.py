@@ -180,10 +180,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def _checkpoint(tensors, descriptor=NetworkConfig.desk().to_json().encode()):
+def _checkpoint(tensors, descriptor=NetworkConfig.desk().to_json().encode(), seed=8):
     """Checkpoint bytes with the given (name, array) list, by default
-    under the desk network's descriptor."""
-    out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(descriptor)),
+    under the desk network's descriptor and the seed of `desk_tensors`."""
+    out = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, seed, len(descriptor)),
            descriptor, struct.pack("<I", len(tensors))]
     for name, arr in tensors:
         out += [struct.pack("<I", len(name)), name.encode(),
@@ -206,6 +206,17 @@ def test_checkpoint_helper_matches_save(tmp_path, desk_tensors):
     assert path.read_bytes() == _checkpoint(desk_tensors)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+def test_the_checkpoint_keeps_the_seed_after_the_version(tmp_path, desk_tensors, seed):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_checkpoint(desk_tensors, seed=seed))
+    assert path.read_bytes()[8:20] == struct.pack("<IQ", 2, seed)
+    assert load_checkpoint(path).seed == seed
+    again = tmp_path / "again.bin"
+    save_checkpoint(load_checkpoint(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("case, message", [
     ("empty", "missing"),
     ("missing", "missing"),
@@ -214,6 +225,7 @@ def test_checkpoint_helper_matches_save(tmp_path, desk_tensors):
     ("reshaped", "has shape"),
     ("trailing", "after the last tensor"),
     ("truncated", "truncated"),
+    ("seed_cut", "needs byte 20, file has 15"),
     ("negative_var", "'layer01.running_var' holds a negative variance"),
     ("nan_weight", "'layer00.weight' holds a non-finite value"),
     ("inf_mean", "'layer05.running_mean' holds a non-finite value"),
@@ -246,6 +258,7 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
         "reshaped": lambda: _checkpoint([(name, arr.reshape(1, -1))] + desk_tensors[1:]),
         "trailing": lambda: _checkpoint(desk_tensors) + b"\0",
         "truncated": lambda: _checkpoint(desk_tensors)[:-3],
+        "seed_cut": lambda: _checkpoint(desk_tensors)[:15],
         "negative_var": lambda: first_entry("layer01.running_var", -1.0),
         "nan_weight": lambda: first_entry("layer00.weight", np.nan),
         "inf_mean": lambda: first_entry("layer05.running_mean", np.inf),

@@ -1,5 +1,7 @@
+import importlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +146,31 @@ def test_augmented_training_reads_decoded_films_like_their_arrays():
     # training read the films without writing into their rasters
     assert all(np.asarray(film).tobytes() == array.tobytes()
                for (film, _), (array, _) in zip(films, arrays))
+
+
+def test_augmented_training_frees_the_whole_films_before_the_first_step(monkeypatch):
+    module = importlib.import_module("mammocad.cnn.train")
+    refs = []
+
+    def films():
+        for image, label in blob_dataset(n_per_class=3, size=96):
+            refs.append(weakref.ref(image))
+            yield image, label
+
+    alive = []
+    step = module.sgd_step
+
+    def counted_step(*args, **kwargs):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in refs))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, "sgd_step", counted_step)
+    cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
+    train(films(), NetworkConfig.desk(), cfg)
+    # the training films live only until the augmented set is built,
+    # the held-out ones until they are cut to the input size
+    assert len(refs) == 6 and alive == [0]
 
 
 def test_write_history_jsonl(tmp_path):

@@ -107,6 +107,13 @@ def test_a_negative_seed_is_refused(key):
         parse_config(f"{key} = -1\n")
 
 
+def test_a_seed_the_checkpoint_cannot_store_is_refused():
+    # the checkpoint keeps the seed as a u64
+    assert parse_config(f"train.seed = {2 ** 64 - 1}\n").train.seed == 2 ** 64 - 1
+    with pytest.raises(ValueError, match=rf"^train.seed must be below 2\*\*64, got {2 ** 64}$"):
+        parse_config(f"train.seed = {2 ** 64}\n")
+
+
 def test_accessors_read_the_resolved_sections():
     cfg = parse_config("sfcm.clusters = 3\ntrain.epochs = 2\n")
     assert cfg.sfcm_config() is cfg.sfcm

@@ -114,6 +114,23 @@ def test_roc_single_class_rejected():
         roc_curve([(0.3, True), (0.7, True)])
 
 
+def test_roc_ends_at_one_one_from_its_lowest_threshold():
+    # the (1, 1) point is the lowest score's, not an appended sentinel
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        scores = np.round(rng.random(25), 1)  # rounding forces ties
+        truths = np.arange(25) % 3 == 0
+        curve = roc_curve(zip(scores, truths))
+        assert len(curve) == 1 + len(np.unique(scores))
+        assert curve[-1] == (1.0, 1.0) and curve.count((1.0, 1.0)) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_roc_rejects_a_non_finite_score(bad):
+    with pytest.raises(ValueError, match="each with a finite score"):
+        roc_curve([(0.3, True), (bad, False), (0.7, False)])
+
+
 def test_roc_monotone_and_matches_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(20):
