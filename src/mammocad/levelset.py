@@ -5,11 +5,25 @@ distance-regularization term (Laplacian minus curvature), an
 edge-weighted curvature term, and a balloon term that expands the
 fuzzy seed until the edge map stops it. Spatial discretization uses
 central differences, a 5-point Laplacian and replicate borders.
+
+`evolve` steps only a narrow band (Adalsteinsson and Sethian, JCP 1995;
+Li et al., IEEE TIP 2010). Where phi is one value c with |c| > epsilon
+over a pixel's stencil (the pixels within two 4-neighbour hops), every
+term of the update is exactly 0: the Laplacian and the unit normal
+vanish and the Dirac impulse is 0 outside [-epsilon, epsilon]. Such a
+pixel keeps its bytes. So a pixel can move only next to a "moving" one,
+which differs from one of its 4 neighbours or has |phi| <= epsilon
+(a flat level inside the band still moves under the balloon force).
+Each step runs the whole-field kernel `evolve_step` on the moving
+pixels' bounding box widened by 2 px, plus 2 px more of stencil margin,
+and writes back the inner box; nothing outside it changes, so the field
+is byte for byte the whole-field one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -18,6 +32,9 @@ from .core import as_gray, as_mask
 
 # keeps the unit normal grad(phi)/|grad(phi)| finite where phi is flat
 GRAD_FLOOR = 1e-10
+# a flat level above this overflows the Laplacian's sum of 4 values to
+# inf - inf, so it counts as moving and the step reports the divergence
+_FLAT_MAX = np.finfo(np.float64).max / 8
 
 
 class DivergenceError(FloatingPointError):
@@ -38,6 +55,10 @@ class LevelSetConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not 0.0 < self.b0 < 1.0:
             raise ValueError("binarization threshold must lie in (0, 1)")
         for name in ("epsilon", "tau", "smoothing_sigma"):
@@ -110,6 +131,8 @@ def edge_indicator(image, sigma: float) -> np.ndarray:
 def evolve_step(phi, g, config: LevelSetConfig) -> np.ndarray:
     """One explicit evolution step of the field."""
     phi = np.asarray(phi, dtype=np.float64)
+    if np.shape(g) != phi.shape:
+        raise ValueError(f"edge map shape {np.shape(g)} does not match field shape {phi.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         gr, gc = _d_row(phi), _d_col(phi)
         mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), GRAD_FLOOR)
@@ -133,6 +156,38 @@ def extract_mask(phi) -> np.ndarray:
     return arr > 0.0
 
 
+def _widen(box, margin: int, shape) -> tuple[int, int, int, int]:
+    r0, r1, c0, c1 = box
+    return (max(r0 - margin, 0), min(r1 + margin, shape[0]),
+            max(c0 - margin, 0), min(c1 + margin, shape[1]))
+
+
+def _moving_box(phi, box, epsilon: float):
+    """Bounding box (r0, r1, c0, c1) of the moving pixels inside `box`, or None.
+
+    A pixel moves when it differs from one of its 4 neighbours (none
+    past the film border, as under replicate padding) or when its
+    value is not a flat level that stays put: epsilon < |phi| <= _FLAT_MAX.
+    """
+    r0, r1, c0, c1 = box
+    top, bottom, left, right = _widen(box, 1, phi.shape)
+    f = phi[top:bottom, left:right]
+    size = np.abs(f)
+    moving = (size <= epsilon) | (size > _FLAT_MAX)
+    down = f[1:] != f[:-1]
+    moving[1:] |= down
+    moving[:-1] |= down
+    across = f[:, 1:] != f[:, :-1]
+    moving[:, 1:] |= across
+    moving[:, :-1] |= across
+    moving = moving[r0 - top:r1 - top, c0 - left:c1 - left]
+    rows = np.flatnonzero(moving.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(moving.any(axis=0))
+    return r0 + rows[0], r0 + rows[-1] + 1, c0 + cols[0], c0 + cols[-1] + 1
+
+
 def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
            on_iteration=None) -> tuple[np.ndarray, int]:
     """Run the full evolution from a membership map.
@@ -140,23 +195,42 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
     Initializes the field from the binarized membership, iterates up to
     ``config.iterations`` steps, and stops early once the zero-level
     mask settles (changes below ``early_stop_frac`` of the pixels for
-    ``early_stop_patience`` consecutive steps). Returns the final field
-    and the number of steps taken.
+    ``early_stop_patience`` consecutive steps). A step in which no pixel
+    can move still counts. Returns the final field and the number of
+    steps taken.
+
+    Only the band is stepped (see the module docstring): a pixel changes
+    only within 1 px of a moving one, and every moving pixel lies within
+    1 px of those found in the last stepped box, so each step covers
+    their box widened by 2 px.
     """
     img = as_gray(image)
+    seed = binarize_membership(r_k, config.b0)
+    if seed.shape != img.shape:
+        raise ValueError(f"membership map shape {seed.shape} does not match image shape {img.shape}")
     g = edge_indicator(img, config.smoothing_sigma)
-    phi = init_phi(binarize_membership(r_k, config.b0), config.epsilon)
+    phi = init_phi(seed, config.epsilon)
     n_pixels = phi.size
-    mask = phi > 0.0
+    box = _moving_box(phi, (0, phi.shape[0], 0, phi.shape[1]), config.epsilon)
     calm_streak = 0
     steps = 0
     for steps in range(1, config.iterations + 1):
-        new_phi = evolve_step(phi, g, config)  # rejects a non-finite field
-        new_mask = new_phi > 0.0
-        changed = int(np.count_nonzero(new_mask != mask))
         if on_iteration is not None:
-            on_iteration(steps, int(new_mask.sum()), float(np.abs(new_phi - phi).mean()))
-        phi, mask = new_phi, new_mask
+            before = phi.copy()
+        changed = 0
+        if box is not None:
+            r0, r1, c0, c1 = inner = _widen(box, 2, phi.shape)
+            top, bottom, left, right = _widen(inner, 2, phi.shape)
+            window = np.s_[top:bottom, left:right]
+            stepped = evolve_step(phi[window], g[window], config)  # rejects a non-finite field
+            new = stepped[r0 - top:r1 - top, c0 - left:c1 - left]
+            old = phi[r0:r1, c0:c1]
+            changed = int(np.count_nonzero((new > 0.0) != (old > 0.0)))
+            old[...] = new
+            box = _moving_box(phi, inner, config.epsilon)
+        if on_iteration is not None:
+            on_iteration(steps, int(np.count_nonzero(phi > 0.0)),
+                         float(np.abs(phi - before).mean()))
         if changed < config.early_stop_frac * n_pixels:
             calm_streak += 1
             if calm_streak >= config.early_stop_patience:

@@ -165,15 +165,6 @@ def spatial_refine(memberships, config: SfcmConfig, shape) -> np.ndarray:
     return mixed
 
 
-def objective(image, memberships, centers, fuzziness: float) -> float:
-    """Weighted within-cluster squared error the iteration minimizes."""
-    intensities = as_gray(image).ravel()
-    mu = np.asarray(memberships, dtype=np.float64)
-    v = np.asarray(centers, dtype=np.float64)
-    d2 = (intensities[None, :] - v[:, None]) ** 2
-    return float(((mu ** fuzziness) * d2).sum())
-
-
 def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
     """Cluster an image; returns (memberships, centers, iterations_used).
 

@@ -39,7 +39,9 @@ from mammocad.levelset import (
     init_phi,
 )
 from mammocad.metrics import ConfusionCounts, compute_metrics, confusion, dice, roc_auc
-from mammocad.sfcm import SfcmConfig, objective, sfcm_run
+from mammocad.sfcm import SfcmConfig, sfcm_run
+
+from fcm_objective import objective
 
 
 def report(n, text):

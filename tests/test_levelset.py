@@ -286,3 +286,28 @@ def test_evolve_emits_diagnostics():
            on_iteration=lambda i, area, dphi: rows.append((i, area, dphi)))
     assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
     assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
+
+
+@pytest.mark.parametrize("shape", [(1, 50), (40, 1), (1, 1), (50, 40)])
+def test_evolve_refuses_a_membership_map_of_another_shape(shape):
+    # a broadcastable map used to evolve silently on the image's grid
+    with pytest.raises(ValueError, match=r"\(40, 50\)") as raised:
+        evolve(np.full(shape, 0.9), np.full((40, 50), 0.5), LevelSetConfig(iterations=3))
+    assert str(shape) in str(raised.value)
+
+
+@pytest.mark.parametrize("shape", [(1, 12), (10, 1), (1, 1), (12, 10)])
+def test_evolve_step_refuses_an_edge_map_of_another_shape(shape):
+    phi = init_phi(disk_mask(10, 12, 5, 6, 3), 1.5)
+    with pytest.raises(ValueError, match=r"\(10, 12\)") as raised:
+        evolve_step(phi, np.ones(shape), LevelSetConfig())
+    assert str(shape) in str(raised.value)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "tau", "mu", "lmda", "nu",
+                                   "smoothing_sigma", "early_stop_frac"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_config_refuses_non_finite_settings(field, value):
+    # an infinite weight times the exact 0 of a flat field is NaN there
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LevelSetConfig(**{field: value})

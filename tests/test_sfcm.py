@@ -7,11 +7,12 @@ from mammocad.sfcm import (
     DegenerateClusterError,
     SfcmConfig,
     fcm_iterate,
-    objective,
     sfcm_run,
     spatial_refine,
     tumor_membership_map,
 )
+
+from fcm_objective import objective
 
 
 def two_valued_image(h=32, w=32):
