@@ -20,7 +20,7 @@ class DegenerateInputError(ValueError):
     """Raised when an operation cannot work on a constant or flat image."""
 
 
-# elements of median_filter's window buffer (8 MB of float64)
+# elements of median_filter's window buffer of ranks (2 or 4 MB)
 _MEDIAN_BUFFER = 1_000_000
 
 
@@ -46,6 +46,28 @@ class EnhanceConfig:
         _check_window(self.median_window, "median window")
 
 
+def _dense_ranks(img):
+    """Each pixel's index among the film's distinct values, and those values.
+
+    The values come in ascending order, so ordering ranks orders the
+    pixels. The ranks are uint16 up to 65,536 distinct values, else
+    uint32; numpy sorts both with SIMD where the CPU has it, and uint8
+    never.
+    """
+    flat = img.ravel()
+    order = np.argsort(flat)
+    ascending = flat[order]
+    step = np.empty(flat.size, dtype=bool)
+    step[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=step[1:])
+    values = ascending[step]
+    del ascending
+    step[0] = False
+    ranks = np.empty(flat.size, dtype=np.uint16 if values.size <= 2**16 else np.uint32)
+    ranks[order] = np.cumsum(step, dtype=ranks.dtype)
+    return ranks.reshape(img.shape), values
+
+
 def median_filter(image, window: int) -> np.ndarray:
     """Windowed median with replicate borders.
 
@@ -53,32 +75,35 @@ def median_filter(image, window: int) -> np.ndarray:
     window, which makes even window sizes well defined; an even pixel
     count takes the mean of the two middle order statistics.
 
-    Each window is copied once into a reused buffer, and one
-    `partition` per chunk of rows puts the lower middle order statistic
-    at index `lower`, with nothing smaller after it. So the minimum of
-    the tail is the upper middle one, and (a + b) / 2 is the same double
-    that numpy's median takes.
+    The film is ranked once (`_dense_ranks`). Each window of ranks is
+    copied into a reused buffer and sorted, and the two middle ranks
+    map back to the two middle doubles, so (a + b) / 2 is the same
+    double that numpy's median takes.
     """
     img = as_gray(image)
     window = _check_window(window, "window")
+    if img.size == 0:
+        raise ValueError(f"cannot median-filter an empty film of shape {img.shape}")
+    ranks, values = _dense_ranks(img)
     before = window // 2
     after = window - 1 - before
-    padded = np.pad(img, ((before, after), (before, after)), mode="edge")
+    padded = np.pad(ranks, ((before, after), (before, after)), mode="edge")
+    del ranks
     h, w = img.shape
     n = window * window
     lower = (n - 1) // 2
     out = np.empty_like(img)
     rows = max(1, min(h, _MEDIAN_BUFFER // (w * n)))
-    buf = np.empty((rows, w, n))
+    buf = np.empty((rows, w, n), dtype=padded.dtype)
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
         chunk = buf[:r1 - r0]
         chunk.reshape(r1 - r0, w, window, window)[...] = sliding_window_view(
             padded[r0:r1 + window - 1], (window, window))
-        chunk.partition(lower, axis=-1)
-        middle = chunk[..., lower]
+        chunk.sort(axis=-1)
+        middle = values[chunk[..., lower]]
         if n % 2 == 0:
-            middle = (middle + chunk[..., lower + 1:].min(axis=-1)) / 2.0
+            middle = (middle + values[chunk[..., lower + 1]]) / 2.0
         out[r0:r1] = middle
     return out
 

@@ -18,6 +18,12 @@ Each step runs the whole-field kernel `evolve_step` on the moving
 pixels' bounding box widened by 2 px, plus 2 px more of stencil margin,
 and writes back the inner box; nothing outside it changes, so the field
 is byte for byte the whole-field one.
+
+The edge map is taken only where the stepped windows read it, from a
+crop of the film widened by the map's reach (`_edge_map`). It is kept
+for a region that only grows: when a window leaves the region, the
+region becomes their union widened by `_EDGE_SLACK` px and the map is
+taken again. An evolution in which no pixel moves never takes it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ GRAD_FLOOR = 1e-10
 # a flat level above this overflows the Laplacian's sum of 4 values to
 # inf - inf, so it counts as moving and the step reports the divergence
 _FLAT_MAX = np.finfo(np.float64).max / 8
+# the edge map's Gaussian stops at this many sigmas
+_TRUNCATE = 3.0
+# px added around the edge map's region when a step leaves it
+_EDGE_SLACK = 32
 
 
 class DivergenceError(FloatingPointError):
@@ -87,8 +97,8 @@ def init_phi(b_k, epsilon: float) -> np.ndarray:
 
 def dirac(x, epsilon: float) -> np.ndarray:
     """Smoothed Dirac impulse: raised cosine on [-eps, eps], else 0."""
-    if epsilon <= 0:
-        raise ValueError("Dirac width must be positive")
+    if not math.isfinite(epsilon) or epsilon <= 0:
+        raise ValueError(f"Dirac width must be positive and finite, got {epsilon}")
     arr = np.asarray(x, dtype=np.float64)
     band = np.abs(arr) <= epsilon
     out = np.zeros(arr.shape)
@@ -120,11 +130,13 @@ def edge_indicator(image, sigma: float) -> np.ndarray:
     tissue boundaries drive g far below 1; on the unit scale even a
     full-contrast edge would barely register.
     """
-    if sigma <= 0:
-        raise ValueError("smoothing sigma must be positive")
+    if not math.isfinite(sigma) or sigma <= 0:
+        raise ValueError(f"smoothing sigma must be positive and finite, got {sigma}")
     img = as_gray(image)
+    if img.size == 0:
+        raise ValueError(f"cannot take the edge map of an empty film of shape {img.shape}")
     smooth = ndimage.gaussian_filter(img * 255.0, sigma=sigma, mode="nearest",
-                                     truncate=3.0)
+                                     truncate=_TRUNCATE)
     return 1.0 / (1.0 + _d_row(smooth) ** 2 + _d_col(smooth) ** 2)
 
 
@@ -160,6 +172,25 @@ def _widen(box, margin: int, shape) -> tuple[int, int, int, int]:
     r0, r1, c0, c1 = box
     return (max(r0 - margin, 0), min(r1 + margin, shape[0]),
             max(c0 - margin, 0), min(c1 + margin, shape[1]))
+
+
+def _union(a, b) -> tuple[int, int, int, int]:
+    return min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3])
+
+
+def _edge_map(img, sigma: float, box):
+    """`edge_indicator` over `box` only, from a crop widened by its reach.
+
+    Each edge-map value reads the film within the Gaussian's radius (as
+    scipy takes it) plus 1 px for the central difference, and a crop
+    that meets the film border pads it as the whole film does, so the
+    bytes are those of the whole-film map.
+    """
+    r0, r1, c0, c1 = box
+    reach = int(_TRUNCATE * sigma + 0.5) + 1
+    top, bottom, left, right = _widen(box, reach, img.shape)
+    g = edge_indicator(img[top:bottom, left:right], sigma)
+    return g[r0 - top:r1 - top, c0 - left:c1 - left]
 
 
 def _moving_box(phi, box, epsilon: float):
@@ -208,10 +239,12 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
     seed = binarize_membership(r_k, config.b0)
     if seed.shape != img.shape:
         raise ValueError(f"membership map shape {seed.shape} does not match image shape {img.shape}")
-    g = edge_indicator(img, config.smoothing_sigma)
+    if img.size == 0:
+        raise ValueError(f"cannot evolve on an empty film of shape {img.shape}")
     phi = init_phi(seed, config.epsilon)
     n_pixels = phi.size
     box = _moving_box(phi, (0, phi.shape[0], 0, phi.shape[1]), config.epsilon)
+    g_box = (phi.shape[0], 0, phi.shape[1], 0)   # covers nothing yet
     calm_streak = 0
     steps = 0
     for steps in range(1, config.iterations + 1):
@@ -220,9 +253,15 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
         changed = 0
         if box is not None:
             r0, r1, c0, c1 = inner = _widen(box, 2, phi.shape)
-            top, bottom, left, right = _widen(inner, 2, phi.shape)
-            window = np.s_[top:bottom, left:right]
-            stepped = evolve_step(phi[window], g[window], config)  # rejects a non-finite field
+            top, bottom, left, right = outer = _widen(inner, 2, phi.shape)
+            grown = _union(g_box, outer)
+            if grown != g_box:
+                g_box = _widen(grown, _EDGE_SLACK, phi.shape)
+                g = _edge_map(img, config.smoothing_sigma, g_box)
+            g_top, _, g_left, _ = g_box
+            stepped = evolve_step(  # rejects a non-finite field
+                phi[top:bottom, left:right],
+                g[top - g_top:bottom - g_top, left - g_left:right - g_left], config)
             new = stepped[r0 - top:r1 - top, c0 - left:c1 - left]
             old = phi[r0:r1, c0:c1]
             changed = int(np.count_nonzero((new > 0.0) != (old > 0.0)))

@@ -217,3 +217,12 @@ def test_remove_pectoral_respects_area_cap():
         _, removed = remove_pectoral(img, cfg)
         breast = (img > 0).sum()
         assert removed.sum() < 0.3 * breast
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_median_refuses_an_empty_film(shape):
+    # numpy's pad used to say "can't extend empty axis" for 0x5, and a
+    # 0x0 film divided by its zero width
+    with pytest.raises(ValueError, match="empty film") as raised:
+        median_filter(np.zeros(shape), 3)
+    assert str(shape) in str(raised.value)

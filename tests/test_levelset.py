@@ -311,3 +311,29 @@ def test_config_refuses_non_finite_settings(field, value):
     # an infinite weight times the exact 0 of a flat field is NaN there
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         LevelSetConfig(**{field: value})
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_edge_indicator_and_evolve_refuse_an_empty_film(shape):
+    with pytest.raises(ValueError, match="empty film") as raised:
+        edge_indicator(np.zeros(shape), sigma=1.5)
+    assert str(shape) in str(raised.value)
+    with pytest.raises(ValueError, match="empty film") as raised:
+        evolve(np.zeros(shape), np.zeros(shape), LevelSetConfig(iterations=3))
+    assert str(shape) in str(raised.value)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_edge_indicator_refuses_a_non_finite_sigma(sigma):
+    # NaN used to give a plausible-looking map and inf an OverflowError
+    with pytest.raises(ValueError, match="smoothing sigma") as raised:
+        edge_indicator(np.full((8, 8), 0.5), sigma=sigma)
+    assert str(sigma) in str(raised.value)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_dirac_refuses_a_non_finite_width(eps):
+    # NaN used to give all zeros
+    with pytest.raises(ValueError, match="Dirac width") as raised:
+        dirac(np.zeros(4), eps)
+    assert str(eps) in str(raised.value)

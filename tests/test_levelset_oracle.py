@@ -2,9 +2,10 @@
 
 `oracle_evolve` is `mammocad.levelset.evolve` as it was before it
 stepped only the band where phi can move: every step runs `evolve_step`
-on the whole field. The banded loop calls the same kernel on boxes of
-the field, so the final field, the step count and every `on_iteration`
-row must match these byte for byte.
+on the whole field, with the whole film's edge map. The banded loop
+calls the same kernel on boxes of the field, with the edge map taken
+from crops of the film around them, so the final field, the step count
+and every `on_iteration` row must match these byte for byte.
 """
 
 from unittest import mock
@@ -103,19 +104,22 @@ def cases(draw):
     below = rng.random(shape) * config.b0 * 0.999
     r_k = np.where(_mask(rng, shape, kind), above, below)
     image = rng.random(shape)
-    # an arbitrary edge map, or the one the image gives
-    g = rng.random(shape) * draw(st.sampled_from([0.5, 1.0, 2.0])) if draw(st.booleans()) else None
-    return r_k, image, config, g
+    # an arbitrary edge map (the random image, scaled), or the one the
+    # image gives; the arbitrary map is pixelwise, so a crop of the image
+    # gives that crop of the map, as the real one does
+    scale = draw(st.sampled_from([0.5, 1.0, 2.0])) if draw(st.booleans()) else None
+    return r_k, image, config, scale
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_banded_evolve_matches_the_whole_field_oracle(case):
-    r_k, image, config, g = case
-    if g is None:
+    r_k, image, config, scale = case
+    if scale is None:
         _assert_same(r_k, image, config)
     else:
-        with mock.patch.object(levelset, "edge_indicator", lambda img, sigma: g):
+        with mock.patch.object(levelset, "edge_indicator",
+                               lambda img, sigma: as_gray(img) * scale):
             _assert_same(r_k, image, config)
 
 
@@ -173,3 +177,74 @@ def test_a_flat_level_moves_only_inside_the_dirac_band(eps):
         assert (stepped.tobytes() != phi.tobytes()) == moves
         box = levelset._moving_box(phi, (0, 9, 0, 11), eps)
         assert box == ((0, 9, 0, 11) if moves else None)
+
+
+
+SIGMAS = [0.3, 1.5, 2.7]
+
+
+def _assert_crop_matches(image, sigma, box):
+    r0, r1, c0, c1 = box
+    whole = levelset.edge_indicator(image, sigma)
+    got = levelset._edge_map(image, sigma, box)
+    assert got.shape == (r1 - r0, c1 - c0)
+    assert got.tobytes() == whole[r0:r1, c0:c1].tobytes()
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("box", [(0, 9, 20, 30), (41, 50, 20, 30), (20, 30, 0, 7),
+                                 (20, 30, 53, 60), (0, 50, 0, 60), (0, 1, 59, 60),
+                                 (20, 21, 30, 31)],
+                         ids=["top", "bottom", "left", "right", "whole", "corner", "pixel"])
+def test_edge_map_on_a_crop_matches_the_whole_film(sigma, box):
+    _assert_crop_matches(np.random.default_rng(7).random((50, 60)), sigma, box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_edge_map_on_any_crop_matches_the_whole_film(data):
+    h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    r0 = data.draw(st.integers(0, h - 1))
+    c0 = data.draw(st.integers(0, w - 1))
+    box = (r0, data.draw(st.integers(r0 + 1, h)), c0, data.draw(st.integers(c0 + 1, w)))
+    image = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random((h, w))
+    _assert_crop_matches(image, data.draw(st.sampled_from(SIGMAS)), box)
+
+
+def _counting_edge_indicator(calls):
+    edge_indicator = levelset.edge_indicator
+
+    def counted(img, sigma):
+        calls.append(np.shape(img))
+        return edge_indicator(img, sigma)
+    return mock.patch.object(levelset, "edge_indicator", counted)
+
+
+def test_a_growing_band_matches_the_oracle_past_the_edge_map_slack():
+    # a small seed under the balloon force grows by far more than the
+    # 32 px kept around the stepped windows, so the edge map is taken
+    # again on wider crops while the evolution runs
+    size = 160
+    rng = np.random.default_rng(5)
+    rr, cc = np.mgrid[0:size, 0:size]
+    image = np.clip(0.5 + rng.normal(0, 0.02, (size, size)), 0, 1)
+    r_k = np.where((rr - 70) ** 2 + (cc - 90) ** 2 <= 25, 0.9, 0.1)
+    config = LevelSetConfig(iterations=70, early_stop_frac=0.0)
+    calls = []
+    with _counting_edge_indicator(calls):
+        phi, steps = levelset.evolve(r_k, image, config)
+    assert steps == 70 and len(calls) >= 3
+    assert calls[0][0] < size and calls[-1] == (size, size)
+    assert np.count_nonzero(phi > 0) > 30 * 30
+    _assert_same(r_k, image, config)
+
+
+def test_evolve_takes_the_edge_map_only_when_some_pixel_moves():
+    image = np.random.default_rng(3).random((30, 40))
+    config = LevelSetConfig(iterations=10)
+    for seed, moves in ((np.zeros((30, 40)), False), (np.ones((30, 40)), False),
+                        (np.where(np.arange(40) < 20, 0.9, 0.1) * np.ones((30, 1)), True)):
+        calls = []
+        with _counting_edge_indicator(calls):
+            levelset.evolve(seed, image, config)
+        assert (len(calls) > 0) == moves
