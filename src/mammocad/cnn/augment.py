@@ -125,13 +125,6 @@ def _render(image, angle_deg, fill, variants, target_size):
     return out
 
 
-def augment_with_params(image, angle_deg, mirror, scale, crop_rc, shift_rc,
-                        target_size, fill):
-    """Deterministic augmentation with every random draw pinned."""
-    return _render(as_gray(image), angle_deg, fill, [(mirror, scale, crop_rc, shift_rc)],
-                   target_size)[0]
-
-
 def _draw_params(shape, rng, target_size):
     """(mirror, scale, crop_rc, shift_rc) for one variant of a film."""
     mirror = rng.random() < 0.5

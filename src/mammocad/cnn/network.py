@@ -9,28 +9,29 @@ works on 64x64 inputs so CPU training stays tractable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .layers import (MAX_POOL_WINDOW, BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU,
-                     softmax_predict, window_positions)
+from .layers import (BatchNorm2d, Conv2d, Dense, Flatten, MaxPool2d, ReLU, softmax_predict,
+                     window_positions)
 
 CHECKPOINT_MAGIC = b"MCADNET1"
 CHECKPOINT_VERSION = 2
+FEATURE_DIM = 300
+NUM_CLASSES = 2
 
 
 class CheckpointError(ValueError):
     """Raised for a malformed, truncated or incomplete checkpoint file."""
 
 
-def _default_layers(channel_scale: int, feature_dim: int, num_classes: int):
+def _profile_layers(channel_scale: int):
     s = channel_scale
     return [
         {"kind": "conv", "out": 96 // s, "kernel": 11, "stride": 4, "padding": 2},
@@ -46,60 +47,40 @@ def _default_layers(channel_scale: int, feature_dim: int, num_classes: int):
         {"kind": "relu"},
         {"kind": "pool", "window": 3, "stride": 2},
         {"kind": "flatten"},
-        {"kind": "dense", "out": feature_dim},
+        {"kind": "dense", "out": FEATURE_DIM},
         {"kind": "relu"},
-        {"kind": "dense", "out": num_classes},
+        {"kind": "dense", "out": NUM_CLASSES},
     ]
-
-
-def _count(value, what, least=1, most=None):
-    """`value`, checked to be an integer in range: a descriptor read from
-    a checkpoint may carry any value."""
-    if type(value) is not int or value < least or (most is not None and value > most):
-        bound = f"of at least {least}" if most is None else f"from {least} to {most}"
-        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    input_size: int = 256
-    num_classes: int = 2
-    feature_dim: int = 300
-    channel_scale: int = 1
-    layers: list = field(default_factory=list)
+    desk: bool = False              # quarter-width channels, 64x64 input
 
-    def __post_init__(self):
-        # checked before the default layers are worked out from them
-        for name in ("input_size", "num_classes", "feature_dim", "channel_scale"):
-            _count(getattr(self, name), name)
-        if not isinstance(self.layers, list):
-            raise ValueError(f"layers must be a list, got {self.layers!r}")
-        if not self.layers:
-            object.__setattr__(self, "layers", _default_layers(
-                self.channel_scale, self.feature_dim, self.num_classes))
+    @property
+    def channel_scale(self) -> int:
+        return 4 if self.desk else 1
 
-    @staticmethod
-    def desk() -> "NetworkConfig":
-        return NetworkConfig(input_size=64, channel_scale=4)
+    @property
+    def input_size(self) -> int:
+        return 64 if self.desk else 256
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+    @property
+    def layers(self) -> list:
+        return _profile_layers(self.channel_scale)
 
-    @staticmethod
-    def from_json(text: str) -> "NetworkConfig":
-        d = json.loads(text)
-        names = {f.name for f in dataclasses.fields(NetworkConfig)}
-        if not isinstance(d, dict) or set(d) != names:
-            raise ValueError(f"descriptor must hold exactly the fields {sorted(names)}")
-        return NetworkConfig(**d)
+    def descriptor(self) -> bytes:
+        """The checkpoint's record of the profile: the sorted-key JSON of
+        the five settings the format has always written."""
+        return json.dumps({"channel_scale": self.channel_scale, "feature_dim": FEATURE_DIM,
+                           "input_size": self.input_size, "layers": self.layers,
+                           "num_classes": NUM_CLASSES}, sort_keys=True).encode()
 
 
-# each layer kind's class, and the keys its spec may carry besides the kind
-_LAYER_KINDS = {"conv": (Conv2d, {"out", "kernel", "stride", "padding"}),
-                "batchnorm": (BatchNorm2d, set()), "relu": (ReLU, set()),
-                "pool": (MaxPool2d, {"window", "stride"}), "flatten": (Flatten, set()),
-                "dense": (Dense, {"out"})}
+_PROFILES = (NetworkConfig(), NetworkConfig(desk=True))
+
+_LAYER_KINDS = {"conv": Conv2d, "batchnorm": BatchNorm2d, "relu": ReLU, "pool": MaxPool2d,
+                "flatten": Flatten, "dense": Dense}
 
 
 class PlannedLayer(NamedTuple):
@@ -111,51 +92,29 @@ class PlannedLayer(NamedTuple):
 
 
 def layer_plan(config: NetworkConfig) -> list[PlannedLayer]:
-    """Check each layer of `config` and work out its tensor shapes,
-    allocating nothing, so a checkpoint's descriptor is judged before any
-    tensor is read. This is the one walk over `config.layers`."""
+    """Each layer of the profile with its tensor shapes, allocating
+    nothing, so a checkpoint's tensors are judged before any is read.
+    This is the one walk over `config.layers`."""
     plan = []
-    channels, size = 1, config.input_size
-    flat = None                     # the feature width, once flattened
-    for i, spec in enumerate(config.layers):
-        kind = spec.get("kind") if isinstance(spec, dict) else None
-        if not isinstance(kind, str) or kind not in _LAYER_KINDS:
-            raise ValueError(f"layer {i} has no known kind: {spec!r}")
-        unknown = set(spec) - {"kind"} - _LAYER_KINDS[kind][1]
-        if unknown:
-            raise ValueError(f"{kind} layer {i} takes no {', '.join(sorted(unknown))}")
-        if flat is not None and kind in ("conv", "batchnorm", "pool", "flatten"):
-            raise ValueError(f"{kind} layer {i} comes after flatten")
-
-        def setting(key, default=None, least=1, most=None):
-            return _count(spec.get(key, default), f"{kind} {key}", least, most)
-
-        settings, shapes = {}, {}
+    width, size = 1, config.input_size      # channels, or features once flattened
+    for spec in config.layers:
+        kind = spec["kind"]
+        settings = {key: spec[key] for key in ("stride", "padding", "window") if key in spec}
+        shapes = {}
         if kind == "conv":
-            out, kernel = setting("out"), setting("kernel")
-            settings = {"stride": setting("stride", 1), "padding": setting("padding", 0, least=0)}
-            shapes = {"weight": (out, channels, kernel, kernel), "bias": (out,)}
-            channels = out
-            size = window_positions(size, kernel, settings["stride"], settings["padding"])
+            out, kernel = spec["out"], spec["kernel"]
+            shapes = {"weight": (out, width, kernel, kernel), "bias": (out,)}
+            width, size = out, window_positions(size, kernel, **settings)
         elif kind == "batchnorm":
-            shapes = dict.fromkeys(BatchNorm2d.PARAMS + BatchNorm2d.STATE, (channels,))
+            shapes = dict.fromkeys(BatchNorm2d.PARAMS + BatchNorm2d.STATE, (width,))
         elif kind == "pool":
-            settings = {"window": setting("window", 3, most=MAX_POOL_WINDOW),
-                        "stride": setting("stride", 2)}
-            size = window_positions(size, settings["window"], settings["stride"])
+            size = window_positions(size, **settings)
         elif kind == "flatten":
-            flat = channels * size * size
+            width, size = width * size * size, 1
         elif kind == "dense":
-            if flat is None:
-                raise ValueError("dense layer before flatten")
-            out = setting("out")
-            shapes = {"weight": (flat, out), "bias": (out,)}
-            flat = out
-        if size < 1:
-            raise ValueError(f"spatial extent collapsed to {size}x{size} at {kind}")
+            shapes = {"weight": (width, spec["out"]), "bias": (spec["out"],)}
+            width = spec["out"]
         plan.append(PlannedLayer(kind, settings, shapes))
-    if flat != config.num_classes:
-        raise ValueError(f"head produces {flat} outputs, expected {config.num_classes}")
     return plan
 
 
@@ -192,7 +151,7 @@ class Network:
         self.config = config
         self.seed = seed
         self.layers = [
-            _LAYER_KINDS[step.kind][0](**step.settings, **{
+            _LAYER_KINDS[step.kind](**step.settings, **{
                 name: tensors[_tensor_name(i, name)] for name in step.shapes})
             for i, step in enumerate(plan)]
 
@@ -242,7 +201,7 @@ def save_checkpoint(network: Network, path) -> None:
     """Versioned binary container: seed (u64), descriptor, named float64 tensors."""
     tensors = dict(network.named_params())
     tensors.update(network.named_state())
-    descriptor = network.config.to_json().encode()
+    descriptor = network.config.descriptor()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, network.seed))
@@ -263,9 +222,10 @@ def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint; every parameter and state
     tensor must appear exactly once, and nothing may follow the last.
 
-    The descriptor's layer plan fixes each tensor's shape, so the bytes
-    left in the file are checked to hold them all before any is read,
-    and each is read once, into the array the network then keeps."""
+    The descriptor must be one profile's, byte for byte; that profile's
+    layer plan fixes each tensor's shape, so the bytes left in the file
+    are checked to hold them all before any is read, and each is read
+    once, into the array the network then keeps."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(8) != CHECKPOINT_MAGIC:
@@ -288,12 +248,12 @@ def load_checkpoint(path) -> Network:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         seed = struct.unpack("<Q", take(8))[0]
         descriptor = take(u32())
-        try:
-            config = NetworkConfig.from_json(descriptor.decode())
-            shapes = {_tensor_name(i, name): shape for i, step in enumerate(layer_plan(config))
-                      for name, shape in step.shapes.items()}
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CheckpointError(f"bad network descriptor: {exc}") from exc
+        config = next((c for c in _PROFILES if c.descriptor() == descriptor), None)
+        if config is None:
+            raise CheckpointError("bad network descriptor: neither the full nor the "
+                                  "desk profile's")
+        shapes = {_tensor_name(i, name): shape for i, step in enumerate(layer_plan(config))
+                  for name, shape in step.shapes.items()}
         count = u32()
         if count < len(shapes):
             raise CheckpointError(f"{len(shapes) - count} tensors missing")

@@ -35,6 +35,8 @@ class TrainConfig:
             raise ValueError("need at least one epoch")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 (batch statistics)")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
             raise ValueError(f"train.seed must be non-negative, got {self.seed}")
         if self.seed >= 2 ** 64:    # the checkpoint stores it as a u64

@@ -33,22 +33,18 @@ class PipelineSection:
 
 
 @dataclass(frozen=True)
-class NetworkSection:
-    desk: bool = False              # quarter-width channels, 64x64 input
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     pipeline: PipelineSection = PipelineSection()
     denoise: Bm3dProfile = Bm3dProfile()
     enhance: EnhanceConfig = EnhanceConfig()
     sfcm: SfcmConfig = SfcmConfig()
     levelset: LevelSetConfig = LevelSetConfig()
-    network: NetworkSection = NetworkSection()
+    network: NetworkConfig = NetworkConfig()
     train: TrainConfig = TrainConfig()
 
+    # perfbench is the remaining caller; ROADMAP item 1b deletes it
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig.desk() if self.network.desk else NetworkConfig()
+        return self.network
 
     # perfbench is the remaining caller; ROADMAP item 1b deletes it
     def sfcm_config(self) -> SfcmConfig:

@@ -260,7 +260,7 @@ def test_criterion_7_cnn_suite():
             img[r0:r0 + 20, r0:r0 + 20] += 0.5
             items.append((np.clip(img, 0, 1), label))
     cfg = TrainConfig(epochs=200, batch_size=8, seed=4)  # spec defaults otherwise
-    net, _ = train(items, NetworkConfig.desk(), cfg)
+    net, _ = train(items, NetworkConfig(desk=True), cfg)
     train_idx, _ = stratified_split([l for _, l in items], 0.2,
                                     np.random.default_rng(cfg.seed))
     train_items = [items[i] for i in train_idx]

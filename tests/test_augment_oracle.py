@@ -12,12 +12,10 @@ import pytest
 from scipy import ndimage
 
 from mammocad.cnn import augment
-from mammocad.cnn.augment import (
-    SHIFT_LIMIT,
-    augment_with_params,
-    build_augmented_set,
-)
+from mammocad.cnn.augment import SHIFT_LIMIT, build_augmented_set
 from mammocad.core import resize_bilinear
+
+from augment_params import augment_with_params
 
 
 def oracle_resize_bilinear(img, out_w, out_h):

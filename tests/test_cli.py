@@ -201,7 +201,7 @@ def test_evaluate_reports_a_null_auc_when_the_held_out_films_are_one_class(tmp_p
     # film for training, so every held-out film is normal
     info.write_text("".join(info.read_text().splitlines(keepends=True)[:6]))
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     assert main(["evaluate", "--model", str(model), "--data", str(data),
                  "--info", str(info)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -258,7 +258,7 @@ def test_evaluate_peak_memory_does_not_grow_with_the_held_out_films(tmp_path, ca
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     peaks = []
     for n_per_class in (10, 40):  # 4 and 16 held-out films
         root = tmp_path / f"n{n_per_class}"
@@ -369,7 +369,7 @@ def test_classify_rejects_a_bad_checkpoint(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     model.write_bytes(model.read_bytes()[:-5])
     image = tmp_path / "mdb001.pgm"
     image.write_bytes(write_pgm(np.full((64, 64), 0.5)))
@@ -386,7 +386,7 @@ def test_a_version_1_checkpoint_exits_2(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     current = model.read_bytes()
     model.write_bytes(current[:8] + struct.pack("<I", 1) + current[20:])  # no seed in v1
     data, info = tiny_training_dir(tmp_path)
@@ -409,7 +409,7 @@ def test_classify_rejects_a_checkpoint_with_bad_values(tmp_path, capsys, tensor,
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     data = bytearray(model.read_bytes())
     at = data.index(tensor.encode()) + len(tensor)
     rank = struct.unpack_from("<I", data, at)[0]
@@ -428,9 +428,9 @@ def test_classify_rejects_a_descriptor_with_an_unknown_field(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     data = model.read_bytes()
-    descriptor = NetworkConfig.desk().to_json().encode()
+    descriptor = NetworkConfig(desk=True).descriptor()
     bad = json.dumps(dict(json.loads(descriptor), dropout=0.5), sort_keys=True).encode()
     start = data.index(descriptor)
     model.write_bytes(data[:start - 4] + len(bad).to_bytes(4, "little") + bad
@@ -526,6 +526,20 @@ def test_a_seed_the_checkpoint_cannot_store_is_rejected_before_any_stage(tmp_pat
     assert not model.parent.exists()
 
 
+@pytest.mark.parametrize("momentum", ["5", "-3"])
+def test_a_momentum_outside_the_unit_interval_exits_2_before_any_stage(tmp_path, capsys,
+                                                                       momentum):
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb001.pgm").unlink()  # reading the films would fail differently
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--desk", "--set", f"train.momentum={momentum}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "train.momentum" in captured.err
+    assert not model.parent.exists()
+
+
 @pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "network.input_size",
                                  "levelset.grad_floor"])
 @pytest.mark.parametrize("source", ["set", "config"])
@@ -573,7 +587,7 @@ def test_pgm_errors_name_the_file(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     model = tmp_path / "model.bin"
-    save_checkpoint(Network(NetworkConfig.desk()), model)
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
     short = tmp_path / "short.pgm"
     short.write_bytes(b"P5\n64 64\n255\n" + bytes(10))
     assert main(["classify", "--model", str(model), str(short)]) == 2
@@ -602,7 +616,7 @@ def test_a_tie_is_normal_in_classify_evaluate_and_predict(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 
     # a fresh desk network scores an all-zero film exactly [0.5, 0.5]
-    network = Network(NetworkConfig.desk())
+    network = Network(NetworkConfig(desk=True))
     probs, labels = network.predict([np.zeros((64, 64))])
     assert probs[0].tolist() == [0.5, 0.5] and labels.tolist() == [0]
     model = tmp_path / "model.bin"

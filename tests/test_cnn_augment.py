@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mammocad.cnn.augment import augment_with_params, build_augmented_set
+from mammocad.cnn.augment import build_augmented_set
 from mammocad.core import resize_bilinear
+
+from augment_params import augment_with_params
 
 
 def test_augment_deterministic_per_seed():

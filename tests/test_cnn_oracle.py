@@ -104,7 +104,7 @@ def test_full_profile_layers_match_the_oracle():
 
 @pytest.mark.parametrize("batch", [2, 4, 10, 32])
 def test_desk_profile_layers_match_the_oracle(batch):
-    for i, (layer, shape) in enumerate(profile_cases(NetworkConfig.desk(), batch)):
+    for i, (layer, shape) in enumerate(profile_cases(NetworkConfig(desk=True), batch)):
         check_layer(layer, shape, seed=100 * batch + i)
 
 

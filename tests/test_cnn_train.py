@@ -38,6 +38,12 @@ def test_defaults_match_training_setup():
     assert cfg.momentum == 0.9
 
 
+@pytest.mark.parametrize("momentum", [-3.0, -1e-9, 1.0, 5.0, float("nan")])
+def test_momentum_outside_the_unit_interval_is_refused(momentum):
+    with pytest.raises(ValueError, match="train.momentum"):
+        TrainConfig(momentum=momentum)
+
+
 def test_stratified_split_ratio():
     labels = [0] * 40 + [1] * 10
     train_idx, test_idx = stratified_split(labels, 0.2, np.random.default_rng(0))
@@ -50,18 +56,18 @@ def test_stratified_split_ratio():
 def test_single_class_rejected():
     items = [(np.zeros((64, 64)), 1) for _ in range(6)]
     with pytest.raises(ValueError):
-        train(items, NetworkConfig.desk(), TrainConfig(epochs=1))
+        train(items, NetworkConfig(desk=True), TrainConfig(epochs=1))
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        train([], NetworkConfig.desk(), TrainConfig(epochs=1))
+        train([], NetworkConfig(desk=True), TrainConfig(epochs=1))
 
 
 def test_loss_decreases_on_separable_data():
     items = blob_dataset(n_per_class=10)
     cfg = TrainConfig(epochs=3, batch_size=8, seed=1, learning_rate=0.01)
-    _, history = train(items, NetworkConfig.desk(), cfg)
+    _, history = train(items, NetworkConfig(desk=True), cfg)
     losses = [h["train_loss"] for h in history]
     assert len(losses) == 3
     for a, b in zip(losses, losses[1:]):
@@ -70,7 +76,7 @@ def test_loss_decreases_on_separable_data():
 
 def test_history_records_epochs_and_accuracy():
     items = blob_dataset(n_per_class=6)
-    _, history = train(items, NetworkConfig.desk(),
+    _, history = train(items, NetworkConfig(desk=True),
                        TrainConfig(epochs=2, batch_size=8, seed=2))
     assert [h["epoch"] for h in history] == [1, 2]
     for h in history:
@@ -81,8 +87,8 @@ def test_history_records_epochs_and_accuracy():
 def test_train_deterministic_for_seed():
     items = blob_dataset(n_per_class=5)
     cfg = TrainConfig(epochs=2, batch_size=8, seed=3)
-    net1, hist1 = train(items, NetworkConfig.desk(), cfg)
-    net2, hist2 = train(items, NetworkConfig.desk(), cfg)
+    net1, hist1 = train(items, NetworkConfig(desk=True), cfg)
+    net2, hist2 = train(items, NetworkConfig(desk=True), cfg)
     assert hist1 == hist2
     for name, tensor in net1.named_params().items():
         np.testing.assert_array_equal(net2.named_params()[name], tensor)
@@ -91,8 +97,8 @@ def test_train_deterministic_for_seed():
 def test_train_reads_a_lazy_dataset_like_a_list():
     items = blob_dataset(n_per_class=5, size=96)
     cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
-    net1, hist1 = train(items, NetworkConfig.desk(), cfg)
-    net2, hist2 = train(iter(items), NetworkConfig.desk(), cfg)
+    net1, hist1 = train(items, NetworkConfig(desk=True), cfg)
+    net2, hist2 = train(iter(items), NetworkConfig(desk=True), cfg)
     assert hist1 == hist2
     for name, tensor in net1.named_params().items():
         assert net2.named_params()[name].tobytes() == tensor.tobytes()
@@ -102,7 +108,7 @@ def test_memorizes_eight_images():
     # overfit check: a tiny set must be learned perfectly
     items = blob_dataset(n_per_class=5)  # 8 train / 2 test after the split
     cfg = TrainConfig(epochs=200, batch_size=8, seed=4, learning_rate=0.01)
-    net, history = train(items, NetworkConfig.desk(), cfg)
+    net, history = train(items, NetworkConfig(desk=True), cfg)
     train_items = [items[i] for i in
                    stratified_split([l for _, l in items], 0.2,
                                     np.random.default_rng(cfg.seed))[0]]
@@ -116,7 +122,7 @@ def test_memorizes_eight_images():
 def test_augmented_training_runs():
     items = blob_dataset(n_per_class=3, size=48)
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
-    net, history = train(items, NetworkConfig.desk(), cfg)
+    net, history = train(items, NetworkConfig(desk=True), cfg)
     assert len(history) == 1
 
 
@@ -130,7 +136,7 @@ def test_a_bad_film_is_refused_before_the_split(augment, bad, message):
     # "both classes" first
     items = [(bad, 1)] + [(np.zeros((64, 64)), 1) for _ in range(5)]
     with pytest.raises(ValueError, match=message):
-        train(items, NetworkConfig.desk(), TrainConfig(epochs=1, augment=augment))
+        train(items, NetworkConfig(desk=True), TrainConfig(epochs=1, augment=augment))
 
 
 def test_augmented_training_reads_decoded_films_like_their_arrays():
@@ -138,8 +144,8 @@ def test_augmented_training_reads_decoded_films_like_their_arrays():
     films = [(read_pgm(write_pgm(image)), label) for image, label in items]
     arrays = [(np.asarray(film), label) for film, label in films]
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
-    net1, hist1 = train(films, NetworkConfig.desk(), cfg)
-    net2, hist2 = train(arrays, NetworkConfig.desk(), cfg)
+    net1, hist1 = train(films, NetworkConfig(desk=True), cfg)
+    net2, hist2 = train(arrays, NetworkConfig(desk=True), cfg)
     assert hist1 == hist2
     for name, tensor in net1.named_params().items():
         assert net2.named_params()[name].tobytes() == tensor.tobytes()
@@ -167,7 +173,7 @@ def test_augmented_training_frees_the_whole_films_before_the_first_step(monkeypa
 
     monkeypatch.setattr(module, "sgd_step", counted_step)
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5, augment=True)
-    train(films(), NetworkConfig.desk(), cfg)
+    train(films(), NetworkConfig(desk=True), cfg)
     # the training films live only until the augmented set is built,
     # the held-out ones until they are cut to the input size
     assert len(refs) == 6 and alive == [0]
@@ -184,7 +190,7 @@ def test_write_history_jsonl(tmp_path):
 
 def test_score_dataset_probability_prediction_truth():
     items = blob_dataset(n_per_class=4)
-    net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=8, seed=6))
+    net, _ = train(items, NetworkConfig(desk=True), TrainConfig(epochs=1, batch_size=8, seed=6))
     scored = score_dataset(net, items)
     assert len(scored) == len(items)
     _, labels = net.predict([im for im, _ in items])
@@ -196,7 +202,7 @@ def test_score_dataset_probability_prediction_truth():
 
 def test_score_dataset_in_chunks_matches_one_batch():
     items = blob_dataset(n_per_class=5, size=80)
-    net, _ = train(items, NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=4, seed=6))
+    net, _ = train(items, NetworkConfig(desk=True), TrainConfig(epochs=1, batch_size=4, seed=6))
     whole = score_dataset(net, items, batch_size=len(items))
     chunked = score_dataset(net, items, batch_size=3)
     assert [t for *_, t in chunked] == [t for *_, t in whole]
@@ -208,7 +214,7 @@ def test_score_dataset_in_chunks_matches_one_batch():
 
 
 def test_score_dataset_peak_memory_does_not_grow_with_the_film_count():
-    net = Network(NetworkConfig.desk(), seed=0)
+    net = Network(NetworkConfig(desk=True), seed=0)
     rng = np.random.default_rng(0)
     films = [(rng.random((80, 80)), i % 2) for i in range(32)]
     batch_size = 4
@@ -228,7 +234,7 @@ def test_score_dataset_peak_memory_does_not_grow_with_the_film_count():
 
 def test_training_peak_memory_does_not_grow_with_the_held_out_films():
     rng = np.random.default_rng(0)
-    net_cfg, train_cfg = NetworkConfig.desk(), TrainConfig(epochs=1, batch_size=2, seed=0)
+    net_cfg, train_cfg = NetworkConfig(desk=True), TrainConfig(epochs=1, batch_size=2, seed=0)
 
     def peak(n_per_class):
         films = [(rng.random((64, 64)), i % 2) for i in range(2 * n_per_class)]
