@@ -77,7 +77,7 @@ class NetworkConfig:
                            "num_classes": NUM_CLASSES}, sort_keys=True).encode()
 
 
-_PROFILES = (NetworkConfig(), NetworkConfig(desk=True))
+_PROFILES = {c.descriptor(): c for c in (NetworkConfig(), NetworkConfig(desk=True))}
 
 _LAYER_KINDS = {"conv": Conv2d, "batchnorm": BatchNorm2d, "relu": ReLU, "pool": MaxPool2d,
                 "flatten": Flatten, "dense": Dense}
@@ -197,96 +197,76 @@ class Network:
         return softmax_predict(logits)
 
 
+def _entries(config: NetworkConfig) -> list[tuple[str, bytes, tuple]]:
+    """Each tensor of the profile as (name, header, shape), in the
+    sorted-name order a checkpoint keeps them. The header is what the
+    file holds before the tensor's values: the u32 name length, the
+    name, the u32 rank and the u64 dimensions."""
+    shapes = {_tensor_name(i, name): shape for i, step in enumerate(layer_plan(config))
+              for name, shape in step.shapes.items()}
+    return [(name, struct.pack(f"<I{len(name)}sI{len(shape)}Q", len(name), name.encode(),
+                               len(shape), *shape), shape)
+            for name, shape in sorted(shapes.items())]
+
+
 def save_checkpoint(network: Network, path) -> None:
     """Versioned binary container: seed (u64), descriptor, named float64 tensors."""
-    tensors = dict(network.named_params())
-    tensors.update(network.named_state())
+    tensors = network.named_params() | network.named_state()
     descriptor = network.config.descriptor()
+    entries = _entries(network.config)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, network.seed))
-        fh.write(struct.pack("<I", len(descriptor)))
-        fh.write(descriptor)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQI", CHECKPOINT_VERSION, network.seed,
+                                                len(descriptor)))
+        fh.write(descriptor + struct.pack("<I", len(entries)))
+        for name, header, _ in entries:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(tensors[name], dtype="<f8"))   # no copy
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint; every parameter and state
-    tensor must appear exactly once, and nothing may follow the last.
+    """Rebuild a network from a checkpoint.
 
-    The descriptor must be one profile's, byte for byte; that profile's
-    layer plan fixes each tensor's shape, so the bytes left in the file
-    are checked to hold them all before any is read, and each is read
-    once, into the array the network then keeps."""
+    The descriptor must be one profile's, byte for byte. That profile
+    fixes every other byte of the file but the seed and the tensor
+    values: the file's size, the tensor count and each entry's header,
+    in sorted-name order. So the size is checked before any tensor is
+    read, and each tensor is read once, into the array the network then
+    keeps."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(8) != CHECKPOINT_MAGIC:
+        head = fh.read(24)          # magic, version, seed, descriptor length
+        if head[:8] != CHECKPOINT_MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic)")
-        pos = 8
-
-        def take(count: int) -> bytes:
-            nonlocal pos
-            if pos + count > size:
-                raise CheckpointError(f"checkpoint truncated: needs byte {pos + count}, "
-                                      f"file has {size}")
-            pos += count
-            return fh.read(count)
-
-        def u32() -> int:
-            return struct.unpack("<I", take(4))[0]
-
-        version = u32()
+        if len(head) < 24:
+            raise CheckpointError(f"checkpoint truncated: needs byte 24, file has {size}")
+        version, seed, length = struct.unpack("<IQI", head[8:])
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        seed = struct.unpack("<Q", take(8))[0]
-        descriptor = take(u32())
-        config = next((c for c in _PROFILES if c.descriptor() == descriptor), None)
+        # however long `length` claims, the read stops at the file's end
+        config = _PROFILES.get(fh.read(min(length, size)))
         if config is None:
-            raise CheckpointError("bad network descriptor: neither the full nor the "
-                                  "desk profile's")
-        shapes = {_tensor_name(i, name): shape for i, step in enumerate(layer_plan(config))
-                  for name, shape in step.shapes.items()}
-        count = u32()
-        if count < len(shapes):
-            raise CheckpointError(f"{len(shapes) - count} tensors missing")
-        # each entry: name length, name, rank, dimensions, float64 data
-        needed = sum(8 + len(name) + 8 * len(shape) + 8 * math.prod(shape)
-                     for name, shape in shapes.items())
-        if needed > size - pos:
-            raise CheckpointError(f"checkpoint truncated: the descriptor's tensors need "
-                                  f"{needed} bytes, {size - pos} remain")
+            raise CheckpointError("bad network descriptor: neither the full nor the desk profile's")
+        entries = _entries(config)
+        needed = fh.tell() + 4 + sum(len(header) + 8 * math.prod(shape)
+                                     for _, header, shape in entries)
+        if size < needed:
+            raise CheckpointError(f"checkpoint truncated: {needed - size} of the profile's "
+                                  f"{needed} bytes missing")
+        if size > needed:
+            raise CheckpointError(f"{size - needed} bytes after the last tensor")
+        count = int.from_bytes(fh.read(4), "little")
+        if count != len(entries):
+            raise CheckpointError(f"{count} tensors, the profile has {len(entries)}")
         tensors = {}
-        for _ in range(count):
-            try:
-                name = take(u32()).decode()
-            except UnicodeDecodeError:
-                raise CheckpointError("tensor name is not UTF-8") from None
-            if name not in shapes:
-                raise CheckpointError(f"unknown tensor {name!r}")
-            if name in tensors:
-                raise CheckpointError(f"tensor {name!r} appears twice")
-            rank = u32()
-            shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-            if shape != shapes[name]:
-                raise CheckpointError(f"tensor {name!r} has shape {shape}, "
-                                      f"expected {shapes[name]}")
-            # entries as the plan names and shapes them fit the budget above
+        for name, header, shape in entries:
+            if fh.read(len(header)) != header:
+                raise CheckpointError(f"the header of {name!r} is not the profile's")
             tensor = np.empty(shape, dtype="<f8")
-            pos += fh.readinto(tensor)
+            if fh.readinto(tensor) != tensor.nbytes:   # the file shrank since it was sized
+                raise CheckpointError("checkpoint truncated while it was read")
             if not np.all(np.isfinite(tensor)):
                 raise CheckpointError(f"tensor {name!r} holds a non-finite value")
             if name.endswith(".running_var") and np.any(tensor < 0):
                 raise CheckpointError(f"tensor {name!r} holds a negative variance")
             tensors[name] = tensor
-        # `count` distinct planned names, no fewer than planned: none is missing
-        if pos != size:
-            raise CheckpointError(f"{size - pos} bytes after the last tensor")
     return Network(config, seed, tensors)

@@ -52,6 +52,15 @@ class Bm3dProfile:
         if self.search_radius < 0:
             raise ValueError("search_radius must be at least 0 pixels")
 
+    def stage_settings(self, stage: str) -> tuple[int, int, float]:
+        """Block side, max group size and match threshold of the "hard"
+        or "wiener" stage."""
+        if stage == "hard":
+            return self.k_hard, self.n_hard, self.tau_hard
+        if stage == "wiener":
+            return self.k_wie, self.n_wie, self.tau_wie
+        raise ValueError(f"unknown stage {stage!r}")
+
 
 # tau pairs follow the noise level: heavy noise needs looser matching
 HIGH_NOISE_SIGMA_CUTOFF = 40.0
@@ -146,12 +155,7 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
-    if stage == "hard":
-        k, n_max, tau = profile.k_hard, profile.n_hard, profile.tau_hard
-    elif stage == "wiener":
-        k, n_max, tau = profile.k_wie, profile.n_wie, profile.tau_wie
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
+    k, n_max, tau = profile.stage_settings(stage)
     h, w = img.shape
     r, c = ref
     if not (0 <= r <= h - k and 0 <= c <= w - k):
@@ -212,7 +216,7 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     aggregated in (reference, block) order, so every pixel sums its
     estimates in the same order as a one-group-at-a-time loop.
     """
-    k = profile.k_hard if stage == "hard" else profile.k_wie
+    k = profile.stage_settings(stage)[0]
     h, w = image.shape
     if h < k or w < k:
         raise ValueError("image smaller than one block")

@@ -44,6 +44,13 @@ class EnhanceConfig:
         if not 0 <= self.r1 < self.r2 <= 255:
             raise ValueError(f"need 0 <= r1 < r2 <= 255, got {self.r1}, {self.r2}")
         _check_window(self.median_window, "median window")
+        # either one at or past its bound removes no pectoral muscle from any film
+        if not self.pectoral_area_cap > 0:
+            raise ValueError(f"enhance.pectoral_area_cap must be positive, "
+                             f"got {self.pectoral_area_cap}")
+        if not self.pectoral_tolerance >= 0:
+            raise ValueError(f"enhance.pectoral_tolerance must be non-negative, "
+                             f"got {self.pectoral_tolerance}")
 
 
 def _dense_ranks(img):

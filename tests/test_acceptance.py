@@ -18,9 +18,6 @@ import pytest
 from mammocad.cli import main
 from mammocad.cnn.augment import build_augmented_set
 from mammocad.cnn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Dense,
     MaxPool2d,
     ReLU,
     cross_entropy,
@@ -41,6 +38,7 @@ from mammocad.levelset import (
 from mammocad.metrics import ConfusionCounts, compute_metrics, confusion, dice, roc_auc
 from mammocad.sfcm import SfcmConfig, sfcm_run
 
+from cnn_builders import batchnorm_layer, conv_layer, dense_layer
 from fcm_objective import objective
 
 
@@ -200,23 +198,6 @@ def _fd_gradient(scalar_fn, x, step=1e-3):
 def _max_rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
     return float((np.abs(a - b) / denom).max())
-
-
-def conv_layer(in_channels, out_channels, kernel, rng, **settings):
-    """A conv layer with He-normal weights and zero bias, drawn as a network draws them."""
-    shape = (out_channels, in_channels, kernel, kernel)
-    weight = rng.normal(0.0, np.sqrt(2.0 / (in_channels * kernel * kernel)), shape)
-    return Conv2d(weight, np.zeros(out_channels), **settings)
-
-
-def dense_layer(in_features, out_features, rng):
-    weight = rng.normal(0.0, np.sqrt(2.0 / in_features), (in_features, out_features))
-    return Dense(weight, np.zeros(out_features))
-
-
-def batchnorm_layer(channels):
-    return BatchNorm2d(np.ones(channels), np.zeros(channels), np.zeros(channels),
-                       np.ones(channels))
 
 
 def test_criterion_7_cnn_suite():

@@ -468,6 +468,22 @@ def test_denoise_profiles_that_cannot_run_are_rejected(tmp_path, capsys, assignm
 
 
 @pytest.mark.parametrize("assignment, field", [
+    ("enhance.pectoral_area_cap=0", "enhance.pectoral_area_cap"),
+    ("enhance.pectoral_area_cap=-1", "enhance.pectoral_area_cap"),
+    ("enhance.pectoral_tolerance=-5", "enhance.pectoral_tolerance"),
+])
+def test_pectoral_settings_that_remove_nothing_exit_2_before_any_film_is_read(
+        tmp_path, capsys, assignment, field):
+    # the film does not exist, so reading it would fail with another message
+    out = tmp_path / "out"
+    assert main(["segment", str(tmp_path / "x.pgm"), "-o", str(out), "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and field in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, field", [
     ("sfcm.window_radius=-1", "window_radius"),
     ("sfcm.p=-1", "p must"),
     ("sfcm.q=-0.5", "q must"),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mammocad.cnn.network import (
     CHECKPOINT_MAGIC,
@@ -160,6 +162,18 @@ def test_loading_allocates_about_the_file_size_once(tmp_path):
     assert peak <= 2.5 * path.stat().st_size
 
 
+def test_saving_copies_no_tensor(tmp_path):
+    net = Network(NetworkConfig(), seed=9)
+    tracemalloc.start()
+    try:
+        save_checkpoint(net, tmp_path / "model.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the first dense weight alone is 45 MB
+    assert peak <= 1024 * 1024
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     save_checkpoint(Network(NetworkConfig(desk=True), seed=7), a)
@@ -241,12 +255,14 @@ def test_the_loader_compares_the_descriptor_and_parses_none(tmp_path, desk_tenso
 @pytest.mark.parametrize("case, message", [
     ("empty", "missing"),
     ("missing", "missing"),
-    ("repeated", "twice"),
-    ("unknown", "unknown tensor"),
-    ("reshaped", "has shape"),
+    ("repeated", "after the last tensor"),
+    ("unknown", "after the last tensor"),
+    ("reshaped", "8 bytes after the last tensor"),
+    ("swapped", "the header of 'layer01.beta' is not the profile's"),
+    ("count", "23 tensors, the profile has 22"),
     ("trailing", "after the last tensor"),
     ("truncated", "truncated"),
-    ("seed_cut", "needs byte 20, file has 15"),
+    ("seed_cut", "needs byte 24, file has 15"),
     ("negative_var", "'layer01.running_var' holds a negative variance"),
     ("nan_weight", "'layer00.weight' holds a non-finite value"),
     ("inf_mean", "'layer05.running_mean' holds a non-finite value"),
@@ -266,6 +282,12 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
             tensors.append((tensor_name, tensor))
         return _checkpoint(tensors)
 
+    def with_count(count):
+        data = bytearray(_checkpoint(desk_tensors))
+        # the count follows the magic, version, seed, descriptor length and descriptor
+        struct.pack_into("<I", data, 24 + len(NetworkConfig(desk=True).descriptor()), count)
+        return bytes(data)
+
     def patched_layer(index, **keys):
         fields = json.loads(NetworkConfig(desk=True).descriptor())
         fields["layers"][index].update(keys)
@@ -277,6 +299,9 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
         "repeated": lambda: _checkpoint(desk_tensors + [(name, arr)]),
         "unknown": lambda: _checkpoint(desk_tensors + [("layer99.weight", arr)]),
         "reshaped": lambda: _checkpoint([(name, arr.reshape(1, -1))] + desk_tensors[1:]),
+        "swapped": lambda: _checkpoint(desk_tensors[:2] + desk_tensors[3:1:-1]
+                                       + desk_tensors[4:]),
+        "count": lambda: with_count(23),
         "trailing": lambda: _checkpoint(desk_tensors) + b"\0",
         "truncated": lambda: _checkpoint(desk_tensors)[:-3],
         "seed_cut": lambda: _checkpoint(desk_tensors)[:15],
@@ -290,6 +315,19 @@ def test_checkpoint_loader_rejects(tmp_path, desk_tensors, case, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
     with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_a_file_that_shrinks_while_read_is_refused(tmp_path, desk_tensors, monkeypatch):
+    from types import SimpleNamespace
+
+    from mammocad.cnn import network
+
+    full = _checkpoint(desk_tensors)
+    path = tmp_path / "model.bin"
+    path.write_bytes(full[:-8])     # sized at full length, then cut by a writer
+    monkeypatch.setattr(network.os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
+    with pytest.raises(CheckpointError, match="truncated while it was read"):
         load_checkpoint(path)
 
 
@@ -309,3 +347,46 @@ def test_an_oversized_descriptor_is_rejected_before_any_tensor_is_read(tmp_path,
     finally:
         tracemalloc.stop()
     assert peak <= path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def layout_offsets(desk_tensors):
+    """Offsets of every byte of the desk checkpoint but the seed's and the
+    tensor values': the bytes two files agree on when one has every
+    seed and value bit clear and the other every one set."""
+    clear = _checkpoint([(name, np.zeros(arr.shape)) for name, arr in desk_tensors], seed=0)
+    filled = _checkpoint([(name, np.full(arr.shape, -1, dtype=np.int64).view("<f8"))
+                          for name, arr in desk_tensors], seed=2 ** 64 - 1)
+    offsets = np.flatnonzero(np.frombuffer(clear, np.uint8) == np.frombuffer(filled, np.uint8))
+    values = sum(arr.size for _, arr in desk_tensors)
+    assert len(offsets) == len(clear) - 8 - 8 * values
+    return offsets.tolist()
+
+
+def test_every_changed_layout_byte_is_refused(tmp_path, desk_tensors, layout_offsets):
+    checkpoint = _checkpoint(desk_tensors)
+    path = tmp_path / "patched.bin"
+    loaded = []
+    for offset in layout_offsets:
+        patched = bytearray(checkpoint)
+        patched[offset] ^= 1 + offset % 255     # each bit of the byte is flipped somewhere
+        path.write_bytes(patched)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            continue
+        loaded.append(offset)
+    assert loaded == []
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(data=st.data())
+def test_a_file_with_two_entries_swapped_is_refused(tmp_path, desk_tensors, data):
+    tensors = list(desk_tensors)
+    i, j = data.draw(st.lists(st.integers(0, len(tensors) - 1), min_size=2, max_size=2,
+                              unique=True))
+    tensors[i], tensors[j] = tensors[j], tensors[i]
+    path = tmp_path / "swapped.bin"
+    path.write_bytes(_checkpoint(tensors))
+    with pytest.raises(CheckpointError, match="is not the profile's"):
+        load_checkpoint(path)

@@ -14,12 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from mammocad.cnn.layers import Conv2d, MaxPool2d
 from mammocad.cnn.network import Network, NetworkConfig
 
-
-def conv_layer(in_channels, out_channels, kernel, rng, **settings):
-    """A conv layer with He-normal weights and zero bias, drawn as a network draws them."""
-    shape = (out_channels, in_channels, kernel, kernel)
-    weight = rng.normal(0.0, np.sqrt(2.0 / (in_channels * kernel * kernel)), shape)
-    return Conv2d(weight, np.zeros(out_channels), **settings)
+from cnn_builders import conv_layer
 
 
 def oracle_conv(weight, bias, stride, padding, x, grad):

@@ -104,6 +104,15 @@ def test_block_match_rejects_out_of_bounds():
         block_match(img, (12, 0), Bm3dProfile(), stage="hard")
 
 
+def test_each_stage_name_has_its_own_settings_and_no_other_name_has_any():
+    prof = Bm3dProfile(k_hard=4, k_wie=8, n_hard=2, n_wie=4, tau_hard=1.0, tau_wie=2.0)
+    assert prof.stage_settings("hard") == (4, 2, 1.0)
+    assert prof.stage_settings("wiener") == (8, 4, 2.0)
+    img = np.random.default_rng(5).random((16, 16))
+    with pytest.raises(ValueError, match="unknown stage 'soft'"):
+        block_match(img, (0, 0), prof, stage="soft")
+
+
 def test_block_match_finds_identical_patch():
     rng = np.random.default_rng(3)
     img = rng.random((48, 48))  # random texture: nothing matches anything

@@ -219,6 +219,22 @@ def test_remove_pectoral_respects_area_cap():
         assert removed.sum() < 0.3 * breast
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pectoral_area_cap", 0.0, "enhance.pectoral_area_cap must be positive, got 0.0"),
+    ("pectoral_area_cap", -1.0, "enhance.pectoral_area_cap must be positive"),
+    ("pectoral_area_cap", float("nan"), "enhance.pectoral_area_cap must be positive"),
+    ("pectoral_tolerance", -5.0, "enhance.pectoral_tolerance must be non-negative, got -5.0"),
+    ("pectoral_tolerance", float("nan"), "enhance.pectoral_tolerance must be non-negative"),
+])
+def test_pectoral_settings_that_remove_nothing_are_refused(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EnhanceConfig(**{field: value})
+
+
+def test_pectoral_settings_at_their_bounds_are_accepted():
+    assert EnhanceConfig(pectoral_area_cap=1e-9, pectoral_tolerance=0.0).pectoral_tolerance == 0.0
+
+
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_median_refuses_an_empty_film(shape):
     # numpy's pad used to say "can't extend empty axis" for 0x5, and a
