@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="input PGM file")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--info", help="annotation file; reports Dice against the lesion circle")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-iteration evolution diagnostics")
     p.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
     _add_config_flags(p)
     p.set_defaults(func=cmd_segment)
@@ -157,19 +155,16 @@ def cmd_classify(args) -> int:
 def cmd_segment(args) -> int:
     config = load_pipeline_config(args)
     image = read_pgm_file(args.image)
+    truth = None
     if args.info:
         stem = Path(args.image).stem
         records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
         if not records:
             raise ValueError(f"no annotation for image id {stem!r}")
+        # refuses a lesion circle off the film before anything is written
+        truth = combined_ground_truth(records, image.shape)
 
-    log = None
-    if args.verbose:
-        def log(step, area, mean_dphi):
-            print(json.dumps({"iter": step, "area": area,
-                              "mean_dphi": mean_dphi}, sort_keys=True))
-
-    result = segment_image(image, config, on_iteration=log)
+    result = segment_image(image, config)
     span = np.ptp(result.phi)
     phi_view = (result.phi - result.phi.min()) / span if span > 0 else np.zeros_like(result.phi)
     _write_outputs(Path(args.output), config, {
@@ -184,8 +179,8 @@ def cmd_segment(args) -> int:
         "sfcm_iterations": result.sfcm_iterations,
         "levelset_iterations": result.levelset_iterations,
     }
-    if args.info:
-        summary["dice"] = dice(result.mask, combined_ground_truth(records, image.shape))
+    if truth is not None:
+        summary["dice"] = dice(result.mask, truth)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -207,7 +202,9 @@ def cmd_evaluate(args) -> int:
         report = dataclasses.replace(report, auc=roc_auc((p, truth) for p, _, truth in scored))
     text = report.to_json()
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        report_path = Path(args.output)
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        report_path.write_text(text + "\n")
     print(text)
     return 0
 

@@ -101,7 +101,12 @@ def ground_truth_mask(record: MiasRecord, dims: tuple[int, int]) -> np.ndarray:
     x, y = record.center
     row = h - y
     rr, cc = np.mgrid[0:h, 0:w]
-    return (rr - row) ** 2 + (cc - x) ** 2 <= record.radius ** 2
+    mask = (rr - row) ** 2 + (cc - x) ** 2 <= record.radius ** 2
+    if not mask.any():
+        raise ValueError(f"lesion circle of record {record.id!r} at (x, y) = {record.center}, "
+                         f"radius {record.radius}, covers no pixel of the film of {h} rows "
+                         f"and {w} columns")
+    return mask
 
 
 def combined_ground_truth(records, dims: tuple[int, int]) -> np.ndarray:

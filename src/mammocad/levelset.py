@@ -219,8 +219,7 @@ def _moving_box(phi, box, epsilon: float):
     return r0 + rows[0], r0 + rows[-1] + 1, c0 + cols[0], c0 + cols[-1] + 1
 
 
-def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
-           on_iteration=None) -> tuple[np.ndarray, int]:
+def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig()) -> tuple[np.ndarray, int]:
     """Run the full evolution from a membership map.
 
     Initializes the field from the binarized membership, iterates up to
@@ -248,8 +247,6 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
     calm_streak = 0
     steps = 0
     for steps in range(1, config.iterations + 1):
-        if on_iteration is not None:
-            before = phi.copy()
         changed = 0
         if box is not None:
             r0, r1, c0, c1 = inner = _widen(box, 2, phi.shape)
@@ -267,9 +264,6 @@ def evolve(r_k, image, config: LevelSetConfig = LevelSetConfig(),
             changed = int(np.count_nonzero((new > 0.0) != (old > 0.0)))
             old[...] = new
             box = _moving_box(phi, inner, config.epsilon)
-        if on_iteration is not None:
-            on_iteration(steps, int(np.count_nonzero(phi > 0.0)),
-                         float(np.abs(phi - before).mean()))
         if changed < config.early_stop_frac * n_pixels:
             calm_streak += 1
             if calm_streak >= config.early_stop_patience:

@@ -41,11 +41,11 @@ def preprocess_image(image, config: PipelineConfig) -> PreprocessResult:
                             final=final, pectoral=pectoral)
 
 
-def segment_image(image, config: PipelineConfig, on_iteration=None) -> SegmentationResult:
+def segment_image(image, config: PipelineConfig) -> SegmentationResult:
     pre = preprocess_image(image, config)
     memberships, centers, sfcm_iters = sfcm_run(pre.final, config.sfcm)
     r_k = tumor_membership_map(memberships, centers, pre.final.shape)
-    phi, ls_iters = evolve(r_k, pre.final, config.levelset, on_iteration=on_iteration)
+    phi, ls_iters = evolve(r_k, pre.final, config.levelset)
     return SegmentationResult(
         preprocess=pre, membership=r_k, phi=phi, mask=extract_mask(phi),
         sfcm_iterations=sfcm_iters, levelset_iterations=ls_iters)

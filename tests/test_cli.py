@@ -133,16 +133,35 @@ def test_segment_gt_without_an_annotation_fails_before_writing(phantom_pgm, tmp_
     assert not out.exists()
 
 
-def test_segment_verbose_diagnostics(phantom_pgm, tmp_path, capsys):
-    out = tmp_path / "seg_v"
-    code = main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
-                 "--verbose", "--set", "levelset.iterations=5",
-                 "--set", "levelset.early_stop_frac=0"])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    diag = [json.loads(l) for l in lines[:-1]]
-    assert [d["iter"] for d in diag] == [1, 2, 3, 4, 5]
-    assert all("area" in d and "mean_dphi" in d for d in diag)
+def test_segment_refuses_a_lesion_circle_off_the_film_before_writing(phantom_pgm, tmp_path,
+                                                                      capsys):
+    info = tmp_path / "info.txt"
+    info.write_text("mdb901 G CIRC B 5000 5000 8\n")
+    out = tmp_path / "seg_off_film"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--info", str(info)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    for part in ("'mdb901'", "(5000, 5000)", "96 rows and 96 columns"):
+        assert part in captured.err
+    assert not out.exists()
+
+
+def test_segment_summary_reports_the_runs_step_counts(phantom_pgm, tmp_path, capsys):
+    from mammocad.config import PipelineConfig, apply_assignments, parse_assignments
+    from mammocad.core import read_pgm_file
+    from mammocad.pipeline import segment_image
+
+    out = tmp_path / "seg_counts"
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    config = apply_assignments(PipelineConfig(),
+                               parse_assignments((out / "config.echo").read_text()))
+    result = segment_image(read_pgm_file(phantom_pgm), config)
+    assert summary["sfcm_iterations"] == result.sfcm_iterations
+    assert summary["levelset_iterations"] == result.levelset_iterations
+    # the level set stops early, so the count is the run's, not the budget
+    assert 1 <= result.levelset_iterations < config.levelset.iterations
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
@@ -207,6 +226,19 @@ def test_evaluate_reports_a_null_auc_when_the_held_out_films_are_one_class(tmp_p
     report = json.loads(capsys.readouterr().out)
     assert report["auc"] is None and report["sensitivity"] is None
     assert report["accuracy"] is not None
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
+def test_evaluate_writes_its_report_into_a_new_directory(tmp_path, capsys):
+    from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
+
+    data, info = tiny_training_dir(tmp_path)
+    model = tmp_path / "model.bin"
+    save_checkpoint(Network(NetworkConfig(desk=True)), model)
+    report = tmp_path / "nodir" / "deeper" / "report.json"
+    assert main(["evaluate", "--model", str(model), "--data", str(data),
+                 "--info", str(info), "-o", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
@@ -576,6 +608,7 @@ def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source
 
 @pytest.mark.parametrize("command, flag", [
     ("segment", "--gt"),
+    ("segment", "--verbose"),
     ("preprocess", "--seed=3"),
     ("segment", "--seed=3"),
     ("train", "--sigma=5"),

@@ -105,6 +105,26 @@ def test_ground_truth_clipped_at_borders():
     assert mask.shape == (100, 100)
 
 
+@pytest.mark.parametrize("line, covers", [
+    ("mdb002 G CIRC B 5000 5000 8", False),
+    ("mdb002 G CIRC B -3 50 2", False),     # 1 px short of column 0
+    ("mdb002 G CIRC B -3 50 3", True),      # reaches column 0 in row 50
+    ("mdb002 G CIRC B 50 103 3", True),     # reaches row 0 from above the film
+    ("mdb002 G CIRC B 50 104 3", False),
+])
+def test_ground_truth_refuses_a_circle_off_the_film(line, covers):
+    rec = parse_info(line)[0]
+    if covers:
+        assert ground_truth_mask(rec, (100, 100)).sum() == 1
+        return
+    with pytest.raises(ValueError, match="covers no pixel") as raised:
+        ground_truth_mask(rec, (100, 100))
+    for part in ("'mdb002'", str(rec.center), "100 rows and 100 columns"):
+        assert part in str(raised.value)
+    with pytest.raises(ValueError, match="mdb002"):
+        combined_ground_truth([rec], (100, 100))
+
+
 def test_ground_truth_requires_geometry():
     rec = parse_info("mdb003 D NORM")[0]
     with pytest.raises(ValueError):
@@ -140,12 +160,15 @@ def test_load_dataset_missing_file_names_id(tmp_path):
 
 def test_combined_ground_truth_unions_lesions(tmp_path):
     info = write_dataset(tmp_path, INFO_SAMPLE)
+    # a film of the archive's size, on which both of mdb005's circles lie
+    (tmp_path / "mdb005.pgm").write_bytes(write_pgm(np.zeros((1024, 1024))))
     with pytest.warns(UserWarning):
         items = load_dataset(tmp_path, info)
     multi = next(item for item in items if item.id == "mdb005")
     union = combined_ground_truth(multi.records, multi.image.shape)
     parts = [ground_truth_mask(r, multi.image.shape) for r in multi.records]
     np.testing.assert_array_equal(union, parts[0] | parts[1])
+    assert parts[0].any() and parts[1].any()
 
 
 def test_combined_ground_truth_empty_for_normals():

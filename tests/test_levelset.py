@@ -279,15 +279,6 @@ def test_evolve_deterministic():
     np.testing.assert_array_equal(phi1, phi2)
 
 
-def test_evolve_emits_diagnostics():
-    img, _ = noisy_disk(32, 32, radius=8)
-    rows = []
-    evolve(img, img, LevelSetConfig(iterations=5, early_stop_frac=0.0),
-           on_iteration=lambda i, area, dphi: rows.append((i, area, dphi)))
-    assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
-    assert all(r[1] >= 0 and r[2] >= 0 for r in rows)
-
-
 @pytest.mark.parametrize("shape", [(1, 50), (40, 1), (1, 1), (50, 40)])
 def test_evolve_refuses_a_membership_map_of_another_shape(shape):
     # a broadcastable map used to evolve silently on the image's grid

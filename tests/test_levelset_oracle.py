@@ -4,10 +4,13 @@
 stepped only the band where phi can move: every step runs `evolve_step`
 on the whole field, with the whole film's edge map. The banded loop
 calls the same kernel on boxes of the field, with the edge map taken
-from crops of the film around them, so the final field, the step count
-and every `on_iteration` row must match these byte for byte.
+from crops of the film around them, so its field after each step must
+match the oracle's byte for byte. `evolve` hands out only its final
+field, so its field after step k is the one a run with a budget of
+`iterations=k` returns.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -20,47 +23,46 @@ from mammocad.core import as_gray
 from mammocad.levelset import DivergenceError, LevelSetConfig
 
 
-def oracle_evolve(r_k, image, config, on_iteration=None):
+def oracle_evolve(r_k, image, config):
+    """The field after each step, in order; the last is the final field
+    and their number is the step count."""
     img = as_gray(image)
     g = levelset.edge_indicator(img, config.smoothing_sigma)
     phi = levelset.init_phi(levelset.binarize_membership(r_k, config.b0), config.epsilon)
     n_pixels = phi.size
-    mask = phi > 0.0
     calm_streak = 0
-    steps = 0
-    for steps in range(1, config.iterations + 1):
+    fields = []
+    for _ in range(config.iterations):
         new_phi = levelset.evolve_step(phi, g, config)
-        new_mask = new_phi > 0.0
-        changed = int(np.count_nonzero(new_mask != mask))
-        if on_iteration is not None:
-            on_iteration(steps, int(new_mask.sum()), float(np.abs(new_phi - phi).mean()))
-        phi, mask = new_phi, new_mask
+        changed = int(np.count_nonzero((new_phi > 0.0) != (phi > 0.0)))
+        fields.append(new_phi)
+        phi = new_phi
         if changed < config.early_stop_frac * n_pixels:
             calm_streak += 1
             if calm_streak >= config.early_stop_patience:
                 break
         else:
             calm_streak = 0
-    return phi, steps
+    return fields
 
 
-def _run(evolve, r_k, image, config):
-    rows = []
-    phi, steps = evolve(r_k, image, config,
-                        on_iteration=lambda *row: rows.append(row))
-    return phi, steps, rows
+def _assert_step(r_k, image, config, fields, k):
+    """A run with a budget of k steps takes k steps and ends on the
+    oracle's k-th field; at k = len(fields) the run has `config`'s own
+    budget, so its step count is also the oracle's."""
+    budget = config if k == len(fields) else dataclasses.replace(config, iterations=k)
+    phi, steps = levelset.evolve(r_k, image, budget)
+    want = fields[k - 1]
+    assert steps == k
+    assert phi.dtype == want.dtype and phi.shape == want.shape
+    assert phi.tobytes() == want.tobytes()
 
 
-def _assert_same(r_k, image, config):
-    phi, steps, rows = _run(levelset.evolve, r_k, image, config)
-    want_phi, want_steps, want_rows = _run(oracle_evolve, r_k, image, config)
-    assert steps == want_steps
-    assert rows == want_rows
-    assert phi.dtype == want_phi.dtype and phi.shape == want_phi.shape
-    assert phi.tobytes() == want_phi.tobytes()
-    # without a callback the loop takes no whole-field difference
-    quiet, quiet_steps = levelset.evolve(r_k, image, config)
-    assert quiet_steps == steps and quiet.tobytes() == phi.tobytes()
+def _assert_every_step(r_k, image, config):
+    fields = oracle_evolve(r_k, image, config)
+    for k in range(1, len(fields) + 1):
+        _assert_step(r_k, image, config, fields, k)
+    return fields
 
 
 def _mask(rng, shape, kind):
@@ -108,19 +110,27 @@ def cases(draw):
     # image gives; the arbitrary map is pixelwise, so a crop of the image
     # gives that crop of the map, as the real one does
     scale = draw(st.sampled_from([0.5, 1.0, 2.0])) if draw(st.booleans()) else None
-    return r_k, image, config, scale
+    # one step besides the last, clamped to the steps the run takes
+    step = draw(st.integers(1, config.iterations))
+    return r_k, image, config, scale, step
+
+
+def _assert_last_and_one_step(r_k, image, config, step):
+    fields = oracle_evolve(r_k, image, config)
+    _assert_step(r_k, image, config, fields, len(fields))
+    _assert_step(r_k, image, config, fields, min(step, len(fields)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_banded_evolve_matches_the_whole_field_oracle(case):
-    r_k, image, config, scale = case
+    r_k, image, config, scale, step = case
     if scale is None:
-        _assert_same(r_k, image, config)
+        _assert_last_and_one_step(r_k, image, config, step)
     else:
         with mock.patch.object(levelset, "edge_indicator",
                                lambda img, sigma: as_gray(img) * scale):
-            _assert_same(r_k, image, config)
+            _assert_last_and_one_step(r_k, image, config, step)
 
 
 @pytest.mark.parametrize("size", [64, 200])
@@ -131,8 +141,14 @@ def test_banded_evolve_matches_the_oracle_on_a_noisy_disc(size):
     image = np.clip(np.where(truth, 0.8, 0.2) + rng.normal(0, 0.05, truth.shape), 0, 1)
     r_k = np.where(truth, 0.9, 0.1)
     r_k[: size // 8, : size // 8] = 0.9      # a second seed in a corner
-    for early in (0.0, LevelSetConfig().early_stop_frac):
-        _assert_same(r_k, image, LevelSetConfig(iterations=60, early_stop_frac=early))
+    every = _assert_every_step(r_k, image, LevelSetConfig(iterations=60, early_stop_frac=0.0))
+    # early stopping decides only where a run ends, not what a step does:
+    # the oracle's fields with it are a prefix of those without, so the
+    # last field and the step count are left to compare
+    config = LevelSetConfig(iterations=60)
+    fields = oracle_evolve(r_k, image, config)
+    assert [f.tobytes() for f in fields] == [f.tobytes() for f in every[:len(fields)]]
+    _assert_step(r_k, image, config, fields, len(fields))
 
 
 def test_divergence_is_raised_at_the_oracle_step():
@@ -142,14 +158,11 @@ def test_divergence_is_raised_at_the_oracle_step():
     r_k = np.zeros((24, 30))
     r_k[10:14, 12:17] = 1.0
     config = LevelSetConfig(nu=1.5e308, iterations=20, early_stop_frac=0.0)
-    raised = []
-    for evolve in (levelset.evolve, oracle_evolve):
-        rows = []
-        with pytest.raises(DivergenceError):
-            evolve(r_k, image, config, on_iteration=lambda *row: rows.append(row))
-        raised.append(rows)
-    assert raised[0] == raised[1]
-    assert [row[0] for row in raised[0]] == [1]
+    for budget in (2, 20):
+        for evolve in (levelset.evolve, oracle_evolve):
+            with pytest.raises(DivergenceError):
+                evolve(r_k, image, dataclasses.replace(config, iterations=budget))
+    _assert_every_step(r_k, image, dataclasses.replace(config, iterations=1))
 
 
 def test_a_flat_level_past_the_float_range_diverges_as_in_the_oracle():
@@ -157,12 +170,10 @@ def test_a_flat_level_past_the_float_range_diverges_as_in_the_oracle():
     # values is not, so even an empty seed's flat field diverges at once
     image = np.full((12, 16), 0.5)
     config = LevelSetConfig(epsilon=5e307, early_stop_frac=0.0)
-    for evolve in (levelset.evolve, oracle_evolve):
-        rows = []
-        with pytest.raises(DivergenceError):
-            evolve(np.zeros((12, 16)), image, config,
-                   on_iteration=lambda *row: rows.append(row))
-        assert rows == []
+    for budget in (1, config.iterations):
+        for evolve in (levelset.evolve, oracle_evolve):
+            with pytest.raises(DivergenceError):
+                evolve(np.zeros((12, 16)), image, dataclasses.replace(config, iterations=budget))
 
 
 @pytest.mark.parametrize("eps", [0.7, 1.5])
@@ -236,7 +247,7 @@ def test_a_growing_band_matches_the_oracle_past_the_edge_map_slack():
     assert steps == 70 and len(calls) >= 3
     assert calls[0][0] < size and calls[-1] == (size, size)
     assert np.count_nonzero(phi > 0) > 30 * 30
-    _assert_same(r_k, image, config)
+    _assert_every_step(r_k, image, config)
 
 
 def test_evolve_takes_the_edge_map_only_when_some_pixel_moves():
