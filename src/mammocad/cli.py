@@ -161,6 +161,8 @@ def cmd_segment(args) -> int:
         records = [r for r in parse_info(Path(args.info).read_text()) if r.id == stem]
         if not records:
             raise ValueError(f"no annotation for image id {stem!r}")
+        if all(r.center is None for r in records):
+            raise ValueError(f"image id {stem!r} has no lesion circle to score the mask against")
         # refuses a lesion circle off the film before anything is written
         truth = combined_ground_truth(records, image.shape)
 

@@ -3,17 +3,21 @@
 Similar blocks are stacked into 3-D groups, transformed with a 2-D DCT
 per slice and a 1-D Walsh-Hadamard transform across the stack, shrunk
 in the transform domain, and aggregated back with per-group weights.
-A candidate block joins a group when its per-pixel mean squared
-difference from the reference, on [0, 1] intensities, is at most
-tau / (k^2 * 255^2). That divides by the block area twice, so tau
-does not act on the 8-bit squared-distance scale its values come
-from (ROADMAP item 2a).
+Both stages use one fixed matching geometry, Lebrun's (IPOL 2012):
+8 x 8 blocks, reference blocks every 4 pixels, candidates whose
+top-left corner lies within 16 pixels, groups of at most 16 blocks.
+Only the thresholds are settable. A candidate block joins a group when
+its per-pixel mean squared difference from the reference, on [0, 1]
+intensities, is at most tau / (8^2 * 255^2). That divides by the block
+area twice, so tau does not act on the 8-bit squared-distance scale
+its values come from (ROADMAP item 2a).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,43 +26,30 @@ from scipy.linalg import hadamard
 
 from .core import as_gray
 
+BLOCK = 8                           # block side
+STEP = 4                            # reference-block stride
+SEARCH_RADIUS = 16                  # candidate corners within this many pixels
+GROUP_MAX = 16                      # max group size, a power of two
+
 
 @dataclass(frozen=True)
 class Bm3dProfile:
-    k_hard: int = 8                 # block side, hard-threshold stage
-    k_wie: int = 8                  # block side, Wiener stage
-    n_hard: int = 16                # max group size (power of two)
-    n_wie: int = 16
     lambda_3d: float = 2.7          # hard-threshold coefficient
     tau_hard: float = 400.0         # match thresholds, 8-bit squared scale
     tau_wie: float = 2500.0
-    search_radius: int = 16
-    step: int = 4                   # reference-block stride
 
     def __post_init__(self):
-        if self.k_hard < 4 or self.k_wie < 4:
-            raise ValueError("block side must be at least 4 pixels")
-        for n in (self.n_hard, self.n_wie):
-            if n < 1 or n & (n - 1):
-                raise ValueError("max group size must be a power of two")
-        if self.lambda_3d <= 0 or self.tau_hard <= 0 or self.tau_wie <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.step < 1:
-            raise ValueError("stride must be at least 1 pixel")
-        if self.step > min(self.k_hard, self.k_wie):
-            raise ValueError(
-                f"step must be at most the block side min(k_hard, k_wie) = "
-                f"{min(self.k_hard, self.k_wie)}, or some pixels get no estimate")
-        if self.search_radius < 0:
-            raise ValueError("search_radius must be at least 0 pixels")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{field.name} must be positive and finite, got {value}")
 
-    def stage_settings(self, stage: str) -> tuple[int, int, float]:
-        """Block side, max group size and match threshold of the "hard"
-        or "wiener" stage."""
+    def stage_tau(self, stage: str) -> float:
+        """Match threshold of the "hard" or "wiener" stage."""
         if stage == "hard":
-            return self.k_hard, self.n_hard, self.tau_hard
+            return self.tau_hard
         if stage == "wiener":
-            return self.k_wie, self.n_wie, self.tau_wie
+            return self.tau_wie
         raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -80,11 +71,11 @@ class BlockGroup:
     coordinates: np.ndarray         # (G, 2) top-left (row, col)
 
 
-def _reference_grid(extent: int, k: int, step: int) -> list[int]:
+def _reference_grid(extent: int) -> list[int]:
     """Stride-spaced anchors plus the far border so every pixel is covered."""
-    anchors = list(range(0, extent - k + 1, step))
-    if anchors[-1] != extent - k:
-        anchors.append(extent - k)
+    anchors = list(range(0, extent - BLOCK + 1, STEP))
+    if anchors[-1] != extent - BLOCK:
+        anchors.append(extent - BLOCK)
     return anchors
 
 
@@ -99,69 +90,59 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """Sum along the first axis in numpy's pairwise order for a contiguous run.
 
-    Below 8 terms: in sequence. From 8 to 128: eight running partial
-    sums, added as ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in
-    sequence. Above 128: the two halves, split at a multiple of 8.
+    The run is a block row's 8 terms or a block's 64, so numpy keeps
+    eight running partial sums and adds them as
+    ((0+1)+(2+3))+((4+5)+(6+7)); a multiple of 8 terms leaves no remainder.
     """
-    n = len(terms)
-    if n < 8:
-        return _sequential_sum(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    tail = n - n % 8
-    part = terms[:8] if tail == 8 else terms[:8] + terms[8:16]
-    for i in range(16, tail, 8):
+    part = terms[:8] if len(terms) == 8 else terms[:8] + terms[8:16]
+    for i in range(16, len(terms), 8):
         part += terms[i:i + 8]
-    total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-    for term in terms[tail:]:
-        total += term
-    return total
+    return ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
 
 
 def _window_distances(region: np.ndarray, ref_block: np.ndarray) -> np.ndarray:
-    """Per-pixel mean squared difference of every k x k window of `region` from `ref_block`.
+    """Per-pixel mean squared difference of every 8 x 8 window of `region` from `ref_block`.
 
-    The squared differences are formed as k x k planes over the whole
+    The squared differences are formed as 8 x 8 planes over the whole
     (nr, nc) candidate grid, then summed in the order numpy reduces a
-    (nr, nc, k, k) window stack over its last two axes: each block row's
-    k columns pairwise, then the k rows in sequence. On a one-column
-    grid numpy reduces each window's k^2 terms as one run, so they are
+    (nr, nc, 8, 8) window stack over its last two axes: each block row's
+    8 columns pairwise, then the 8 rows in sequence. On a one-column
+    grid numpy reduces each window's 64 terms as one run, so they are
     summed pairwise in (row, column) order.
     """
-    k = len(ref_block)
-    nr, nc = region.shape[0] - k + 1, region.shape[1] - k + 1
+    area = BLOCK * BLOCK
+    nr, nc = region.shape[0] - BLOCK + 1, region.shape[1] - BLOCK + 1
     squares = np.subtract(sliding_window_view(region, (nr, nc)), ref_block[:, :, None, None], order="C")
     squares *= squares
     if nc == 1:
-        return _pairwise_sum(squares.reshape(k * k, nr, nc)) / (k * k)
-    return _sequential_sum(_pairwise_sum(squares.swapaxes(0, 1))) / (k * k)
+        return _pairwise_sum(squares.reshape(area, nr, nc)) / area
+    return _sequential_sum(_pairwise_sum(squares.swapaxes(0, 1))) / area
 
 
 def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
                 stage: str) -> BlockGroup:
     """Group the blocks nearest to the reference block.
 
-    Candidates are all blocks whose top-left corner lies within the
-    search radius; a candidate matches when its per-pixel mean squared
-    difference is at most tau / (k^2 * 255^2), which divides by the
-    block area twice (ROADMAP item 2a). The group is sorted by
-    ascending distance, ties in row-major order, with the reference
-    first, truncated to the stage's maximum size, and padded with
-    copies of the reference up to a power of two. Only the search
-    window is checked for non-finite intensities; the stages check the
-    whole film.
+    Candidates are all 8 x 8 blocks whose top-left corner lies within
+    16 pixels of the reference's in both directions; a candidate
+    matches when its per-pixel mean squared difference is at most
+    tau / (8^2 * 255^2), which divides by the block area twice
+    (ROADMAP item 2a). The group is sorted by ascending distance, ties
+    in row-major order, with the reference first, truncated to 16
+    blocks, and padded with copies of the reference up to a power of
+    two. Only the search window is checked for non-finite intensities;
+    the stages check the whole film.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
-    k, n_max, tau = profile.stage_settings(stage)
+    tau = profile.stage_tau(stage)
     h, w = img.shape
     r, c = ref
+    k, rad = BLOCK, SEARCH_RADIUS
     if not (0 <= r <= h - k and 0 <= c <= w - k):
         raise ValueError(f"reference block {ref} not fully inside the image")
 
-    rad = profile.search_radius
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
     c0, c1 = max(0, c - rad), min(w - k, c + rad)
     nc = c1 - c0 + 1
@@ -170,10 +151,10 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
 
     dists[(r - r0) * nc + c - c0] = -1.0    # the reference leads; ties keep row-major order
     found = np.flatnonzero(dists <= threshold)
-    if len(found) > n_max:
-        # a stable sort's first n_max entries are all within its n_max-th value
-        found = found[dists[found] <= np.partition(dists[found], n_max - 1)[n_max - 1]]
-    order = found[np.argsort(dists[found], kind="stable")[:n_max]]
+    if len(found) > GROUP_MAX:
+        # a stable sort's first GROUP_MAX entries are all within its GROUP_MAX-th value
+        found = found[dists[found] <= np.partition(dists[found], GROUP_MAX - 1)[GROUP_MAX - 1]]
+    order = found[np.argsort(dists[found], kind="stable")[:GROUP_MAX]]
     pad = (1 << (len(order) - 1).bit_length()) - len(order)
     order = np.concatenate([order, np.repeat(order[:1], pad)])
     return BlockGroup(coordinates=np.stack([order // nc + r0, order % nc + c0], axis=1))
@@ -210,13 +191,13 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
 
     Groups are matched on `match_on`; both stacks are cut at the group
     coordinates by one gather from each input. One row of reference blocks is filtered at a time:
-    its groups are stacked by size into (B, G, k, k) arrays, and
+    its groups are stacked by size into (B, G, 8, 8) arrays, and
     `shrink(matched_stacks, image_stacks)` returns the shrunk 3-D
     coefficients and one aggregation weight per group. Blocks are
     aggregated in (reference, block) order, so every pixel sums its
     estimates in the same order as a one-group-at-a-time loop.
     """
-    k = profile.stage_settings(stage)[0]
+    k = BLOCK
     h, w = image.shape
     if h < k or w < k:
         raise ValueError("image smaller than one block")
@@ -225,8 +206,8 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     matched_windows = sliding_window_view(match_on, (k, k))
     image_windows = sliding_window_view(image, (k, k))
     block_offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
-    anchor_cols = _reference_grid(w, k, profile.step)
-    for r in _reference_grid(h, k, profile.step):
+    anchor_cols = _reference_grid(w)
+    for r in _reference_grid(h):
         groups = [block_match(match_on, (r, c), profile, stage) for c in anchor_cols]
         sizes = np.array([len(group.coordinates) for group in groups])
         starts = np.cumsum(sizes) - sizes
@@ -248,10 +229,14 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     return np.clip(acc / weights, 0.0, 1.0).reshape(h, w)
 
 
+def _check_sigma(sigma: float):
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
+
+
 def hard_stage(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
     """Hard-threshold pass; sigma is the noise std on the 8-bit scale."""
-    if sigma <= 0:
-        raise ValueError("noise sigma must be positive")
+    _check_sigma(sigma)
     img = as_gray(noisy)
     threshold = profile.lambda_3d * sigma / 255.0
 
@@ -270,8 +255,7 @@ def wiener_stage(noisy, basic, sigma: float, profile: Bm3dProfile) -> np.ndarray
     base = as_gray(basic)
     if img.shape != base.shape:
         raise ValueError("basic estimate dimensions do not match the noisy image")
-    if sigma <= 0:
-        raise ValueError("noise sigma must be positive")
+    _check_sigma(sigma)
     noise_var = (sigma / 255.0) ** 2
 
     def shrink(basic_stacks, noisy_stacks):

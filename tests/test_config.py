@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from mammocad.cnn.network import NetworkConfig
 from mammocad.config import PipelineConfig, apply_assignments, format_config, parse_assignments
 from mammocad.denoise import Bm3dProfile, default_profile
+from mammocad.enhance import EnhanceConfig
 
 
 def parse_config(text):
@@ -64,12 +65,11 @@ def test_explicit_denoise_settings_win():
 
 
 def test_fields_checked_together_may_be_assigned_in_any_order():
-    # step is bounded by the block sides; assigning it first must not fail
-    cfg = apply_assignments(PipelineConfig(), [
-        ("denoise.step", "10"), ("denoise.k_hard", "12"), ("denoise.k_wie", "12")])
-    assert cfg.denoise == Bm3dProfile(k_hard=12, k_wie=12, step=10)
-    with pytest.raises(ValueError, match="step"):
-        apply_assignments(PipelineConfig(), [("denoise.step", "10"), ("denoise.k_hard", "12")])
+    # r1 must stay below r2; raising r1 past the default r2 first must not fail
+    cfg = apply_assignments(PipelineConfig(), [("enhance.r1", "220"), ("enhance.r2", "240")])
+    assert cfg.enhance == EnhanceConfig(r1=220, r2=240)
+    with pytest.raises(ValueError, match="r1 < r2"):
+        apply_assignments(PipelineConfig(), [("enhance.r1", "220")])
 
 
 def test_an_int_beyond_the_float_range_is_finite():

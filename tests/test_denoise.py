@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -37,24 +38,10 @@ def noisy_phantom(sigma8, seed=0):
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        Bm3dProfile(k_hard=2)
-    with pytest.raises(ValueError):
-        Bm3dProfile(n_hard=12)  # not a power of two
-    with pytest.raises(ValueError):
-        Bm3dProfile(step=0)
-    with pytest.raises(ValueError):
-        Bm3dProfile(lambda_3d=0.0)
-
-
-@pytest.mark.parametrize("fields, name", [
-    ({"step": 9}, "step"),                      # a gap between blocks 8 wide
-    ({"k_wie": 4, "step": 5}, "step"),          # the smaller block side bounds it
-    ({"search_radius": -1}, "search_radius"),
-])
-def test_profile_rejects_what_cannot_run(fields, name):
-    with pytest.raises(ValueError, match=name):
-        Bm3dProfile(**fields)
+    for name in ("lambda_3d", "tau_hard", "tau_wie"):
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+                Bm3dProfile(**{name: value})
 
 
 def test_default_profile_thresholds():
@@ -63,15 +50,14 @@ def test_default_profile_thresholds():
     high = default_profile(60.0)
     assert (high.tau_hard, high.tau_wie) == (5000.0, 3500.0)
     assert low.lambda_3d == 2.7
-    assert (low.k_hard, low.k_wie, low.n_hard, low.n_wie) == (8, 8, 16, 16)
-    assert (low.search_radius, low.step) == (16, 4)
+    assert (denoise.BLOCK, denoise.STEP, denoise.SEARCH_RADIUS, denoise.GROUP_MAX) == (8, 4, 16, 16)
 
 
 def test_block_match_constant_image_full_group():
     img = np.full((32, 32), 0.5)
     prof = Bm3dProfile()
     group = block_match(img, (8, 8), prof, stage="hard")
-    assert len(group.coordinates) == prof.n_hard
+    assert len(group.coordinates) == denoise.GROUP_MAX
     assert tuple(group.coordinates[0]) == (8, 8)
     for r, c in group.coordinates:
         np.testing.assert_allclose(img[r:r + 8, c:c + 8], 0.5)
@@ -88,12 +74,12 @@ def test_block_match_reference_first():
 
 def test_block_match_rejects_nan_in_its_search_window():
     img = np.random.default_rng(9).random((64, 64))
-    prof = Bm3dProfile(search_radius=4)
+    prof = Bm3dProfile()
     clean = block_match(img, (0, 0), prof, stage="hard").coordinates
-    img[60, 60] = np.nan  # outside the window of (0, 0), which ends at row/col 11
+    img[60, 60] = np.nan  # outside the window of (0, 0), which ends at row/col 23
     np.testing.assert_array_equal(block_match(img, (0, 0), prof, stage="hard").coordinates,
                                   clean)
-    img[11, 11] = np.nan
+    img[23, 23] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         block_match(img, (0, 0), prof, stage="hard")
 
@@ -105,9 +91,11 @@ def test_block_match_rejects_out_of_bounds():
 
 
 def test_each_stage_name_has_its_own_settings_and_no_other_name_has_any():
-    prof = Bm3dProfile(k_hard=4, k_wie=8, n_hard=2, n_wie=4, tau_hard=1.0, tau_wie=2.0)
-    assert prof.stage_settings("hard") == (4, 2, 1.0)
-    assert prof.stage_settings("wiener") == (8, 4, 2.0)
+    prof = Bm3dProfile(tau_hard=1.0, tau_wie=2.0)
+    assert prof.stage_tau("hard") == 1.0
+    assert prof.stage_tau("wiener") == 2.0
+    with pytest.raises(ValueError, match="unknown stage 'soft'"):
+        prof.stage_tau("soft")
     img = np.random.default_rng(5).random((16, 16))
     with pytest.raises(ValueError, match="unknown stage 'soft'"):
         block_match(img, (0, 0), prof, stage="soft")
@@ -125,7 +113,7 @@ def test_block_match_finds_identical_patch():
     assert (10, 10) in coords and (10, 26) in coords
 
     # exhaustive scan oracle: the same candidate set, independently
-    k, rad = prof.k_hard, prof.search_radius
+    k, rad = 8, 16
     expected = set()
     for r in range(max(0, 10 - rad), min(48 - k, 10 + rad) + 1):
         for c in range(max(0, 10 - rad), min(48 - k, 10 + rad) + 1):
@@ -161,6 +149,18 @@ def test_hard_stage_huge_sigma_flattens():
 def test_hard_stage_rejects_bad_sigma():
     with pytest.raises(ValueError):
         hard_stage(np.zeros((16, 16)), sigma=0.0, profile=Bm3dProfile())
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("run", [
+    lambda img, sigma: hard_stage(img, sigma, Bm3dProfile()),
+    lambda img, sigma: wiener_stage(img, img, sigma, Bm3dProfile()),
+    lambda img, sigma: bm3d_denoise(img, sigma, Bm3dProfile()),
+], ids=["hard", "wiener", "bm3d"])
+def test_stages_refuse_a_sigma_that_is_not_positive_and_finite(run, sigma):
+    img = np.random.default_rng(11).random((16, 16))
+    with pytest.raises(ValueError, match="^noise sigma must be positive and finite, got "):
+        run(img, sigma)
 
 
 @pytest.mark.parametrize("run", [
@@ -222,12 +222,10 @@ def test_every_pixel_covered_on_awkward_sizes():
     # stride does not divide these extents: border anchors must cover the rim
     rng = np.random.default_rng(8)
     img = rng.random((21, 19))
-    # the default profile, and the largest step a block side allows
-    for profile in (Bm3dProfile(), Bm3dProfile(k_hard=4, step=4, search_radius=0)):
-        out = hard_stage(img, sigma=15.0, profile=profile)
-        assert np.all(np.isfinite(out))
-        assert out.shape == img.shape
-        assert out.min() >= 0.0 and out.max() <= 1.0
+    out = hard_stage(img, sigma=15.0, profile=Bm3dProfile())
+    assert np.all(np.isfinite(out))
+    assert out.shape == img.shape
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_bm3d_deterministic_and_bounded():
@@ -251,23 +249,19 @@ def test_each_stage_matches_every_reference_once_in_row_major_order(monkeypatch)
 
     monkeypatch.setattr(denoise, "block_match", counting)
     h, w = 45, 70
-    prof = Bm3dProfile(k_wie=4, step=3, search_radius=4)
-    bm3d_denoise(np.random.default_rng(10).random((h, w)), 25.0, prof)
-    expected = {}
-    for stage, k in (("hard", prof.k_hard), ("wiener", prof.k_wie)):
-        expected[stage] = [(r, c) for r in denoise._reference_grid(h, k, prof.step)
-                           for c in denoise._reference_grid(w, k, prof.step)]
-    assert calls == ([("hard", ref) for ref in expected["hard"]]
-                     + [("wiener", ref) for ref in expected["wiener"]])
+    bm3d_denoise(np.random.default_rng(10).random((h, w)), 25.0, Bm3dProfile())
+    # every 4 pixels, then the far border's block at row 37 and column 62
+    refs = [(r, c) for r in [*range(0, 37, 4), 37] for c in [*range(0, 61, 4), 62]]
+    assert calls == [("hard", ref) for ref in refs] + [("wiener", ref) for ref in refs]
 
 
 def test_hard_stage_memory_holds_one_row_of_stacks():
     # a constant image fills every group to n_hard blocks, the worst case
     img = np.full((256, 256), 0.5)
-    prof = Bm3dProfile(search_radius=4)
-    k = prof.k_hard
-    refs = len(denoise._reference_grid(256, k, prof.step))
-    row_stacks = refs * prof.n_hard * k * k * 8
+    prof = Bm3dProfile()
+    k = denoise.BLOCK
+    refs = len(denoise._reference_grid(256))
+    row_stacks = refs * denoise.GROUP_MAX * k * k * 8
     all_stacks = refs * row_stacks
     bound = 4 * img.nbytes + 16 * row_stacks
     assert all_stacks > 3 * bound

@@ -11,9 +11,8 @@ reduction of the (nr, nc, k, k) window stack. `oracle_block_match` is
 `block_match` as it was then, stable-sorting every candidate under tau
 rather than only those within the group size's distance. The oracle
 pass matches through it, so the stage oracles never call `block_match`.
+The oracles state the fixed matching geometry themselves.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -35,6 +34,9 @@ from mammocad.denoise import (
 )
 
 
+K, N_MAX, RADIUS = 8, 16, 16     # block side, max group size, search radius
+
+
 def oracle_distances(region, ref_block):
     k = len(ref_block)
     windows = sliding_window_view(region, (k, k))
@@ -42,13 +44,10 @@ def oracle_distances(region, ref_block):
 
 
 def oracle_block_match(image, ref, profile, stage):
-    if stage == "hard":
-        k, n_max, tau = profile.k_hard, profile.n_hard, profile.tau_hard
-    else:
-        k, n_max, tau = profile.k_wie, profile.n_wie, profile.tau_wie
+    k, n_max, rad = K, N_MAX, RADIUS
+    tau = profile.tau_hard if stage == "hard" else profile.tau_wie
     h, w = image.shape
     r, c = ref
-    rad = profile.search_radius
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
     c0, c1 = max(0, c - rad), min(w - k, c + rad)
     dists = oracle_distances(image[r0:r1 + k, c0:c1 + k], image[r:r + k, c:c + k])
@@ -79,12 +78,12 @@ def _inverse_3d(coeffs):
 
 def _collaborative_pass(match_on, image, profile, stage, shrink):
     """Per reference: match, cut both stacks, shrink, add each block in turn."""
-    k = profile.k_hard if stage == "hard" else profile.k_wie
+    k = K
     h, w = image.shape
     acc = np.zeros_like(image)
     weights = np.zeros_like(image)
-    for r in denoise._reference_grid(h, k, profile.step):
-        for c in denoise._reference_grid(w, k, profile.step):
+    for r in denoise._reference_grid(h):
+        for c in denoise._reference_grid(w):
             coords = oracle_block_match(match_on, (r, c), profile, stage)
             matched = np.stack([match_on[i:i + k, j:j + k] for i, j in coords])
             stack = np.stack([image[i:i + k, j:j + k] for i, j in coords])
@@ -131,18 +130,19 @@ def film(shape, sigma, seed=0):
     return np.clip(clean + rng.normal(0.0, sigma / 255.0, shape), 0.0, 1.0)
 
 
-SHAPES = [(40, 40), (48, 32), (32, 48), (45, 70), (8, 33)]
+# (8, 33) has a one-row candidate grid, (33, 8) a one-column grid
+SHAPES = [(40, 40), (48, 32), (32, 48), (45, 70), (8, 33), (33, 8)]
 SIGMAS = [10.0, 25.0, 50.0]        # both tau pairs of the default profile
 
-# loose thresholds, so groups of several sizes share a row of references
+# loose thresholds, so groups of every size from 1 to 16 share a row of
+# references in both stages; the keys name the block sides, group sizes
+# and strides these cases used while the geometry was settable, so each
+# case id still names the same case
 PROFILES = {
     "default": None,
-    "k4-n1-n2-step1": Bm3dProfile(k_hard=4, k_wie=4, n_hard=1, n_wie=2, step=1,
-                                  search_radius=3, tau_hard=20000.0, tau_wie=100.0),
-    "k8-k4-n2-n16-step3": Bm3dProfile(k_hard=8, k_wie=4, n_hard=2, n_wie=16, step=3,
-                                      search_radius=6, tau_hard=100000.0, tau_wie=8000.0),
-    "k4-k8-n16-n1-step4": Bm3dProfile(k_hard=4, k_wie=8, n_hard=16, n_wie=1, step=4,
-                                      search_radius=5, tau_hard=15000.0, tau_wie=5000.0),
+    "k4-n1-n2-step1": Bm3dProfile(tau_hard=60000.0, tau_wie=3000.0),
+    "k8-k4-n2-n16-step3": Bm3dProfile(tau_hard=90000.0, tau_wie=20000.0),
+    "k4-k8-n16-n1-step4": Bm3dProfile(tau_hard=120000.0, tau_wie=1500.0),
 }
 
 
@@ -181,7 +181,7 @@ def test_constant_image_matches_the_oracle(sigma):
 @pytest.mark.parametrize("name", [name for name in PROFILES if name != "default"])
 def test_oracle_profiles_mix_group_sizes_within_a_row(monkeypatch, name):
     # the batched pass splits a row by group size; make sure the profiles
-    # above give rows holding several sizes at once wherever a stage can
+    # above give every size in each stage and rows holding several at once
     profile = PROFILES[name]
     sizes = {}
     real = denoise.block_match
@@ -193,16 +193,17 @@ def test_oracle_profiles_mix_group_sizes_within_a_row(monkeypatch, name):
 
     monkeypatch.setattr(denoise, "block_match", recording)
     bm3d_denoise(film((45, 70), 25.0), 25.0, profile)
-    for stage, n_max in (("hard", profile.n_hard), ("wiener", profile.n_wie)):
-        mixed = max(len(s) for (st, _), s in sizes.items() if st == stage)
-        assert mixed == 1 if n_max == 1 else mixed >= 2, stage
+    for stage in ("hard", "wiener"):
+        rows = [s for (st, _), s in sizes.items() if st == stage]
+        assert set().union(*rows) == {1, 2, 4, 8, 16}, stage
+        assert max(len(s) for s in rows) >= 2, stage
 
 
 def _assert_groups_match_the_oracle(image, profile):
     h, w = image.shape
-    for stage, k in (("hard", profile.k_hard), ("wiener", profile.k_wie)):
-        for r in denoise._reference_grid(h, k, profile.step):
-            for c in denoise._reference_grid(w, k, profile.step):
+    for stage in ("hard", "wiener"):
+        for r in denoise._reference_grid(h):
+            for c in denoise._reference_grid(w):
                 coords = block_match(image, (r, c), profile, stage).coordinates
                 old = oracle_block_match(image, (r, c), profile, stage)
                 assert coords.dtype == old.dtype, (stage, r, c)
@@ -233,19 +234,15 @@ def _match_cases(draw):
     so many candidates tie at zero. Moved by 1/8, every square is exact
     and candidates also tie at one moved pixel; moved by a continuous
     amount, the squares round, so the summation order shows in the
-    bytes. Sides equal to k give one-row and one-column candidate grids;
-    radii run from 0 to past every border.
+    bytes. Sides of 8 give one-row and one-column candidate grids, and
+    sides up to 48 put the 16-pixel search window inside the film or
+    clipped at any of its borders.
     """
-    k_hard = draw(st.integers(4, 24))
-    k_wie = draw(st.integers(4, 24).filter(lambda k: k != k_hard))
     stage = draw(st.sampled_from(["hard", "wiener"]))
-    k = k_hard if stage == "hard" else k_wie
-    h, w = draw(st.integers(k, k + 40)), draw(st.integers(k, k + 40))
-    r = draw(st.sampled_from([0, h - k]) | st.integers(0, h - k))
-    c = draw(st.sampled_from([0, w - k]) | st.integers(0, w - k))
-    profile = dataclasses.replace(
-        default_profile(draw(st.sampled_from([25.0, 50.0]))),    # both tau pairs
-        k_hard=k_hard, k_wie=k_wie, search_radius=draw(st.integers(0, 44)))
+    h, w = draw(st.integers(K, 48)), draw(st.integers(K, 48))
+    r = draw(st.sampled_from([0, h - K]) | st.integers(0, h - K))
+    c = draw(st.sampled_from([0, w - K]) | st.integers(0, w - K))
+    profile = default_profile(draw(st.sampled_from([25.0, 50.0])))    # both tau pairs
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     moved = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
     steps = moved * (rng.choice([-1, 1], (h, w)) if draw(st.booleans()) else rng.normal(0.0, 1.0, (h, w)))
@@ -257,9 +254,8 @@ def _match_cases(draw):
 @given(_match_cases())
 def test_block_match_keeps_the_old_distances_and_groups(case):
     image, (r, c), profile, stage = case
-    k = profile.k_hard if stage == "hard" else profile.k_wie
+    k, rad = K, RADIUS
     h, w = image.shape
-    rad = profile.search_radius
     region = image[max(0, r - rad):min(h - k, r + rad) + k, max(0, c - rad):min(w - k, c + rad) + k]
     ref_block = image[r:r + k, c:c + k]
     new = denoise._window_distances(region, ref_block)
