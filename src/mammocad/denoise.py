@@ -11,6 +11,17 @@ its per-pixel mean squared difference from the reference, on [0, 1]
 intensities, is at most tau / (8^2 * 255^2). That divides by the block
 area twice, so tau does not act on the 8-bit squared-distance scale
 its values come from (ROADMAP item 2a).
+
+Distances are computed a row of reference blocks at a time: the first
+`block_match` call of a row fills a `RowDistances` with the distances
+of every candidate of every reference on that row, and each call then
+selects its own group. The sums keep the order in which numpy reduces
+a (rows, columns, 8, 8) window stack over its last two axes: each
+block row's 8 squared differences pairwise,
+((0+1)+(2+3))+((4+5)+(6+7)), each 4-term half shared by the two
+references 4 pixels apart that cover it, then the 8 block rows in
+sequence. So the distances are bit for bit those of that reduction,
+taken one reference at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dctn, idctn
-from scipy.linalg import hadamard
 
 from .core import as_gray
 
@@ -87,36 +97,99 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along the first axis in numpy's pairwise order for a contiguous run.
+def _pairwise_8(terms: np.ndarray, n: int) -> np.ndarray:
+    """Sums of 8 consecutive terms along the last axis, starting every 4.
 
-    The run is a block row's 8 terms or a block's 64, so numpy keeps
-    eight running partial sums and adds them as
-    ((0+1)+(2+3))+((4+5)+(6+7)); a multiple of 8 terms leaves no remainder.
+    The last axis holds 4n + 4 terms. Each window is summed in numpy's
+    pairwise order for a run of 8, ((0+1)+(2+3))+((4+5)+(6+7)), so the
+    4-term half sums are formed once and each is shared by the two
+    windows that overlap on it.
     """
-    part = terms[:8] if len(terms) == 8 else terms[:8] + terms[8:16]
-    for i in range(16, len(terms), 8):
-        part += terms[i:i + 8]
-    return ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+    quads = terms.reshape(*terms.shape[:-1], n + 1, 4)
+    halves = (quads[..., 0] + quads[..., 1]) + (quads[..., 2] + quads[..., 3])
+    return halves[..., :-1] + halves[..., 1:]
 
 
-def _window_distances(region: np.ndarray, ref_block: np.ndarray) -> np.ndarray:
-    """Per-pixel mean squared difference of every 8 x 8 window of `region` from `ref_block`.
+def _runs(cols: list[int]) -> list[tuple[int, int, int]]:
+    """Split ascending anchor columns into runs 4 pixels apart, as (index, column, count)."""
+    starts = [a for a in range(len(cols)) if a == 0 or cols[a] != cols[a - 1] + STEP] + [len(cols)]
+    return [(a, cols[a], b - a) for a, b in zip(starts, starts[1:])]
 
-    The squared differences are formed as 8 x 8 planes over the whole
-    (nr, nc) candidate grid, then summed in the order numpy reduces a
-    (nr, nc, 8, 8) window stack over its last two axes: each block row's
-    8 columns pairwise, then the 8 rows in sequence. On a one-column
-    grid numpy reduces each window's 64 terms as one run, so they are
-    summed pairwise in (row, column) order.
+
+def _row_distances(film: np.ndarray, r: int, cols: list[int], rows: range) -> np.ndarray:
+    """Candidate distances of the references at row r, as (len(cols), len(rows), 33).
+
+    `cols` holds the references' ascending columns and `rows` the
+    candidate rows. Entry [a, i, j] is the candidate at
+    (rows[i], cols[a] + j - 16); entries off the film are zero-padded
+    columns' distances. Each candidate row is subtracted at all 33
+    column offsets at once, squared and summed in the module's stated
+    order. On a film 8 pixels wide numpy reduces each window's 64 terms
+    as one run, so there each column's 8 rows are summed in sequence
+    first and the 8 columns pairwise.
     """
-    area = BLOCK * BLOCK
-    nr, nc = region.shape[0] - BLOCK + 1, region.shape[1] - BLOCK + 1
-    squares = np.subtract(sliding_window_view(region, (nr, nc)), ref_block[:, :, None, None], order="C")
-    squares *= squares
-    if nc == 1:
-        return _pairwise_sum(squares.reshape(area, nr, nc)) / area
-    return _sequential_sum(_pairwise_sum(squares.swapaxes(0, 1))) / area
+    k, rad = BLOCK, SEARCH_RADIUS
+    w = film.shape[1]
+    lo, hi = cols[0], cols[-1] + k
+    band = np.zeros((len(rows) + k - 1, hi - lo + 2 * rad))
+    x0, x1 = max(lo - rad, 0), min(hi + rad, w)
+    band[:, x0 - lo + rad:x1 - lo + rad] = film[rows[0]:rows[-1] + k, x0:x1]
+    candidates = sliding_window_view(band, hi - lo, axis=1)
+    ref_rows = film[r:r + k, None, lo:hi]
+    runs = _runs(cols)
+    out = np.empty((len(rows), 2 * rad + 1, len(cols)))
+    squares = np.empty((k, 2 * rad + 1, hi - lo))
+    for i in range(len(rows)):
+        np.subtract(candidates[i:i + k], ref_rows, out=squares)
+        squares *= squares
+        if w == k:
+            out[i] = _pairwise_8(_sequential_sum(squares), 1)
+            continue
+        for a, first, n in runs:
+            terms = squares[..., first - lo:first - lo + STEP * n + STEP]
+            out[i, :, a:a + n] = _sequential_sum(_pairwise_8(terms, n))
+    out /= k * k
+    return out.transpose(2, 0, 1)
+
+
+def _search_span(x: int, extent: int) -> tuple[int, int]:
+    """First and last candidate corner within the search radius of x."""
+    return max(0, x - SEARCH_RADIUS), min(extent - BLOCK, x + SEARCH_RADIUS)
+
+
+class RowDistances:
+    """The film a stage matches on, with the distances of one row of references.
+
+    `block_match` takes it in place of the film. The first call for a
+    reference row computes the candidate distances of every anchor in
+    `cols` on that row in one vectorised pass; the later calls of the
+    row, one per anchor, only select from them. One row is held at a
+    time, so references taken row by row compute each row once.
+    """
+
+    def __init__(self, image, cols: list[int]):
+        self.image = np.asarray(image, dtype=np.float64)
+        if self.image.ndim != 2:
+            raise ValueError(f"expected a 2-D grayscale image, got shape {self.image.shape}")
+        self.cols = cols
+        self._slot = {c: a for a, c in enumerate(cols)}
+        self._row = self._finite = self._dists = None
+
+    def window(self, r: int, c: int) -> np.ndarray:
+        """A copy of the distances of the candidates in the search window of (r, c).
+
+        Only the search window is checked for non-finite intensities.
+        """
+        (r0, r1), (c0, c1) = _search_span(r, self.image.shape[0]), _search_span(c, self.image.shape[1])
+        if r != self._row:
+            self._row, self._dists = r, None
+            self._finite = np.isfinite(self.image[r0:r1 + BLOCK]).all(axis=0)
+        if not self._finite[c0:c1 + BLOCK].all():
+            raise ValueError("image contains non-finite intensities")
+        if self._dists is None:
+            self._dists = _row_distances(self.image, r, self.cols, range(r0, r1 + 1))
+        offset = c - SEARCH_RADIUS
+        return self._dists[self._slot[c], :, c0 - offset:c1 - offset + 1].copy()
 
 
 def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
@@ -130,23 +203,23 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     (ROADMAP item 2a). The group is sorted by ascending distance, ties
     in row-major order, with the reference first, truncated to 16
     blocks, and padded with copies of the reference up to a power of
-    two. Only the search window is checked for non-finite intensities;
+    two. `image` is a film, wrapped for this one reference, or a stage's
+    `RowDistances`, which serves a whole row of references from one
+    pass; the distances are summed in the module's stated order either
+    way. Only the search window is checked for non-finite intensities;
     the stages check the whole film.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
-    tau = profile.stage_tau(stage)
-    h, w = img.shape
     r, c = ref
-    k, rad = BLOCK, SEARCH_RADIUS
+    distances = image if isinstance(image, RowDistances) else RowDistances(image, [c])
+    tau = profile.stage_tau(stage)
+    h, w = distances.image.shape
+    k = BLOCK
     if not (0 <= r <= h - k and 0 <= c <= w - k):
         raise ValueError(f"reference block {ref} not fully inside the image")
 
-    r0, r1 = max(0, r - rad), min(h - k, r + rad)
-    c0, c1 = max(0, c - rad), min(w - k, c + rad)
-    nc = c1 - c0 + 1
-    dists = _window_distances(as_gray(img[r0:r1 + k, c0:c1 + k]), img[r:r + k, c:c + k]).ravel()
+    dists = distances.window(r, c)
+    (r0, _), (c0, _), nc = _search_span(r, h), _search_span(c, w), dists.shape[1]
+    dists = dists.ravel()
     threshold = tau / (k * k * 255.0 * 255.0)
 
     dists[(r - r0) * nc + c - c0] = -1.0    # the reference leads; ties keep row-major order
@@ -162,8 +235,15 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
 
 @functools.lru_cache(maxsize=None)
 def _hadamard(g: int) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard matrix of order g, built once per size."""
-    hmat = hadamard(g) / np.sqrt(g)
+    """Orthonormal Walsh-Hadamard matrix of order g, a power of two, built once per size.
+
+    Sylvester's doubling [[H, H], [H, -H]] from [[1]], in integers, then
+    scaled by 1 / sqrt(g).
+    """
+    hmat = np.ones((1, 1), dtype=int)
+    while len(hmat) < g:
+        hmat = np.block([[hmat, hmat], [hmat, -hmat]])
+    hmat = hmat / np.sqrt(g)
     hmat.setflags(write=False)
     return hmat
 
@@ -207,8 +287,9 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     image_windows = sliding_window_view(image, (k, k))
     block_offsets = (np.arange(k)[:, None] * w + np.arange(k)).ravel()
     anchor_cols = _reference_grid(w)
+    row_distances = RowDistances(match_on, anchor_cols)
     for r in _reference_grid(h):
-        groups = [block_match(match_on, (r, c), profile, stage) for c in anchor_cols]
+        groups = [block_match(row_distances, (r, c), profile, stage) for c in anchor_cols]
         sizes = np.array([len(group.coordinates) for group in groups])
         starts = np.cumsum(sizes) - sizes
         coords = np.concatenate([group.coordinates for group in groups])

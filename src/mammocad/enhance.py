@@ -48,8 +48,8 @@ class EnhanceConfig:
         if not self.pectoral_area_cap > 0:
             raise ValueError(f"enhance.pectoral_area_cap must be positive, "
                              f"got {self.pectoral_area_cap}")
-        if not self.pectoral_tolerance >= 0:
-            raise ValueError(f"enhance.pectoral_tolerance must be non-negative, "
+        if not self.pectoral_tolerance > 0:
+            raise ValueError(f"enhance.pectoral_tolerance must be positive, "
                              f"got {self.pectoral_tolerance}")
 
 

@@ -535,6 +535,7 @@ def test_configs_that_would_do_nothing_are_rejected(tmp_path, capsys, command, a
     ("enhance.pectoral_area_cap=0", "enhance.pectoral_area_cap"),
     ("enhance.pectoral_area_cap=-1", "enhance.pectoral_area_cap"),
     ("enhance.pectoral_tolerance=-5", "enhance.pectoral_tolerance"),
+    ("enhance.pectoral_tolerance=0", "enhance.pectoral_tolerance"),
 ])
 def test_pectoral_settings_that_remove_nothing_exit_2_before_any_film_is_read(
         tmp_path, capsys, assignment, field):

@@ -255,6 +255,24 @@ def test_each_stage_matches_every_reference_once_in_row_major_order(monkeypatch)
     assert calls == [("hard", ref) for ref in refs] + [("wiener", ref) for ref in refs]
 
 
+def test_each_stage_computes_the_distances_of_a_reference_row_once(monkeypatch):
+    # one distance pass per reference rather than per row would keep
+    # every byte and lose the speed-up
+    runs = []
+    real = denoise._row_distances
+
+    def counting(film, r, cols, rows):
+        runs.append(list(cols))
+        return real(film, r, cols, rows)
+
+    monkeypatch.setattr(denoise, "_row_distances", counting)
+    img = np.random.default_rng(10).random((45, 70))
+    basic = hard_stage(img, 25.0, Bm3dProfile())
+    assert len(runs) == 11      # reference rows 0, 4, ..., 36 and 37
+    wiener_stage(img, basic, 25.0, Bm3dProfile())
+    assert runs == [[*range(0, 61, 4), 62]] * 22
+
+
 def test_hard_stage_memory_holds_one_row_of_stacks():
     # a constant image fills every group to n_hard blocks, the worst case
     img = np.full((256, 256), 0.5)

@@ -6,11 +6,12 @@ shrink and aggregate one reference block's group at a time, as
 (B, G, k, k) stacks. The batched pass does the same float operations in
 the same per-pixel order, so its output must match this one byte for
 byte. `oracle_distances` is the distance expression `block_match` used
-before it summed (k, k, nr, nc) planes in a stated order: numpy's own
-reduction of the (nr, nc, k, k) window stack. `oracle_block_match` is
-`block_match` as it was then, stable-sorting every candidate under tau
-rather than only those within the group size's distance. The oracle
-pass matches through it, so the stage oracles never call `block_match`.
+before it summed the squared differences itself in a stated order:
+numpy's own reduction of the (nr, nc, k, k) window stack.
+`oracle_block_match` is `block_match` as it was then, stable-sorting
+every candidate under tau rather than only those within the group
+size's distance. The oracle pass matches through it, so the stage
+oracles never call `block_match`.
 The oracles state the fixed matching geometry themselves.
 """
 
@@ -253,16 +254,22 @@ def _match_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_match_cases())
 def test_block_match_keeps_the_old_distances_and_groups(case):
+    # the drawn column joins the anchors of a stage's row, so the row
+    # kernel computes it beside runs of anchors 4 pixels apart and the
+    # far border's; a bare film is wrapped with its column alone
     image, (r, c), profile, stage = case
     k, rad = K, RADIUS
     h, w = image.shape
+    distances = denoise.RowDistances(image, sorted({*denoise._reference_grid(w), c}))
     region = image[max(0, r - rad):min(h - k, r + rad) + k, max(0, c - rad):min(w - k, c + rad) + k]
-    ref_block = image[r:r + k, c:c + k]
-    new = denoise._window_distances(region, ref_block)
-    old = oracle_distances(region, ref_block)
-    assert new.shape == old.shape and new.dtype == old.dtype
-    assert new.tobytes() == old.tobytes()
-    coords = block_match(image, (r, c), profile, stage).coordinates
+    assert_same_bytes(distances.window(r, c), oracle_distances(region, image[r:r + k, c:c + k]))
     expected = oracle_block_match(image, (r, c), profile, stage)
-    assert coords.dtype == expected.dtype
-    assert np.array_equal(coords, expected)
+    for matched in (image, distances):
+        coords = block_match(matched, (r, c), profile, stage).coordinates
+        assert coords.dtype == expected.dtype
+        assert np.array_equal(coords, expected)
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
+def test_walsh_matrix_keeps_the_bytes_of_scipy_hadamard(g):
+    assert_same_bytes(denoise._hadamard(g), hadamard(g) / np.sqrt(g))

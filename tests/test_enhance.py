@@ -223,8 +223,9 @@ def test_remove_pectoral_respects_area_cap():
     ("pectoral_area_cap", 0.0, "enhance.pectoral_area_cap must be positive, got 0.0"),
     ("pectoral_area_cap", -1.0, "enhance.pectoral_area_cap must be positive"),
     ("pectoral_area_cap", float("nan"), "enhance.pectoral_area_cap must be positive"),
-    ("pectoral_tolerance", -5.0, "enhance.pectoral_tolerance must be non-negative, got -5.0"),
-    ("pectoral_tolerance", float("nan"), "enhance.pectoral_tolerance must be non-negative"),
+    ("pectoral_tolerance", 0.0, "enhance.pectoral_tolerance must be positive, got 0.0"),
+    ("pectoral_tolerance", -5.0, "enhance.pectoral_tolerance must be positive, got -5.0"),
+    ("pectoral_tolerance", float("nan"), "enhance.pectoral_tolerance must be positive"),
 ])
 def test_pectoral_settings_that_remove_nothing_are_refused(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -232,7 +233,7 @@ def test_pectoral_settings_that_remove_nothing_are_refused(field, value, message
 
 
 def test_pectoral_settings_at_their_bounds_are_accepted():
-    assert EnhanceConfig(pectoral_area_cap=1e-9, pectoral_tolerance=0.0).pectoral_tolerance == 0.0
+    assert EnhanceConfig(pectoral_area_cap=1e-9, pectoral_tolerance=1e-9).pectoral_tolerance == 1e-9
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
