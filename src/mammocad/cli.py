@@ -82,8 +82,8 @@ _FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "train.seed", "desk": "network.
               "epochs": "train.epochs", "augment": "train.augment"}
 
 
-def load_pipeline_config(args) -> PipelineConfig:
-    """The config file, then --set, then the dedicated flags; later wins."""
+def _assignments(args) -> list[tuple[str, str]]:
+    """The config file's, then --set's, then the dedicated flags' assignments."""
     assignments = []
     if args.config:
         assignments += parse_assignments(Path(args.config).read_text())
@@ -97,7 +97,12 @@ def load_pipeline_config(args) -> PipelineConfig:
         # an unset flag is None, an unset switch False; 0 is a value
         if value is not None and value is not False:
             assignments.append((key, str(value)))
-    return apply_assignments(PipelineConfig(), assignments)
+    return assignments
+
+
+def load_pipeline_config(args) -> PipelineConfig:
+    """The config the assignments give; a later assignment to a key wins."""
+    return apply_assignments(PipelineConfig(), _assignments(args))
 
 
 def _write_outputs(out_dir: Path, config: PipelineConfig, outputs: dict):
@@ -188,8 +193,15 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_pipeline_config(args)   # read for train.batch_size alone
+    assignments = _assignments(args)
+    config = apply_assignments(PipelineConfig(), assignments)   # read for train.batch_size
     network = load_checkpoint(args.model)
+    # the checkpoint fixes the seed and the profile; an assigned other value is refused
+    assigned = {key for key, _ in assignments}
+    for key, value, recorded in (("train.seed", config.train.seed, network.seed),
+                                 ("network.desk", config.network.desk, network.config.desk)):
+        if key in assigned and value != recorded:
+            raise ValueError(f"{key} = {value} differs from the checkpoint's {recorded}")
     # the split needs the labels and the training seed; decode just the held-out films
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]

@@ -33,8 +33,6 @@ def _rotated_grid(image, angle_deg, fill, rows, cols):
     """`ndimage.rotate(image, angle_deg, reshape=False, order=1,
     mode="constant", cval=fill, prefilter=False)`, clipped to [0, 1],
     at the rows x cols grid of its output only."""
-    if angle_deg == 0.0:
-        return image[np.ix_(rows, cols)]
     c, s = special.cosdg(angle_deg), special.sindg(angle_deg)
     matrix = np.array([[c, s], [-s, c]])
     centre = (np.asarray(image.shape) - 1) / 2

@@ -5,9 +5,10 @@ its backward pass needs during forward; backward consumes that cache,
 stores parameter gradients on the layer and returns the gradient with
 respect to the input, or None when called with `input_grad=False`. A
 cache lives from one forward to the next backward, so no layer holds
-activations between training steps. A layer is built from the tensors
-it holds; the network draws their initial values or reads them from a
-checkpoint.
+activations between training steps. Batch norm caches only in
+training, so a backward after its eval-mode forward is refused. A layer
+is built from the tensors it holds; the network draws their initial
+values or reads them from a checkpoint.
 """
 
 from __future__ import annotations
@@ -187,22 +188,19 @@ class BatchNorm2d(Layer):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = (xhat, inv_std, train)
+        self._cache = (xhat, inv_std) if train else None
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
     def backward(self, grad, input_grad=True):
-        xhat, inv_std, trained = self._pop_cache()
+        xhat, inv_std = self._pop_cache()
         self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
         self.grad_beta = grad.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        scale = (self.gamma * inv_std)[None, :, None, None]
-        if not trained:
-            return grad * scale
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
         correction = (self.grad_beta[None, :, None, None]
                       + xhat * self.grad_gamma[None, :, None, None]) / m
-        return scale * (grad - correction)
+        return (self.gamma * inv_std)[None, :, None, None] * (grad - correction)
 
 
 class ReLU(Layer):

@@ -76,8 +76,9 @@ def _coerce(current, text: str):
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
     """Apply `section.key = value` pairs on top of a config.
 
-    The denoise profile follows `pipeline.sigma` when sigma is assigned
-    here and no `denoise.*` key is.
+    When `pipeline.sigma` is assigned here, the denoise profile starts
+    from that sigma's thresholds, and any `denoise.*` key assigned here
+    replaces its own value.
     """
     sections = {name: getattr(config, name) for name in _SECTIONS}
     updates = {name: {} for name in _SECTIONS}
@@ -94,15 +95,12 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
             updates[section_name][key] = _coerce(getattr(section, key), text)
         except ValueError as exc:
             raise ValueError(f"{dotted}: {exc}") from None
+    if "sigma" in updates["pipeline"]:
+        sections["denoise"] = default_profile(updates["pipeline"]["sigma"])
     # one replace per section, so checks across fields see the final values
     for name, values in updates.items():
         if values:
             sections[name] = dataclasses.replace(sections[name], **values)
-    assigned = {f"{name}.{key}" for name, values in updates.items() for key in values}
-
-    if "pipeline.sigma" in assigned and not any(
-            key.startswith("denoise.") for key in assigned):
-        sections["denoise"] = default_profile(sections["pipeline"].sigma)
     return PipelineConfig(**sections)
 
 

@@ -86,10 +86,6 @@ class Film:
     def shape(self) -> tuple[int, ...]:
         return self.raw.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.raw.ndim
-
     def __getitem__(self, key):
         pixels = self.raw[key].astype(np.float64)
         pixels /= float(self.maxval)

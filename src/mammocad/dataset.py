@@ -51,10 +51,6 @@ class LabeledImage:
     label: int                      # 1 = abnormal
     records: tuple[MiasRecord, ...]
 
-    @property
-    def id(self) -> str:
-        return self.records[0].id
-
 
 def parse_info(text: str) -> list[MiasRecord]:
     """Parse annotation text; multi-lesion images yield one record each."""

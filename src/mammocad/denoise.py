@@ -21,7 +21,8 @@ block row's 8 squared differences pairwise,
 ((0+1)+(2+3))+((4+5)+(6+7)), each 4-term half shared by the two
 references 4 pixels apart that cover it, then the 8 block rows in
 sequence. So the distances are bit for bit those of that reduction,
-taken one reference at a time.
+taken one reference at a time. The film is checked once, when it is
+wrapped in its `RowDistances`.
 """
 
 from __future__ import annotations
@@ -160,33 +161,25 @@ def _search_span(x: int, extent: int) -> tuple[int, int]:
 class RowDistances:
     """The film a stage matches on, with the distances of one row of references.
 
-    `block_match` takes it in place of the film. The first call for a
-    reference row computes the candidate distances of every anchor in
-    `cols` on that row in one vectorised pass; the later calls of the
+    `block_match` takes it in place of the film. The film is checked
+    once, here, for a 2-D shape and finite intensities. The first call
+    for a reference row computes the candidate distances of every anchor
+    in `cols` on that row in one vectorised pass; the later calls of the
     row, one per anchor, only select from them. One row is held at a
     time, so references taken row by row compute each row once.
     """
 
     def __init__(self, image, cols: list[int]):
-        self.image = np.asarray(image, dtype=np.float64)
-        if self.image.ndim != 2:
-            raise ValueError(f"expected a 2-D grayscale image, got shape {self.image.shape}")
+        self.image = as_gray(image)
         self.cols = cols
         self._slot = {c: a for a, c in enumerate(cols)}
-        self._row = self._finite = self._dists = None
+        self._row = self._dists = None
 
     def window(self, r: int, c: int) -> np.ndarray:
-        """A copy of the distances of the candidates in the search window of (r, c).
-
-        Only the search window is checked for non-finite intensities.
-        """
+        """A copy of the distances of the candidates in the search window of (r, c)."""
         (r0, r1), (c0, c1) = _search_span(r, self.image.shape[0]), _search_span(c, self.image.shape[1])
         if r != self._row:
-            self._row, self._dists = r, None
-            self._finite = np.isfinite(self.image[r0:r1 + BLOCK]).all(axis=0)
-        if not self._finite[c0:c1 + BLOCK].all():
-            raise ValueError("image contains non-finite intensities")
-        if self._dists is None:
+            self._row = r
             self._dists = _row_distances(self.image, r, self.cols, range(r0, r1 + 1))
         offset = c - SEARCH_RADIUS
         return self._dists[self._slot[c], :, c0 - offset:c1 - offset + 1].copy()
@@ -203,11 +196,10 @@ def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
     (ROADMAP item 2a). The group is sorted by ascending distance, ties
     in row-major order, with the reference first, truncated to 16
     blocks, and padded with copies of the reference up to a power of
-    two. `image` is a film, wrapped for this one reference, or a stage's
-    `RowDistances`, which serves a whole row of references from one
-    pass; the distances are summed in the module's stated order either
-    way. Only the search window is checked for non-finite intensities;
-    the stages check the whole film.
+    two. `image` is a film, wrapped and checked for this one reference,
+    or a stage's `RowDistances`, which serves a whole row of references
+    from one pass and whose film was checked once, when it was wrapped;
+    the distances are summed in the module's stated order either way.
     """
     r, c = ref
     distances = image if isinstance(image, RowDistances) else RowDistances(image, [c])

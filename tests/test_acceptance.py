@@ -314,7 +314,7 @@ def test_criterion_9_mias_end_to_end(tmp_path):
 
     abnormal = next(item for item in items
                     if item.label and item.records[0].center is not None)
-    image_path = Path(mias_dir) / f"{abnormal.id}.pgm"
+    image_path = Path(mias_dir) / f"{abnormal.records[0].id}.pgm"
     out = tmp_path / "seg"
     assert main(["segment", str(image_path), "-o", str(out), "--info", str(info)]) == 0
     # informational comparison with the published figures (not asserted):

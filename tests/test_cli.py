@@ -329,6 +329,34 @@ def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
+def test_evaluate_refuses_a_seed_or_profile_other_than_the_checkpoints(tmp_path, capsys,
+                                                                       monkeypatch):
+    data, info = tiny_training_dir(tmp_path, n_per_class=5)
+    model = tmp_path / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info),
+                 "-o", str(model), "--desk", "--epochs", "1", "--seed", "3"]) == 0
+    evaluate = ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]
+    capsys.readouterr()
+    assert main(evaluate) == 0
+    report = capsys.readouterr().out
+    for extra in (["--config", str(tmp_path / "config.echo")],
+                  ["--set", "train.batch_size=2"], ["--set", "train.seed=3"],
+                  ["--set", "network.desk=true"]):
+        assert main(evaluate + extra) == 0
+        assert capsys.readouterr().out == report
+
+    monkeypatch.setattr("mammocad.cli.load_item", lambda *args: pytest.fail("decoded"))
+    written = tmp_path / "out" / "report.json"
+    for assignment, parts in (("train.seed=9", ("train.seed", "9", "3")),
+                              ("network.desk=false", ("network.desk", "False", "True"))):
+        assert main(evaluate + ["--set", assignment, "-o", str(written)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert all(part in captured.err for part in parts)
+        assert not written.parent.exists()
+
+
+@pytest.mark.filterwarnings("ignore:dataset has")
 def test_evaluate_peak_memory_does_not_grow_with_the_held_out_films(tmp_path, capsys):
     from mammocad.cnn.network import Network, NetworkConfig, save_checkpoint
 

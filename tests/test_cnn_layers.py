@@ -170,6 +170,19 @@ def test_batchnorm_gradients_train_mode():
     check_layer_gradients(batchnorm_layer(2), x, train=True)
 
 
+def test_batchnorm_backward_needs_a_training_forward():
+    bn = batchnorm_layer(2)
+    x = np.arange(100.0).reshape(2, 2, 5, 5)
+    bn.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        bn.backward(np.ones_like(x))
+    bn.forward(x, train=True)
+    bn.forward(x, train=False)  # an eval forward drops the training forward's cache
+    assert bn._cache is None
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        bn.backward(np.ones_like(x))
+
+
 def test_dense_identity_passthrough():
     dense = dense_layer(4, 4)
     dense.weight = np.eye(4)

@@ -33,6 +33,17 @@ def test_desk_profile_shapes():
     assert net.forward(x).shape == (3, 2)
 
 
+def test_predict_leaves_no_batch_norm_cache():
+    from mammocad.cnn.layers import BatchNorm2d
+
+    net = Network(NetworkConfig(desk=True), seed=0)
+    x = np.random.default_rng(3).random((2, 1, 64, 64))
+    net.forward(x, train=True)  # fills every layer's cache
+    net.predict(list(x[:, 0]))
+    norms = [layer for layer in net.layers if isinstance(layer, BatchNorm2d)]
+    assert len(norms) == 3 and all(layer._cache is None for layer in norms)
+
+
 def test_full_profile_backward_pass():
     from mammocad.cnn.layers import cross_entropy, softmax_predict
 

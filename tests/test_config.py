@@ -61,7 +61,14 @@ def test_denoise_profile_tracks_sigma_when_untouched():
 
 def test_explicit_denoise_settings_win():
     cfg = parse_config("pipeline.sigma = 60\ndenoise.tau_hard = 123\n")
-    assert cfg.denoise == Bm3dProfile(tau_hard=123.0)
+    assert cfg.denoise == Bm3dProfile(tau_hard=123.0, tau_wie=3500.0)
+
+
+@pytest.mark.parametrize("text", ["pipeline.sigma = 60\ndenoise.lambda_3d = 3.0\n",
+                                  "denoise.lambda_3d = 3.0\npipeline.sigma = 60\n"])
+def test_an_assigned_denoise_key_keeps_the_tau_pair_of_sigma(text):
+    cfg = parse_config(text)
+    assert cfg.denoise == Bm3dProfile(lambda_3d=3.0, tau_hard=5000.0, tau_wie=3500.0)
 
 
 def test_fields_checked_together_may_be_assigned_in_any_order():

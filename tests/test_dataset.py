@@ -145,7 +145,7 @@ def test_load_dataset_one_item_per_image(tmp_path):
     with pytest.warns(UserWarning):  # not the full archive
         items = load_dataset(tmp_path, info)
     assert len(items) == 5          # mdb005 appears once despite two records
-    by_id = {item.id: item for item in items}
+    by_id = {item.records[0].id: item for item in items}
     assert by_id["mdb001"].label == 1
     assert by_id["mdb003"].label == 0
     assert len(by_id["mdb005"].records) == 2
@@ -164,7 +164,7 @@ def test_combined_ground_truth_unions_lesions(tmp_path):
     (tmp_path / "mdb005.pgm").write_bytes(write_pgm(np.zeros((1024, 1024))))
     with pytest.warns(UserWarning):
         items = load_dataset(tmp_path, info)
-    multi = next(item for item in items if item.id == "mdb005")
+    multi = next(item for item in items if item.records[0].id == "mdb005")
     union = combined_ground_truth(multi.records, multi.image.shape)
     parts = [ground_truth_mask(r, multi.image.shape) for r in multi.records]
     np.testing.assert_array_equal(union, parts[0] | parts[1])

@@ -40,7 +40,7 @@ def _cases():
 
 def test_every_whole_film_read_matches_the_oracle():
     for film, expected in _cases():
-        assert isinstance(film, Film) and film.shape == expected.shape and film.ndim == 2
+        assert isinstance(film, Film) and film.shape == expected.shape and film.raw.ndim == 2
         for pixels in (as_gray(film), np.asarray(film, dtype=np.float64), np.asarray(film),
                        np.array(film)):
             assert pixels.dtype == np.float64
