@@ -1,12 +1,12 @@
 """Network layers with exact analytic gradients.
 
-Activations are float64 arrays in NCHW layout. Every layer caches what
-its backward pass needs during forward; backward consumes that cache,
-stores parameter gradients on the layer and returns the gradient with
-respect to the input, or None when called with `input_grad=False`. A
-cache lives from one forward to the next backward, so no layer holds
-activations between training steps. Batch norm caches only in
-training, so a backward after its eval-mode forward is refused. A layer
+Activations are float64 arrays in NCHW layout. A training forward
+(`train=True`) caches what the layer's backward pass needs; backward
+consumes that cache, stores parameter gradients on the layer and
+returns the gradient with respect to the input, or None when called
+with `input_grad=False`. An eval forward caches nothing and drops any
+cache left behind, so a backward after it is refused, and no layer
+holds activations between training steps or after inference. A layer
 is built from the tensors it holds; the network draws their initial
 values or reads them from a checkpoint.
 """
@@ -87,7 +87,7 @@ class Conv2d(Layer):
         out = self._columns(xp, ho, wo) @ self.weight.reshape(o, -1).T + self.bias
         # the columns are rebuilt in backward: caching them would keep an
         # im2col buffer (k*k times the padded input) alive between steps
-        self._cache = (x.shape, xp)
+        self._cache = (x.shape, xp) if train else None
         return out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2)
 
     def backward(self, grad, input_grad=True):
@@ -138,7 +138,7 @@ class MaxPool2d(Layer):
         flat = win.reshape(*win.shape[:4], k * k)
         idx = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx.astype(np.uint8))
+        self._cache = (x.shape, idx.astype(np.uint8)) if train else None
         return out
 
     def backward(self, grad, input_grad=True):
@@ -205,8 +205,9 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        positive = x > 0
+        self._cache = positive if train else None
+        return np.where(positive, x, 0.0)
 
     def backward(self, grad, input_grad=True):
         positive = self._pop_cache()
@@ -215,7 +216,7 @@ class ReLU(Layer):
 
 class Flatten(Layer):
     def forward(self, x, train=False):
-        self._cache = x.shape
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad, input_grad=True):
@@ -238,7 +239,7 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
             raise ValueError(
                 f"expected input of width {self.weight.shape[0]}, got {x.shape}")
-        self._cache = x
+        self._cache = x if train else None
         return x @ self.weight + self.bias
 
     def backward(self, grad, input_grad=True):

@@ -191,7 +191,7 @@ class Network:
         setattr(layer, attr, value.copy())
 
     def predict(self, images):
-        """Probabilities and labels for a batch of 2-D images."""
+        """Probabilities and labels for a batch of 2-D images; no layer keeps a cache."""
         x = np.stack([np.asarray(im, dtype=np.float64) for im in images])[:, None]
         logits = self.forward(x, train=False)
         return softmax_predict(logits)

@@ -7,6 +7,7 @@ enhancement chain runs in that order and keeps images in [0, 1].
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ class DegenerateInputError(ValueError):
     """Raised when an operation cannot work on a constant or flat image."""
 
 
-# elements of median_filter's window buffer of ranks (2 or 4 MB)
+# ranks median_filter's buffer holds (2 or 4 MB), or one window's if more
 _MEDIAN_BUFFER = 1_000_000
 
 
@@ -100,18 +101,20 @@ def median_filter(image, window: int) -> np.ndarray:
     n = window * window
     lower = (n - 1) // 2
     out = np.empty_like(img)
+    # whole rows of windows while a row fits, else one row in runs of columns
     rows = max(1, min(h, _MEDIAN_BUFFER // (w * n)))
-    buf = np.empty((rows, w, n), dtype=padded.dtype)
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        chunk = buf[:r1 - r0]
-        chunk.reshape(r1 - r0, w, window, window)[...] = sliding_window_view(
-            padded[r0:r1 + window - 1], (window, window))
-        chunk.sort(axis=-1)
-        middle = values[chunk[..., lower]]
+    cols = max(1, min(w, _MEDIAN_BUFFER // n))
+    buf = np.empty(rows * cols * n, dtype=padded.dtype)
+    for r0, c0 in itertools.product(range(0, h, rows), range(0, w, cols)):
+        r1, c1 = min(r0 + rows, h), min(c0 + cols, w)
+        tile = buf[:(r1 - r0) * (c1 - c0) * n].reshape(r1 - r0, c1 - c0, n)
+        tile.reshape(r1 - r0, c1 - c0, window, window)[...] = sliding_window_view(
+            padded[r0:r1 + window - 1, c0:c1 + window - 1], (window, window))
+        tile.sort(axis=-1)
+        middle = values[tile[..., lower]]
         if n % 2 == 0:
-            middle = (middle + values[chunk[..., lower + 1]]) / 2.0
-        out[r0:r1] = middle
+            middle = (middle + values[tile[..., lower + 1]]) / 2.0
+        out[r0:r1, c0:c1] = middle
     return out
 
 

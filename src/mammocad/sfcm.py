@@ -5,11 +5,12 @@ row-major order). Each iteration alternates the classic c-means update
 with a spatial refinement that mixes every membership with the
 membership mass of its neighbourhood, which suppresses isolated
 misclassified pixels. Exponents p=1, q=0 recover plain fuzzy c-means.
+`sfcm_run` checks the film and an explicit start once; its steps do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -32,6 +33,12 @@ class SfcmConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"sfcm.{field.name} must be finite, got {value}")
+            if field.name in ("window_radius", "p", "q") and value < 0:
+                raise ValueError(f"sfcm.{field.name} must be non-negative, got {value}")
         if self.clusters < 1:
             raise ValueError("need at least one cluster")
         if self.fuzziness <= 1.0:
@@ -40,9 +47,6 @@ class SfcmConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("need at least one iteration")
-        for name in ("window_radius", "p", "q"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"sfcm.{name} must be non-negative, got {getattr(self, name)}")
 
 
 def _check_memberships(mu: np.ndarray):
@@ -61,15 +65,12 @@ def _check_memberships(mu: np.ndarray):
 
 
 def fcm_iterate(image, memberships, config: SfcmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One c-means sweep: centers from memberships, then memberships back."""
-    img = as_gray(image)
-    intensities = img.ravel()
-    mu = np.asarray(memberships, dtype=np.float64)
-    _check_memberships(mu)
-    if mu.shape[1] != intensities.size:
-        raise ValueError(f"membership matrix has {mu.shape[1]} columns "
-                         f"but the image has {intensities.size} pixels")
-    weights = mu ** config.fuzziness
+    """One c-means sweep: centers from memberships, then memberships back.
+
+    Takes a 2-D float64 film of N pixels and a C x N column-stochastic
+    float64 matrix, as `sfcm_run` checked them."""
+    intensities = image.ravel()
+    weights = memberships ** config.fuzziness
     mass = weights.sum(axis=1)
     if np.any(mass <= 0.0):
         dead = int(np.argmin(mass))
@@ -131,16 +132,12 @@ def spatial_refine(memberships, config: SfcmConfig, shape) -> np.ndarray:
 
     h is the per-cluster sum of memberships over a (2r+1)^2 window with
     replicate borders; the refined membership is mu^p * h^q,
-    renormalized per pixel.
+    renormalized per pixel. Takes a C x N column-stochastic float64
+    matrix for a film of `shape`, as `sfcm_run` checked it.
     """
-    mu = np.asarray(memberships, dtype=np.float64)
-    _check_memberships(mu)
-    h, w = shape
-    if mu.shape[1] != h * w:
-        raise ValueError("membership size does not match the image dimensions")
     size = 2 * config.window_radius + 1
-    planes = mu.reshape(-1, h, w)
-    mixed = np.empty_like(mu)
+    planes = memberships.reshape(-1, *shape)
+    mixed = np.empty_like(memberships)
     window_sum = mixed.reshape(planes.shape)
     # the same arithmetic as ndimage.uniform_filter on each plane
     if size == 1:
@@ -157,7 +154,7 @@ def spatial_refine(memberships, config: SfcmConfig, shape) -> np.ndarray:
     # x ** 1 is a copy of x, so exponents of 1 are skipped
     if config.q != 1:
         mixed **= config.q
-    mixed *= mu if config.p == 1 else mu ** config.p
+    mixed *= memberships if config.p == 1 else memberships ** config.p
     norms = mixed.sum(axis=0)
     if np.any(norms <= 0.0):
         raise DegenerateClusterError("spatial mixing produced an all-zero pixel column")
@@ -174,7 +171,8 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
     membership change drops below the tolerance. When every pixel sits
     on a start center (a two-level image at three clusters), a center
     with no pixel gets no membership and the first sweep raises
-    DegenerateClusterError.
+    DegenerateClusterError. Squared distances that overflow (film values
+    near 1e300) turn the memberships NaN: ValueError in iteration 1.
     """
     img = as_gray(image)
     n = img.size
@@ -189,16 +187,17 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
         start = np.linspace(img.min(), img.max(), config.clusters)
         mu = _memberships(img.ravel(), start, config.fuzziness, np.empty((config.clusters, n)))
 
-    centers = np.zeros(config.clusters)
     change = np.empty_like(mu)
-    iterations = 0
     for iterations in range(1, config.max_iter + 1):
         previous = mu
         mu, centers = fcm_iterate(img, mu, config)
         mu = spatial_refine(mu, config, img.shape)
         np.subtract(mu, previous, out=change)
-        if np.abs(change, out=change).max() < config.tol:
+        largest = np.abs(change, out=change).max()
+        if largest < config.tol:
             break
+        if np.isnan(largest):
+            raise ValueError("memberships turned NaN: the film's squared distances overflow")
     return mu, centers, iterations
 
 

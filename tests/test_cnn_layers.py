@@ -38,13 +38,14 @@ def fd_gradient(scalar_fn, x, step=STEP):
     return grad
 
 
-def check_layer_gradients(layer, x, train=False):
-    """Compare analytic input/parameter gradients against finite differences."""
+def check_layer_gradients(layer, x):
+    """Compare analytic input/parameter gradients against finite
+    differences, from a training forward as backward needs."""
     rng = np.random.default_rng(99)
-    probe = rng.normal(size=layer.forward(x, train=train).shape)
+    probe = rng.normal(size=layer.forward(x, train=True).shape)
 
     def loss():
-        return float((layer.forward(x, train=train) * probe).sum())
+        return float((layer.forward(x, train=True) * probe).sum())
 
     grad_in = layer.backward(probe)  # also refreshes parameter gradients
     assert rel_err(grad_in, fd_gradient(loss, x)) < TOL
@@ -119,7 +120,7 @@ def test_maxpool_window_too_large():
 def test_maxpool_tie_routes_to_first():
     pool = MaxPool2d(2, 2)
     x = np.zeros((1, 1, 2, 2))
-    pool.forward(x)
+    pool.forward(x, train=True)
     gx = pool.backward(np.ones((1, 1, 1, 1)))
     np.testing.assert_array_equal(gx[0, 0], [[1, 0], [0, 0]])
 
@@ -167,20 +168,7 @@ def test_batchnorm_running_stats_updated():
 def test_batchnorm_gradients_train_mode():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 2, 3, 3))
-    check_layer_gradients(batchnorm_layer(2), x, train=True)
-
-
-def test_batchnorm_backward_needs_a_training_forward():
-    bn = batchnorm_layer(2)
-    x = np.arange(100.0).reshape(2, 2, 5, 5)
-    bn.forward(x, train=False)
-    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
-        bn.backward(np.ones_like(x))
-    bn.forward(x, train=True)
-    bn.forward(x, train=False)  # an eval forward drops the training forward's cache
-    assert bn._cache is None
-    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
-        bn.backward(np.ones_like(x))
+    check_layer_gradients(batchnorm_layer(2), x)
 
 
 def test_dense_identity_passthrough():
@@ -222,20 +210,25 @@ def test_flatten_round_trip():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 3, 4, 5))
     f = Flatten()
-    y = f.forward(x)
+    y = f.forward(x, train=True)
     assert y.shape == (2, 60)
     np.testing.assert_array_equal(f.backward(y), x)
 
 
-@pytest.mark.parametrize("layer, x", [
-    (conv_layer(2, 3, 3), np.ones((2, 2, 5, 5))),
-    (MaxPool2d(3, 2), np.ones((2, 2, 5, 5))),
-    (batchnorm_layer(2), np.arange(100.0).reshape(2, 2, 5, 5)),
-    (ReLU(), np.ones((2, 3))),
-    (Flatten(), np.ones((2, 2, 5, 5))),
-    (dense_layer(3, 2), np.ones((2, 3))),
+# every layer kind, made fresh for each test, with an input it takes
+LAYER_KINDS = pytest.mark.parametrize("make, x", [
+    (lambda: conv_layer(2, 3, 3), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
+    (lambda: MaxPool2d(3, 2), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
+    (lambda: batchnorm_layer(2), np.arange(100.0).reshape(2, 2, 5, 5)),
+    (ReLU, np.arange(6.0).reshape(2, 3) - 2),
+    (Flatten, np.ones((2, 2, 5, 5))),
+    (lambda: dense_layer(3, 2), np.arange(6.0).reshape(2, 3)),
 ], ids=["conv", "pool", "batchnorm", "relu", "flatten", "dense"])
-def test_backward_needs_a_forward_pass(layer, x):
+
+
+@LAYER_KINDS
+def test_backward_needs_a_forward_pass(make, x):
+    layer = make()
     with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
         layer.backward(np.ones((2, 2)))
     grad = np.ones(layer.forward(x, train=True).shape)
@@ -244,14 +237,21 @@ def test_backward_needs_a_forward_pass(layer, x):
         layer.backward(grad)  # the forward cache is consumed
 
 
-@pytest.mark.parametrize("make, x", [
-    (lambda: conv_layer(2, 3, 3), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
-    (lambda: MaxPool2d(3, 2), np.arange(100.0).reshape(2, 2, 5, 5) % 7),
-    (lambda: batchnorm_layer(2), np.arange(100.0).reshape(2, 2, 5, 5)),
-    (ReLU, np.arange(6.0).reshape(2, 3) - 2),
-    (Flatten, np.ones((2, 2, 5, 5))),
-    (lambda: dense_layer(3, 2), np.arange(6.0).reshape(2, 3)),
-], ids=["conv", "pool", "batchnorm", "relu", "flatten", "dense"])
+@LAYER_KINDS
+def test_backward_needs_a_training_forward(make, x):
+    layer = make()
+    grad = np.ones(layer.forward(x, train=False).shape)
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        layer.backward(grad)
+    layer.forward(x, train=True)
+    layer.forward(x, train=False)  # an eval forward drops the training forward's cache
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="backward needs a forward pass first"):
+        layer.backward(grad)
+
+
+@LAYER_KINDS
 def test_backward_without_input_gradient(make, x):
     full, partial = make(), make()
     grad = np.random.default_rng(12).normal(size=full.forward(x, train=True).shape)

@@ -74,10 +74,12 @@ def test_median_matches_oracle(shape, kind):
         assert_same_bytes(image, window)
 
 
-@pytest.mark.parametrize("buffer", [1, 3 * 101 * 36, 5 * 101 * 36 - 1])
+@pytest.mark.parametrize("buffer", [1, 7 * 36, 100 * 36, 3 * 101 * 36, 5 * 101 * 36 - 1])
 def test_median_matches_oracle_across_row_chunks(monkeypatch, buffer):
-    # at window 6 the rows come 1, 3 and 4 at a time; 37 rows leave a
-    # partial last chunk for 3 and 4
+    # at window 6 a row of 101 windows takes 3,636 ranks; the first three
+    # buffers take one row at a time in tiles of 1, 7 and 100 windows (the
+    # first holds one window, more than its budget), the last two 3 and 4
+    # rows at a time; 37 rows and 101 columns leave partial last tiles
     monkeypatch.setattr(enhance, "_MEDIAN_BUFFER", buffer)
     for kind in KINDS:
         assert_same_bytes(film((37, 101), kind), 6)
@@ -117,6 +119,23 @@ def test_median_memory_is_bounded_on_a_full_size_film_of_few_values():
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+def test_median_memory_is_bounded_for_a_wide_window():
+    # at window 40 a row of 4,096 windows would take 6.6 million ranks;
+    # the buffer holds 10^6 of them in tiles of 625 windows
+    rng = np.random.default_rng(5)
+    for levels in (256, 2**16 + 1):
+        image = rng.permutation(np.resize(np.arange(levels) / levels, 64 * 4096)).reshape(64, 4096)
+        tracemalloc.start()
+        try:
+            median_filter(image, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the film, the output and the ranking's arrays take 2 MB each, the
+        # buffer 2 or 4 MB
+        assert peak <= 10 * 2**20
 
 
 @pytest.mark.parametrize("levels, width", [(2**16, np.uint16), (2**16 + 1, np.uint32)])

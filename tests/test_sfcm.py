@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mammocad import sfcm
 from mammocad.sfcm import (
     DegenerateClusterError,
     SfcmConfig,
@@ -80,16 +81,39 @@ def test_degenerate_cluster_raises():
         fcm_iterate(img, mu, SfcmConfig(clusters=2))
 
 
-def test_iterate_rejects_memberships_of_another_image_size():
-    img = np.zeros((4, 5))
-    mu = np.full((2, 21), 0.5)
-    with pytest.raises(ValueError, match="21 columns.*20 pixels"):
-        fcm_iterate(img, mu, SfcmConfig(clusters=2))
+@pytest.mark.parametrize("shape", [(2, 21), (3, 20), (40,)], ids=["columns", "rows", "rank"])
+def test_run_rejects_an_init_of_another_shape(shape):
+    img = np.arange(20.0).reshape(4, 5)
+    with pytest.raises(ValueError, match="^init membership shape mismatch$"):
+        sfcm_run(img, SfcmConfig(clusters=2), init=np.full(shape, 0.5))
+
+
+def test_run_refuses_memberships_an_overflowing_film_turns_nan(monkeypatch):
+    # finite intensities near 1e300 square to inf distances, which the
+    # membership pass turns to NaN; the first iteration's change is NaN
+    img = np.random.default_rng(23).random((8, 8)) * 1e300
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(1)
+        return fcm_iterate(*args)
+
+    monkeypatch.setattr(sfcm, "fcm_iterate", counted)
+    with pytest.raises(ValueError, match="NaN"), pytest.warns(RuntimeWarning):
+        sfcm_run(img, SfcmConfig(clusters=3))
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("field, value", [("window_radius", -1), ("p", -0.5), ("q", -1.0)])
 def test_config_rejects_negative_window_and_exponents(field, value):
     with pytest.raises(ValueError, match=field):
+        SfcmConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["fuzziness", "p", "q", "tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_settings(field, value):
+    with pytest.raises(ValueError, match=f"^sfcm.{field} must be finite"):
         SfcmConfig(**{field: value})
 
 
