@@ -7,6 +7,7 @@ Runs are strictly sequential and reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -29,8 +30,9 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"train.learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.batch_size < 2:

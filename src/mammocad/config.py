@@ -2,11 +2,10 @@
 
 The on-disk format is one `section.key = value` assignment per line,
 with '#' comments; every key has a default, so an empty file is valid.
-Values are typed from the dataclass fields they override. The
-block-match thresholds follow the noise level; they are worked out when
-the assignments are applied, so a config holds exactly the values a run
-uses. The network profile fixes its own input size (256, or 64 with
-`network.desk`), so the config holds no size.
+Values are typed from the dataclass fields they override. The noise
+level `pipeline.sigma` alone sets the denoiser, so the config holds no
+denoiser section. The network profile fixes its own input size (256,
+or 64 with `network.desk`), so the config holds no size.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .denoise import Bm3dProfile, default_profile
 from .enhance import EnhanceConfig
 from .levelset import LevelSetConfig
 from .sfcm import SfcmConfig
@@ -28,14 +26,13 @@ class PipelineSection:
     sigma: float = 25.0             # assumed noise std, 8-bit scale
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"pipeline.sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"pipeline.sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     pipeline: PipelineSection = PipelineSection()
-    denoise: Bm3dProfile = Bm3dProfile()
     enhance: EnhanceConfig = EnhanceConfig()
     sfcm: SfcmConfig = SfcmConfig()
     levelset: LevelSetConfig = LevelSetConfig()
@@ -55,7 +52,7 @@ class PipelineConfig:
         return self.train
 
 
-_SECTIONS = ("pipeline", "denoise", "enhance", "sfcm", "levelset", "network", "train")
+_SECTIONS = ("pipeline", "enhance", "sfcm", "levelset", "network", "train")
 
 
 def _coerce(current, text: str):
@@ -74,29 +71,20 @@ def _coerce(current, text: str):
 
 
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
-    """Apply `section.key = value` pairs on top of a config.
-
-    When `pipeline.sigma` is assigned here, the denoise profile starts
-    from that sigma's thresholds, and any `denoise.*` key assigned here
-    replaces its own value.
-    """
+    """Apply `section.key = value` pairs on top of a config."""
     sections = {name: getattr(config, name) for name in _SECTIONS}
     updates = {name: {} for name in _SECTIONS}
     for dotted, text in assignments:
         if "." not in dotted:
             raise ValueError(f"expected section.key, got {dotted!r}")
         section_name, key = dotted.split(".", 1)
-        if section_name not in sections:
-            raise ValueError(f"unknown config section {section_name!r}")
-        section = sections[section_name]
-        if key not in {f.name for f in dataclasses.fields(section)}:
+        section = sections.get(section_name)
+        if section is None or key not in {f.name for f in dataclasses.fields(section)}:
             raise ValueError(f"unknown config key {dotted!r}")
         try:
             updates[section_name][key] = _coerce(getattr(section, key), text)
         except ValueError as exc:
             raise ValueError(f"{dotted}: {exc}") from None
-    if "sigma" in updates["pipeline"]:
-        sections["denoise"] = default_profile(updates["pipeline"]["sigma"])
     # one replace per section, so checks across fields see the final values
     for name, values in updates.items():
         if values:

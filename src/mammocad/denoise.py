@@ -6,11 +6,13 @@ in the transform domain, and aggregated back with per-group weights.
 Both stages use one fixed matching geometry, Lebrun's (IPOL 2012):
 8 x 8 blocks, reference blocks every 4 pixels, candidates whose
 top-left corner lies within 16 pixels, groups of at most 16 blocks.
-Only the thresholds are settable. A candidate block joins a group when
-its per-pixel mean squared difference from the reference, on [0, 1]
-intensities, is at most tau / (8^2 * 255^2). That divides by the block
-area twice, so tau does not act on the 8-bit squared-distance scale
-its values come from (ROADMAP item 2a).
+The noise level sigma is the one input: it scales the hard threshold,
+lambda_3D * sigma with lambda_3D = 2.7, and the Wiener noise, and it
+picks the match thresholds tau of `match_tau`. A candidate block joins
+a group when its per-pixel mean squared difference from the reference,
+on [0, 1] intensities, is at most tau / (8^2 * 255^2). That divides by
+the block area twice, so tau does not act on the 8-bit squared-distance
+scale its values come from (ROADMAP item 2a).
 
 Distances are computed a row of reference blocks at a time: the first
 `block_match` call of a row fills a `RowDistances` with the distances
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,38 +43,20 @@ BLOCK = 8                           # block side
 STEP = 4                            # reference-block stride
 SEARCH_RADIUS = 16                  # candidate corners within this many pixels
 GROUP_MAX = 16                      # max group size, a power of two
+LAMBDA_3D = 2.7                     # hard-threshold coefficient
 
 
-@dataclass(frozen=True)
-class Bm3dProfile:
-    lambda_3d: float = 2.7          # hard-threshold coefficient
-    tau_hard: float = 400.0         # match thresholds, 8-bit squared scale
-    tau_wie: float = 2500.0
+def match_tau(sigma: float, stage: str) -> float:
+    """Match threshold of the "hard" or "wiener" stage at noise sigma (8-bit scale).
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{field.name} must be positive and finite, got {value}")
-
-    def stage_tau(self, stage: str) -> float:
-        """Match threshold of the "hard" or "wiener" stage."""
-        if stage == "hard":
-            return self.tau_hard
-        if stage == "wiener":
-            return self.tau_wie
-        raise ValueError(f"unknown stage {stage!r}")
-
-
-# tau pairs follow the noise level: heavy noise needs looser matching
-HIGH_NOISE_SIGMA_CUTOFF = 40.0
-
-
-def default_profile(sigma: float) -> Bm3dProfile:
-    """Stage thresholds picked by the noise level (8-bit sigma)."""
-    if sigma >= HIGH_NOISE_SIGMA_CUTOFF:
-        return Bm3dProfile(tau_hard=5000.0, tau_wie=3500.0)
-    return Bm3dProfile()
+    Heavy noise needs looser matching: 400 and 2500 below sigma 40,
+    5000 and 3500 from sigma 40 up, on the 8-bit squared scale.
+    """
+    if stage == "hard":
+        return 5000.0 if sigma >= 40.0 else 400.0
+    if stage == "wiener":
+        return 3500.0 if sigma >= 40.0 else 2500.0
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 @dataclass(frozen=True)
@@ -185,25 +169,30 @@ class RowDistances:
         return self._dists[self._slot[c], :, c0 - offset:c1 - offset + 1].copy()
 
 
-def block_match(image, ref: tuple[int, int], profile: Bm3dProfile,
-                stage: str) -> BlockGroup:
+def block_match(image, ref: tuple[int, int], sigma: float, stage: str) -> BlockGroup:
     """Group the blocks nearest to the reference block.
 
     Candidates are all 8 x 8 blocks whose top-left corner lies within
     16 pixels of the reference's in both directions; a candidate
     matches when its per-pixel mean squared difference is at most
-    tau / (8^2 * 255^2), which divides by the block area twice
+    tau / (8^2 * 255^2), with tau the stage's `match_tau` at sigma,
+    which divides by the block area twice
     (ROADMAP item 2a). The group is sorted by ascending distance, ties
     in row-major order, with the reference first, truncated to 16
     blocks, and padded with copies of the reference up to a power of
-    two. `image` is a film, wrapped and checked for this one reference,
-    or a stage's `RowDistances`, which serves a whole row of references
-    from one pass and whose film was checked once, when it was wrapped;
-    the distances are summed in the module's stated order either way.
+    two. `image` is a film, wrapped and checked with sigma for this one
+    reference, or a stage's `RowDistances`, which serves a whole row of
+    references from one pass and whose film and sigma the stage checked
+    once; the distances are summed in the module's stated order either
+    way.
     """
     r, c = ref
-    distances = image if isinstance(image, RowDistances) else RowDistances(image, [c])
-    tau = profile.stage_tau(stage)
+    if isinstance(image, RowDistances):
+        distances = image
+    else:
+        _check_sigma(sigma)
+        distances = RowDistances(image, [c])
+    tau = match_tau(sigma, stage)
     h, w = distances.image.shape
     k = BLOCK
     if not (0 <= r <= h - k and 0 <= c <= w - k):
@@ -257,8 +246,7 @@ def _inverse_3d(coeffs: np.ndarray) -> np.ndarray:
     return idctn(_walsh(coeffs), axes=(2, 3), norm="ortho")
 
 
-def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
-                        shrink) -> np.ndarray:
+def _collaborative_pass(match_on, image, sigma: float, stage: str, shrink) -> np.ndarray:
     """Group, transform, shrink and aggregate over every reference block.
 
     Groups are matched on `match_on`; both stacks are cut at the group
@@ -281,7 +269,7 @@ def _collaborative_pass(match_on, image, profile: Bm3dProfile, stage: str,
     anchor_cols = _reference_grid(w)
     row_distances = RowDistances(match_on, anchor_cols)
     for r in _reference_grid(h):
-        groups = [block_match(row_distances, (r, c), profile, stage) for c in anchor_cols]
+        groups = [block_match(row_distances, (r, c), sigma, stage) for c in anchor_cols]
         sizes = np.array([len(group.coordinates) for group in groups])
         starts = np.cumsum(sizes) - sizes
         coords = np.concatenate([group.coordinates for group in groups])
@@ -307,11 +295,11 @@ def _check_sigma(sigma: float):
         raise ValueError(f"noise sigma must be positive and finite, got {sigma}")
 
 
-def hard_stage(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
+def hard_stage(noisy, sigma: float) -> np.ndarray:
     """Hard-threshold pass; sigma is the noise std on the 8-bit scale."""
     _check_sigma(sigma)
     img = as_gray(noisy)
-    threshold = profile.lambda_3d * sigma / 255.0
+    threshold = LAMBDA_3D * sigma / 255.0
 
     def shrink(_, stacks):
         coeffs = _forward_3d(stacks)
@@ -319,10 +307,10 @@ def hard_stage(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
         keep[:, 0, 0, 0] = True     # never drop a group's DC component
         return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + keep.sum(axis=(1, 2, 3)))
 
-    return _collaborative_pass(img, img, profile, "hard", shrink)
+    return _collaborative_pass(img, img, sigma, "hard", shrink)
 
 
-def wiener_stage(noisy, basic, sigma: float, profile: Bm3dProfile) -> np.ndarray:
+def wiener_stage(noisy, basic, sigma: float) -> np.ndarray:
     """Wiener pass: match on the basic estimate, shrink the noisy stack."""
     img = as_gray(noisy)
     base = as_gray(basic)
@@ -337,10 +325,9 @@ def wiener_stage(noisy, basic, sigma: float, profile: Bm3dProfile) -> np.ndarray
         energy = (gain ** 2).reshape(len(gain), -1).sum(axis=1)
         return gain * _forward_3d(noisy_stacks), 1.0 / (1.0 + energy)
 
-    return _collaborative_pass(base, img, profile, "wiener", shrink)
+    return _collaborative_pass(base, img, sigma, "wiener", shrink)
 
 
-def bm3d_denoise(noisy, sigma: float, profile: Bm3dProfile) -> np.ndarray:
+def bm3d_denoise(noisy, sigma: float) -> np.ndarray:
     """Full two-stage denoise: Wiener pass guided by the hard pass."""
-    basic = hard_stage(noisy, sigma, profile)
-    return wiener_stage(noisy, basic, sigma, profile)
+    return wiener_stage(noisy, hard_stage(noisy, sigma), sigma)

@@ -8,6 +8,7 @@ enhancement chain runs in that order and keeps images in [0, 1].
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -46,12 +47,12 @@ class EnhanceConfig:
             raise ValueError(f"need 0 <= r1 < r2 <= 255, got {self.r1}, {self.r2}")
         _check_window(self.median_window, "median window")
         # either one at or past its bound removes no pectoral muscle from any film
-        if not self.pectoral_area_cap > 0:
-            raise ValueError(f"enhance.pectoral_area_cap must be positive, "
-                             f"got {self.pectoral_area_cap}")
-        if not self.pectoral_tolerance > 0:
-            raise ValueError(f"enhance.pectoral_tolerance must be positive, "
-                             f"got {self.pectoral_tolerance}")
+        for name in ("pectoral_area_cap", "pectoral_tolerance"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"enhance.{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValueError(f"enhance.{name} must be finite, got {value}")
 
 
 def _dense_ranks(img):

@@ -32,7 +32,7 @@ class SegmentationResult:
 
 
 def preprocess_image(image, config: PipelineConfig) -> PreprocessResult:
-    denoised = bm3d_denoise(image, config.pipeline.sigma, config.denoise)
+    denoised = bm3d_denoise(image, config.pipeline.sigma)
     filtered = median_filter(denoised, config.enhance.median_window)
     normalized = normalize(filtered, config.enhance.r1, config.enhance.r2)
     cleaned = remove_artifacts(normalized)

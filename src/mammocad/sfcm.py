@@ -50,8 +50,6 @@ class SfcmConfig:
 
 
 def _check_memberships(mu: np.ndarray):
-    if mu.ndim != 2:
-        raise ValueError("membership matrix must be C x N")
     # fmin skips NaN, so a NaN entry cannot hide a negative one
     if mu.size and np.fmin.reduce(mu, axis=None) < 0:
         raise ValueError("memberships must be non-negative")

@@ -63,15 +63,15 @@ def test_the_config_keys_and_options_are_pinned():
 
     keys = [line.split(" = ")[0] for line in format_config(PipelineConfig()).splitlines()]
     assert keys == [
-        "pipeline.sigma", "denoise.lambda_3d", "denoise.tau_hard", "denoise.tau_wie",
-        "enhance.median_window", "enhance.r1", "enhance.r2", "enhance.pectoral_tolerance",
-        "enhance.pectoral_area_cap", "sfcm.clusters", "sfcm.fuzziness", "sfcm.p", "sfcm.q",
-        "sfcm.window_radius", "sfcm.tol", "sfcm.max_iter", "levelset.epsilon", "levelset.b0",
-        "levelset.tau", "levelset.mu", "levelset.lmda", "levelset.nu", "levelset.iterations",
-        "levelset.smoothing_sigma", "levelset.early_stop_frac", "levelset.early_stop_patience",
-        "network.desk", "train.learning_rate", "train.epochs", "train.batch_size",
-        "train.momentum", "train.seed", "train.augment"]
-    assert len(keys) == 33
+        "pipeline.sigma", "enhance.median_window", "enhance.r1", "enhance.r2",
+        "enhance.pectoral_tolerance", "enhance.pectoral_area_cap", "sfcm.clusters",
+        "sfcm.fuzziness", "sfcm.p", "sfcm.q", "sfcm.window_radius", "sfcm.tol", "sfcm.max_iter",
+        "levelset.epsilon", "levelset.b0", "levelset.tau", "levelset.mu", "levelset.lmda",
+        "levelset.nu", "levelset.iterations", "levelset.smoothing_sigma",
+        "levelset.early_stop_frac", "levelset.early_stop_patience", "network.desk",
+        "train.learning_rate", "train.epochs", "train.batch_size", "train.momentum",
+        "train.seed", "train.augment"]
+    assert len(keys) == 30
     # each subcommand's optional actions, --help aside, as the CI summary counts them
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     counts = {name: sum(1 for a in parser._actions
@@ -584,6 +584,7 @@ def test_pectoral_settings_that_remove_nothing_exit_2_before_any_film_is_read(
     ("levelset.iterations=0", "iterations"),
     ("levelset.early_stop_patience=0", "early_stop_patience"),
     ("sfcm.tol=nan", "sfcm.tol"),
+    # sigma alone sets the denoiser, so any denoise.* value is an unknown key
     ("denoise.lambda_3d=nan", "denoise.lambda_3d"),
     ("enhance.pectoral_tolerance=inf", "enhance.pectoral_tolerance"),
     ("levelset.tau=-1", "tau"),
@@ -649,11 +650,13 @@ def test_a_momentum_outside_the_unit_interval_exits_2_before_any_stage(tmp_path,
     assert not model.parent.exists()
 
 
-# the denoiser's matching geometry is fixed, so its six keys are gone too
+# the denoiser's matching geometry is fixed and sigma sets the rest, so
+# its nine keys are gone too
 @pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "network.input_size",
                                  "levelset.grad_floor", "denoise.k_hard", "denoise.k_wie",
                                  "denoise.n_hard", "denoise.n_wie", "denoise.step",
-                                 "denoise.search_radius"])
+                                 "denoise.search_radius", "denoise.lambda_3d",
+                                 "denoise.tau_hard", "denoise.tau_wie"])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source):
     out = tmp_path / "out"

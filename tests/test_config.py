@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mammocad.cnn.network import NetworkConfig
 from mammocad.config import PipelineConfig, apply_assignments, format_config, parse_assignments
-from mammocad.denoise import Bm3dProfile, default_profile
+from mammocad.denoise import match_tau
 from mammocad.enhance import EnhanceConfig
 
 
@@ -35,10 +38,10 @@ def test_assignments_and_comments():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ValueError):
-        parse_config("levelset.bogus = 1\n")
-    with pytest.raises(ValueError):
-        parse_config("nosection.x = 1\n")
+    # an unknown section is an unknown key, and so is a key a newer version dropped
+    for key in ("levelset.bogus", "nosection.x", "denoise.tau_hard"):
+        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+            parse_config(f"{key} = 1\n")
     with pytest.raises(ValueError):
         parse_config("just a line\n")
 
@@ -52,23 +55,12 @@ def test_round_trip_through_format():
 
 
 def test_denoise_profile_tracks_sigma_when_untouched():
-    low = parse_config("pipeline.sigma = 25\n")
-    assert (low.denoise.tau_hard, low.denoise.tau_wie) == (400.0, 2500.0)
-    high = parse_config("pipeline.sigma = 60\n")
-    assert high.denoise == default_profile(60.0)
-    assert (high.denoise.tau_hard, high.denoise.tau_wie) == (5000.0, 3500.0)
-
-
-def test_explicit_denoise_settings_win():
-    cfg = parse_config("pipeline.sigma = 60\ndenoise.tau_hard = 123\n")
-    assert cfg.denoise == Bm3dProfile(tau_hard=123.0, tau_wie=3500.0)
-
-
-@pytest.mark.parametrize("text", ["pipeline.sigma = 60\ndenoise.lambda_3d = 3.0\n",
-                                  "denoise.lambda_3d = 3.0\npipeline.sigma = 60\n"])
-def test_an_assigned_denoise_key_keeps_the_tau_pair_of_sigma(text):
-    cfg = parse_config(text)
-    assert cfg.denoise == Bm3dProfile(lambda_3d=3.0, tau_hard=5000.0, tau_wie=3500.0)
+    # sigma is the denoiser's one setting, and it picks the thresholds
+    for text, pair in (("pipeline.sigma = 25\n", (400.0, 2500.0)),
+                       ("pipeline.sigma = 60\n", (5000.0, 3500.0))):
+        sigma = parse_config(text).pipeline.sigma
+        assert (match_tau(sigma, "hard"), match_tau(sigma, "wiener")) == pair
+    assert not any(line.startswith("denoise.") for line in format_config(PipelineConfig()).splitlines())
 
 
 def test_fields_checked_together_may_be_assigned_in_any_order():
@@ -132,7 +124,6 @@ _KEYS = {
     "pipeline.sigma": st.floats(0.5, 100.0, allow_nan=False),
     "network.desk": st.booleans(),
     "train.seed": st.integers(0, 2 ** 31),
-    "denoise.tau_hard": st.floats(1.0, 1e4, allow_nan=False),
     "levelset.nu": st.floats(-10.0, 10.0, allow_nan=False),
 }
 _ASSIGNMENT = st.sampled_from(sorted(_KEYS)).flatmap(
@@ -143,3 +134,19 @@ _ASSIGNMENT = st.sampled_from(sorted(_KEYS)).flatmap(
 def test_echo_round_trips_the_resolved_config(assignments):
     cfg = apply_assignments(PipelineConfig(), assignments)
     assert parse_config(format_config(cfg)) == cfg
+
+
+# every real-valued setting, by its config key: (section class, field)
+_REAL_SETTINGS = {f"{section.name}.{field.name}": (type(section.default), field.name)
+                  for section in dataclasses.fields(PipelineConfig)
+                  for field in dataclasses.fields(section.default)
+                  if isinstance(getattr(section.default, field.name), float)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", sorted(_REAL_SETTINGS))
+def test_a_section_built_directly_refuses_a_non_finite_setting(key, value):
+    # the config file's parser refuses these too, but a section must not rely on it
+    section, field = _REAL_SETTINGS[key]
+    with pytest.raises(ValueError, match=field):
+        section(**{field: value})

@@ -12,7 +12,10 @@ numpy's own reduction of the (nr, nc, k, k) window stack.
 every candidate under tau rather than only those within the group
 size's distance. The oracle pass matches through it, so the stage
 oracles never call `block_match`.
-The oracles state the fixed matching geometry themselves.
+The oracles state the fixed matching geometry, the hard-threshold
+coefficient and the match thresholds themselves; a case that needs
+other thresholds takes them as a (hard, Wiener) pair and sets the same
+pair as the library's by patching `denoise.match_tau`.
 """
 
 import numpy as np
@@ -25,17 +28,16 @@ from scipy.linalg import hadamard
 
 from mammocad import denoise
 from mammocad.core import as_gray
-from mammocad.denoise import (
-    Bm3dProfile,
-    bm3d_denoise,
-    block_match,
-    default_profile,
-    hard_stage,
-    wiener_stage,
-)
+from mammocad.denoise import bm3d_denoise, block_match, hard_stage, wiener_stage
 
 
 K, N_MAX, RADIUS = 8, 16, 16     # block side, max group size, search radius
+LAMBDA_3D = 2.7
+
+
+def oracle_taus(sigma):
+    """The (hard, Wiener) match thresholds at sigma."""
+    return (5000.0, 3500.0) if sigma >= 40 else (400.0, 2500.0)
 
 
 def oracle_distances(region, ref_block):
@@ -44,9 +46,9 @@ def oracle_distances(region, ref_block):
     return ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
 
 
-def oracle_block_match(image, ref, profile, stage):
+def oracle_block_match(image, ref, taus, stage):
     k, n_max, rad = K, N_MAX, RADIUS
-    tau = profile.tau_hard if stage == "hard" else profile.tau_wie
+    tau = taus[0] if stage == "hard" else taus[1]
     h, w = image.shape
     r, c = ref
     r0, r1 = max(0, r - rad), min(h - k, r + rad)
@@ -77,7 +79,7 @@ def _inverse_3d(coeffs):
     return idctn(coeffs, axes=(1, 2), norm="ortho")
 
 
-def _collaborative_pass(match_on, image, profile, stage, shrink):
+def _collaborative_pass(match_on, image, taus, stage, shrink):
     """Per reference: match, cut both stacks, shrink, add each block in turn."""
     k = K
     h, w = image.shape
@@ -85,7 +87,7 @@ def _collaborative_pass(match_on, image, profile, stage, shrink):
     weights = np.zeros_like(image)
     for r in denoise._reference_grid(h):
         for c in denoise._reference_grid(w):
-            coords = oracle_block_match(match_on, (r, c), profile, stage)
+            coords = oracle_block_match(match_on, (r, c), taus, stage)
             matched = np.stack([match_on[i:i + k, j:j + k] for i, j in coords])
             stack = np.stack([image[i:i + k, j:j + k] for i, j in coords])
             coeffs, weight = shrink(matched, stack)
@@ -95,9 +97,9 @@ def _collaborative_pass(match_on, image, profile, stage, shrink):
     return np.clip(acc / weights, 0.0, 1.0)
 
 
-def oracle_hard_stage(noisy, sigma, profile):
+def oracle_hard_stage(noisy, sigma, taus):
     img = as_gray(noisy)
-    threshold = profile.lambda_3d * sigma / 255.0
+    threshold = LAMBDA_3D * sigma / 255.0
 
     def shrink(_, stack):
         coeffs = _forward_3d(stack)
@@ -105,10 +107,10 @@ def oracle_hard_stage(noisy, sigma, profile):
         keep[0, 0, 0] = True
         return np.where(keep, coeffs, 0.0), 1.0 / (1.0 + int(keep.sum()))
 
-    return _collaborative_pass(img, img, profile, "hard", shrink)
+    return _collaborative_pass(img, img, taus, "hard", shrink)
 
 
-def oracle_wiener_stage(noisy, basic, sigma, profile):
+def oracle_wiener_stage(noisy, basic, sigma, taus):
     img, base = as_gray(noisy), as_gray(basic)
     noise_var = (sigma / 255.0) ** 2
 
@@ -117,7 +119,7 @@ def oracle_wiener_stage(noisy, basic, sigma, profile):
         gain = basic_coeffs ** 2 / (basic_coeffs ** 2 + noise_var)
         return gain * _forward_3d(noisy_stack), 1.0 / (1.0 + float((gain ** 2).sum()))
 
-    return _collaborative_pass(base, img, profile, "wiener", shrink)
+    return _collaborative_pass(base, img, taus, "wiener", shrink)
 
 
 def film(shape, sigma, seed=0):
@@ -133,18 +135,29 @@ def film(shape, sigma, seed=0):
 
 # (8, 33) has a one-row candidate grid, (33, 8) a one-column grid
 SHAPES = [(40, 40), (48, 32), (32, 48), (45, 70), (8, 33), (33, 8)]
-SIGMAS = [10.0, 25.0, 50.0]        # both tau pairs of the default profile
+SIGMAS = [10.0, 25.0, 50.0]        # both tau pairs
 
-# loose thresholds, so groups of every size from 1 to 16 share a row of
+# (hard, Wiener) thresholds; "default" takes sigma's own pair, and the
+# loose ones give groups of every size from 1 to 16 sharing a row of
 # references in both stages; the keys name the block sides, group sizes
 # and strides these cases used while the geometry was settable, so each
 # case id still names the same case
-PROFILES = {
+TAU_PAIRS = {
     "default": None,
-    "k4-n1-n2-step1": Bm3dProfile(tau_hard=60000.0, tau_wie=3000.0),
-    "k8-k4-n2-n16-step3": Bm3dProfile(tau_hard=90000.0, tau_wie=20000.0),
-    "k4-k8-n16-n1-step4": Bm3dProfile(tau_hard=120000.0, tau_wie=1500.0),
+    "k4-n1-n2-step1": (60000.0, 3000.0),
+    "k8-k4-n2-n16-step3": (90000.0, 20000.0),
+    "k4-k8-n16-n1-step4": (120000.0, 1500.0),
 }
+
+
+def use_taus(monkeypatch, name, sigma):
+    """Case `name`'s thresholds at sigma; a loose pair is set as the library's too."""
+    if TAU_PAIRS[name] is None:
+        return oracle_taus(sigma)
+    hard, wiener = TAU_PAIRS[name]
+    monkeypatch.setattr(denoise, "match_tau",
+                        lambda sigma, stage: {"hard": hard, "wiener": wiener}[stage])
+    return TAU_PAIRS[name]
 
 
 def assert_same_bytes(new, old):
@@ -152,84 +165,83 @@ def assert_same_bytes(new, old):
     assert new.tobytes() == old.tobytes()
 
 
-# every profile sees every shape and every sigma, without the full product
+# every pair sees every shape and every sigma, without the full product
 CASES = [(name, shape, SIGMAS[(i + j) % len(SIGMAS)])
-         for i, name in enumerate(PROFILES) for j, shape in enumerate(SHAPES)]
+         for i, name in enumerate(TAU_PAIRS) for j, shape in enumerate(SHAPES)]
 
 
 @pytest.mark.parametrize("name, shape, sigma", CASES,
                          ids=[f"{n}-{h}x{w}-{s:g}" for n, (h, w), s in CASES])
-def test_stages_match_the_oracle_byte_for_byte(name, shape, sigma):
-    profile = PROFILES[name] or default_profile(sigma)
+def test_stages_match_the_oracle_byte_for_byte(monkeypatch, name, shape, sigma):
+    taus = use_taus(monkeypatch, name, sigma)
     noisy = film(shape, sigma)
-    basic = oracle_hard_stage(noisy, sigma, profile)
-    assert_same_bytes(hard_stage(noisy, sigma, profile), basic)
-    final = oracle_wiener_stage(noisy, basic, sigma, profile)
-    assert_same_bytes(wiener_stage(noisy, basic, sigma, profile), final)
-    assert_same_bytes(bm3d_denoise(noisy, sigma, profile), final)
+    basic = oracle_hard_stage(noisy, sigma, taus)
+    assert_same_bytes(hard_stage(noisy, sigma), basic)
+    final = oracle_wiener_stage(noisy, basic, sigma, taus)
+    assert_same_bytes(wiener_stage(noisy, basic, sigma), final)
+    assert_same_bytes(bm3d_denoise(noisy, sigma), final)
 
 
 @pytest.mark.parametrize("sigma", [10.0, 50.0])
 def test_constant_image_matches_the_oracle(sigma):
     noisy = np.full((24, 40), 0.3)
-    profile = default_profile(sigma)
-    basic = oracle_hard_stage(noisy, sigma, profile)
-    assert_same_bytes(hard_stage(noisy, sigma, profile), basic)
-    assert_same_bytes(bm3d_denoise(noisy, sigma, profile),
-                      oracle_wiener_stage(noisy, basic, sigma, profile))
+    taus = oracle_taus(sigma)
+    basic = oracle_hard_stage(noisy, sigma, taus)
+    assert_same_bytes(hard_stage(noisy, sigma), basic)
+    assert_same_bytes(bm3d_denoise(noisy, sigma), oracle_wiener_stage(noisy, basic, sigma, taus))
 
 
-@pytest.mark.parametrize("name", [name for name in PROFILES if name != "default"])
+@pytest.mark.parametrize("name", [name for name in TAU_PAIRS if name != "default"])
 def test_oracle_profiles_mix_group_sizes_within_a_row(monkeypatch, name):
-    # the batched pass splits a row by group size; make sure the profiles
+    # the batched pass splits a row by group size; make sure the pairs
     # above give every size in each stage and rows holding several at once
-    profile = PROFILES[name]
+    use_taus(monkeypatch, name, 25.0)
     sizes = {}
     real = denoise.block_match
 
-    def recording(image, ref, profile, stage):
-        group = real(image, ref, profile, stage)
+    def recording(image, ref, sigma, stage):
+        group = real(image, ref, sigma, stage)
         sizes.setdefault((stage, ref[0]), set()).add(len(group.coordinates))
         return group
 
     monkeypatch.setattr(denoise, "block_match", recording)
-    bm3d_denoise(film((45, 70), 25.0), 25.0, profile)
+    bm3d_denoise(film((45, 70), 25.0), 25.0)
     for stage in ("hard", "wiener"):
         rows = [s for (st, _), s in sizes.items() if st == stage]
         assert set().union(*rows) == {1, 2, 4, 8, 16}, stage
         assert max(len(s) for s in rows) >= 2, stage
 
 
-def _assert_groups_match_the_oracle(image, profile):
+def _assert_groups_match_the_oracle(image, sigma, taus):
     h, w = image.shape
     for stage in ("hard", "wiener"):
         for r in denoise._reference_grid(h):
             for c in denoise._reference_grid(w):
-                coords = block_match(image, (r, c), profile, stage).coordinates
-                old = oracle_block_match(image, (r, c), profile, stage)
+                coords = block_match(image, (r, c), sigma, stage).coordinates
+                old = oracle_block_match(image, (r, c), taus, stage)
                 assert coords.dtype == old.dtype, (stage, r, c)
                 assert np.array_equal(coords, old), (stage, r, c)
 
 
 @pytest.mark.parametrize("name, shape, sigma", CASES,
                          ids=[f"{n}-{h}x{w}-{s:g}" for n, (h, w), s in CASES])
-def test_block_match_assembles_the_groups_of_the_oracle(name, shape, sigma):
-    _assert_groups_match_the_oracle(film(shape, sigma), PROFILES[name] or default_profile(sigma))
+def test_block_match_assembles_the_groups_of_the_oracle(monkeypatch, name, shape, sigma):
+    _assert_groups_match_the_oracle(film(shape, sigma), sigma, use_taus(monkeypatch, name, sigma))
 
 
-@pytest.mark.parametrize("name", list(PROFILES))
-def test_block_match_breaks_ties_as_the_oracle_does(name):
+@pytest.mark.parametrize("name", list(TAU_PAIRS))
+def test_block_match_breaks_ties_as_the_oracle_does(monkeypatch, name):
     # every block of the constant film ties with the reference, and the
     # 4-level film's distances are multiples of 1/9, so many of them tie
     levels = np.floor(np.random.default_rng(3).random((30, 37)) * 4) / 3
-    profile = PROFILES[name] or default_profile(50.0)
+    taus = use_taus(monkeypatch, name, 50.0)
     for image in (np.full((21, 26), 0.3), levels):
-        _assert_groups_match_the_oracle(image, profile)
+        _assert_groups_match_the_oracle(image, 50.0, taus)
 
 
 @st.composite
 def _match_cases(draw):
-    """A film, a profile and one reference block of either stage.
+    """A film, a noise level and one reference block of either stage.
 
     Films are one level of eighths with a drawn share of pixels moved,
     so many candidates tie at zero. Moved by 1/8, every square is exact
@@ -243,12 +255,12 @@ def _match_cases(draw):
     h, w = draw(st.integers(K, 48)), draw(st.integers(K, 48))
     r = draw(st.sampled_from([0, h - K]) | st.integers(0, h - K))
     c = draw(st.sampled_from([0, w - K]) | st.integers(0, w - K))
-    profile = default_profile(draw(st.sampled_from([25.0, 50.0])))    # both tau pairs
+    sigma = draw(st.sampled_from([25.0, 50.0]))    # both tau pairs
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     moved = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
     steps = moved * (rng.choice([-1, 1], (h, w)) if draw(st.booleans()) else rng.normal(0.0, 1.0, (h, w)))
     image = np.clip(draw(st.integers(0, 8)) + steps, 0, 8) / 8.0
-    return image, (r, c), profile, stage
+    return image, (r, c), sigma, stage
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,15 +269,15 @@ def test_block_match_keeps_the_old_distances_and_groups(case):
     # the drawn column joins the anchors of a stage's row, so the row
     # kernel computes it beside runs of anchors 4 pixels apart and the
     # far border's; a bare film is wrapped with its column alone
-    image, (r, c), profile, stage = case
+    image, (r, c), sigma, stage = case
     k, rad = K, RADIUS
     h, w = image.shape
     distances = denoise.RowDistances(image, sorted({*denoise._reference_grid(w), c}))
     region = image[max(0, r - rad):min(h - k, r + rad) + k, max(0, c - rad):min(w - k, c + rad) + k]
     assert_same_bytes(distances.window(r, c), oracle_distances(region, image[r:r + k, c:c + k]))
-    expected = oracle_block_match(image, (r, c), profile, stage)
+    expected = oracle_block_match(image, (r, c), oracle_taus(sigma), stage)
     for matched in (image, distances):
-        coords = block_match(matched, (r, c), profile, stage).coordinates
+        coords = block_match(matched, (r, c), sigma, stage).coordinates
         assert coords.dtype == expected.dtype
         assert np.array_equal(coords, expected)
 

@@ -18,7 +18,7 @@ import scipy
 
 from mammocad.cli import main
 from mammocad.core import write_pgm
-from mammocad.denoise import bm3d_denoise, default_profile
+from mammocad.denoise import bm3d_denoise
 
 SIZE = 128
 
@@ -83,10 +83,6 @@ def film(sigma: float) -> np.ndarray:
     return np.clip(noisy, 0.0, 1.0)
 
 
-def denoise(noisy: np.ndarray, sigma: float) -> np.ndarray:
-    return bm3d_denoise(noisy, sigma, default_profile(sigma))
-
-
 @pytest.mark.parametrize("sigma", [10.0, 25.0, 40.0, 50.0])
 def test_segment_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, sigma):
     # relative paths keep the summary line free of the temporary directory
@@ -114,6 +110,6 @@ def test_denoised_films_keep_their_bytes(shape, sigma):
     # 8 pixels wide, numpy sums each block's distance terms as one run
     rng = np.random.default_rng(shape[0] * shape[1])
     noisy = np.floor(rng.random(shape) * 8) / 8 + rng.standard_normal(shape) * sigma / 255.0
-    out = denoise(np.clip(noisy, 0.0, 1.0), sigma)
+    out = bm3d_denoise(np.clip(noisy, 0.0, 1.0), sigma)
     assert out.dtype == np.float64 and out.shape == shape
     assert_digest(f"bm3d-{shape[0]}x{shape[1]}-{sigma:g}", out.tobytes())
