@@ -19,6 +19,7 @@ import scipy
 from mammocad.cli import main
 from mammocad.core import write_pgm
 from mammocad.denoise import bm3d_denoise
+from mammocad.enhance import median_filter
 
 SIZE = 128
 
@@ -51,6 +52,7 @@ DIGESTS = {
     "preprocess-25/pectoral_removed.pgm": "a36d04904010e988818e2cf94ac8f9bca4ded054a03aa2c84ba21495bfaba5f3",
     "bm3d-45x70-25": "341677b587f1092389d4b302c244f560b22d04fd80b9bf5a6632c9a1a5b37395",
     "bm3d-40x8-50": "b8eb43b00c5565945e447390f7cf21dec5ac51f5bd08c1f15db1b122ce6d9cee",
+    "median-64x4096-40": "64ebf8a7ec852dccc10eef9922c97bd4db39cd75bbb759bf8c056531abd22b14",
 }
 
 
@@ -113,3 +115,13 @@ def test_denoised_films_keep_their_bytes(shape, sigma):
     out = bm3d_denoise(np.clip(noisy, 0.0, 1.0), sigma)
     assert out.dtype == np.float64 and out.shape == shape
     assert_digest(f"bm3d-{shape[0]}x{shape[1]}-{sigma:g}", out.tobytes())
+
+
+def test_median_filtered_column_tiles_keep_their_bytes():
+    # a row of 40x40 windows on a 4096-wide film overflows the filter's
+    # buffer, so each row is sorted in runs of columns
+    shape = (64, 4096)
+    rng = np.random.default_rng(shape[0] * shape[1])
+    out = median_filter(np.round(rng.random(shape) * 255) / 255, 40)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert_digest("median-64x4096-40", out.tobytes())
