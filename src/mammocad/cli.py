@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with <id>.pgm images")
     p.add_argument("--info", required=True, help="annotation file")
     p.add_argument("-o", "--output", help="also write the JSON report here")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
     return parser
 
@@ -82,8 +81,9 @@ _FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "train.seed", "desk": "network.
               "epochs": "train.epochs", "augment": "train.augment"}
 
 
-def _assignments(args) -> list[tuple[str, str]]:
-    """The config file's, then --set's, then the dedicated flags' assignments."""
+def load_pipeline_config(args) -> PipelineConfig:
+    """The config file's, then --set's, then the dedicated flags'
+    assignments on the defaults; a later assignment to a key wins."""
     assignments = []
     if args.config:
         assignments += parse_assignments(Path(args.config).read_text())
@@ -97,12 +97,7 @@ def _assignments(args) -> list[tuple[str, str]]:
         # an unset flag is None, an unset switch False; 0 is a value
         if value is not None and value is not False:
             assignments.append((key, str(value)))
-    return assignments
-
-
-def load_pipeline_config(args) -> PipelineConfig:
-    """The config the assignments give; a later assignment to a key wins."""
-    return apply_assignments(PipelineConfig(), _assignments(args))
+    return apply_assignments(PipelineConfig(), assignments)
 
 
 def _write_outputs(out_dir: Path, config: PipelineConfig, outputs: dict):
@@ -193,23 +188,16 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    assignments = _assignments(args)
-    config = apply_assignments(PipelineConfig(), assignments)   # read for train.batch_size
+    # the checkpoint fixes the seed and the profile, and each film is scored
+    # alone, so no config value is read
     network = load_checkpoint(args.model)
-    # the checkpoint fixes the seed and the profile; an assigned other value is refused
-    assigned = {key for key, _ in assignments}
-    for key, value, recorded in (("train.seed", config.train.seed, network.seed),
-                                 ("network.desk", config.network.desk, network.config.desk)):
-        if key in assigned and value != recorded:
-            raise ValueError(f"{key} = {value} differs from the checkpoint's {recorded}")
     # the split needs the labels and the training seed; decode just the held-out films
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]
     rng = np.random.default_rng(network.seed)
     _, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
-    # only one batch of films is alive at a time
-    scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]),
-                           config.train.batch_size)
+    # only one film is alive at a time
+    scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]))
     report = compute_metrics(confusion((abnormal, truth) for _, abnormal, truth in scored))
     # the ROC is undefined when the held-out films are all one class
     if len({truth for _, _, truth in scored}) == 2:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -34,9 +33,10 @@ class TrainConfig:
             raise ValueError(f"train.learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
         if self.epochs < 1:
-            raise ValueError("need at least one epoch")
+            raise ValueError(f"train.epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 2:
-            raise ValueError("batch size must be at least 2 (batch statistics)")
+            raise ValueError(f"train.batch_size must be at least 2 (batch statistics), "
+                             f"got {self.batch_size}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
         if self.seed < 0:
@@ -127,7 +127,7 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
             velocity = sgd_step(network.named_params(), network.named_grads(),
                                 train_config.learning_rate, train_config.momentum, velocity)
             losses.append(loss)
-        scored = score_dataset(network, test_items, train_config.batch_size)
+        scored = score_dataset(network, test_items)
         pairs = [(abnormal, truth) for _, abnormal, truth in scored]
         history.append({
             "epoch": epoch,
@@ -145,24 +145,18 @@ def write_history(history, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def score_dataset(network: Network, items, batch_size: int = TrainConfig.batch_size):
+def score_dataset(network: Network, items):
     """(abnormal probability, predicted abnormal, truth) for each film.
 
     The prediction is `Network.predict`'s label, the one decision rule:
     abnormal only when its probability is the larger, so a tie is normal.
-    `items` is any iterable of (image, label) pairs, read once. Films are
-    taken, resized and scored `batch_size` at a time, so memory follows
-    the batch, not the number of films. Batch norm uses its running
-    statistics here, so chunking changes no prediction beyond float
-    rounding in the batched products.
+    `items` is any iterable of (image, label) pairs, read once. Each film
+    is resized and scored alone, with batch norm's running statistics, so
+    its probability depends only on the film and the network, and memory
+    holds one film's input copy at a time.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    items = iter(items)
     scored = []
-    while chunk := list(islice(items, batch_size)):
-        probs, labels = network.predict(
-            [_sized(im, network.config.input_size) for im, _ in chunk])
-        scored.extend((float(p[1]), bool(label), bool(truth))
-                      for p, label, (_, truth) in zip(probs, labels, chunk))
+    for image, truth in items:
+        [probs], [label] = network.predict([_sized(image, network.config.input_size)])
+        scored.append((float(probs[1]), bool(label), bool(truth)))
     return scored

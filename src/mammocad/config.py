@@ -63,11 +63,9 @@ def _coerce(current, text: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    value = type(current)(text)     # every other field is an int or a float
-    # compare rather than call math.isfinite, which overflows on a huge int
-    if value in (math.inf, -math.inf) or value != value:
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
+    # every other field is an int or a float; each section refuses a
+    # non-finite float itself
+    return type(current)(text)
 
 
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:

@@ -44,8 +44,9 @@ class EnhanceConfig:
 
     def __post_init__(self):
         if not 0 <= self.r1 < self.r2 <= 255:
-            raise ValueError(f"need 0 <= r1 < r2 <= 255, got {self.r1}, {self.r2}")
-        _check_window(self.median_window, "median window")
+            raise ValueError(f"enhance.r1 and enhance.r2 need 0 <= r1 < r2 <= 255, "
+                             f"got {self.r1}, {self.r2}")
+        _check_window(self.median_window, "enhance.median_window")
         # either one at or past its bound removes no pectoral muscle from any film
         for name in ("pectoral_area_cap", "pectoral_tolerance"):
             value = getattr(self, name)

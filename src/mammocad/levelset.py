@@ -68,18 +68,19 @@ class LevelSetConfig:
         for field in fields(self):
             value = getattr(self, field.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+                raise ValueError(f"levelset.{field.name} must be finite, got {value}")
         if not 0.0 < self.b0 < 1.0:
-            raise ValueError("binarization threshold must lie in (0, 1)")
+            raise ValueError(f"levelset.b0 must lie in (0, 1), got {self.b0}")
         for name in ("epsilon", "tau", "smoothing_sigma"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ValueError(f"levelset.{name} must be positive, got {getattr(self, name)}")
         for name in ("iterations", "early_stop_patience"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise ValueError(f"levelset.{name} must be at least 1, got {getattr(self, name)}")
         if self.tau * self.mu >= 0.25:
             raise ValueError(
-                f"unstable step: tau*mu = {self.tau * self.mu:.3g} must stay below 0.25")
+                f"levelset.tau * levelset.mu = {self.tau * self.mu:.3g} must stay below 0.25 "
+                "(unstable step)")
 
 
 def binarize_membership(r_k, b0: float) -> np.ndarray:

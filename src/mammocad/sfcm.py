@@ -40,13 +40,13 @@ class SfcmConfig:
             if field.name in ("window_radius", "p", "q") and value < 0:
                 raise ValueError(f"sfcm.{field.name} must be non-negative, got {value}")
         if self.clusters < 1:
-            raise ValueError("need at least one cluster")
+            raise ValueError(f"sfcm.clusters must be at least 1, got {self.clusters}")
         if self.fuzziness <= 1.0:
-            raise ValueError("fuzziness exponent must exceed 1")
+            raise ValueError(f"sfcm.fuzziness must exceed 1, got {self.fuzziness}")
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"sfcm.tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
+            raise ValueError(f"sfcm.max_iter must be at least 1, got {self.max_iter}")
 
 
 def _check_memberships(mu: np.ndarray):

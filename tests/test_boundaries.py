@@ -112,7 +112,7 @@ def test_parse_config_raises_only_value_errors_and_keeps_floats_finite(assignmen
 @given(st.sampled_from([key for key, _ in _floats(PipelineConfig())]),
        st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 def test_parse_config_names_the_key_of_a_non_finite_float(key, value):
-    with pytest.raises(ValueError, match=f"^{key}: "):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
         apply_assignments(PipelineConfig(), parse_assignments(f"{key} = {value}\n"))
 
 

@@ -77,8 +77,8 @@ def test_the_config_keys_and_options_are_pinned():
     counts = {name: sum(1 for a in parser._actions
                         if a.option_strings and not isinstance(a, argparse._HelpAction))
               for name, parser in sub.choices.items()}
-    assert counts == {"preprocess": 4, "train": 9, "classify": 1, "segment": 5, "evaluate": 6}
-    assert sum(counts.values()) == 25
+    assert counts == {"preprocess": 4, "train": 9, "classify": 1, "segment": 5, "evaluate": 4}
+    assert sum(counts.values()) == 23
 
 
 def test_help_exits_zero(capsys):
@@ -329,31 +329,52 @@ def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
-def test_evaluate_refuses_a_seed_or_profile_other_than_the_checkpoints(tmp_path, capsys,
-                                                                       monkeypatch):
-    data, info = tiny_training_dir(tmp_path, n_per_class=5)
+def test_the_held_out_accuracy_is_the_one_evaluate_reports(tmp_path, capsys, monkeypatch):
+    from mammocad.cnn.train import score_dataset
+
+    data, info = tiny_training_dir(tmp_path, n_per_class=10)
     model = tmp_path / "model.bin"
-    assert main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(model), "--desk", "--epochs", "1", "--seed", "3"]) == 0
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--desk", "--epochs", "2", "--seed", "4", "--set", "train.batch_size=3"]) == 0
     evaluate = ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]
     capsys.readouterr()
     assert main(evaluate) == 0
     report = capsys.readouterr().out
-    for extra in (["--config", str(tmp_path / "config.echo")],
-                  ["--set", "train.batch_size=2"], ["--set", "train.seed=3"],
-                  ["--set", "network.desk=true"]):
-        assert main(evaluate + extra) == 0
-        assert capsys.readouterr().out == report
+    last = json.loads(model.with_suffix(".history.jsonl").read_text().splitlines()[-1])
+    assert last["test_accuracy"] == json.loads(report)["accuracy"]
 
-    monkeypatch.setattr("mammocad.cli.load_item", lambda *args: pytest.fail("decoded"))
-    written = tmp_path / "out" / "report.json"
-    for assignment, parts in (("train.seed=9", ("train.seed", "9", "3")),
-                              ("network.desk=false", ("network.desk", "False", "True"))):
-        assert main(evaluate + ["--set", assignment, "-o", str(written)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert all(part in captured.err for part in parts)
-        assert not written.parent.exists()
+    # scored in chunks of the training batch size, the films give the same report
+    def in_threes(network, items):
+        items = list(items)
+        return [scored for start in range(0, len(items), 3)
+                for scored in score_dataset(network, items[start:start + 3])]
+
+    monkeypatch.setattr("mammocad.cli.score_dataset", in_threes)
+    assert main(evaluate) == 0
+    assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("command, assignment", [
+    ("segment", "sfcm.tol=0"),
+    ("segment", "sfcm.clusters=0"),
+    ("segment", "levelset.b0=1.5"),
+    ("segment", "levelset.tau=-1"),
+    ("segment", "levelset.iterations=0"),
+    ("train", "train.epochs=0"),
+    ("train", "train.batch_size=1"),
+])
+def test_a_refused_config_value_names_its_key(tmp_path, capsys, command, assignment):
+    # the inputs do not exist, so reading them would fail with another message
+    out = tmp_path / "out"
+    argv = {"segment": [str(tmp_path / "x.pgm"), "-o", str(out)],
+            "train": ["--data", str(tmp_path), "--info", str(tmp_path / "info.txt"),
+                      "-o", str(out / "model.bin")]}[command]
+    assert main([command, *argv, "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    key = assignment.split("=")[0]
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {command}: {key} ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
@@ -370,13 +391,14 @@ def test_evaluate_peak_memory_does_not_grow_with_the_held_out_films(tmp_path, ca
         tracemalloc.start()
         try:
             assert main(["evaluate", "--model", str(model), "--data", str(data),
-                         "--info", str(info), "--set", "train.batch_size=2"]) == 0
+                         "--info", str(info)]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     capsys.readouterr()
-    one_chunk_of_films = 2 * 128 * 128 * 8
-    assert peaks[1] - peaks[0] <= one_chunk_of_films
+    # each film is decoded, widened and scored alone
+    one_film = 128 * 128 * 8
+    assert peaks[1] - peaks[0] <= one_film
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
@@ -681,9 +703,14 @@ def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source
     ("train", "--sigma=5"),
     ("evaluate", "--sigma=5"),
     ("evaluate", "--seed=3"),
+    # the checkpoint fixes the seed and the profile, and films are scored
+    # one at a time, so evaluate reads no config value
+    ("evaluate", "--set=train.seed=9"),
+    ("evaluate", "--config=config.echo"),
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(phantom_pgm, tmp_path, capsys,
-                                                              command, flag):
+                                                              monkeypatch, command, flag):
+    monkeypatch.setattr("mammocad.cli.load_item", lambda *args: pytest.fail("decoded"))
     data, info = tiny_training_dir(tmp_path)
     out = tmp_path / "out"
     argv = {"preprocess": [str(phantom_pgm), "-o", str(out)],

@@ -200,36 +200,46 @@ def test_score_dataset_probability_prediction_truth():
         assert truth is bool(lab)
 
 
-def test_score_dataset_in_chunks_matches_one_batch():
-    items = blob_dataset(n_per_class=5, size=80)
+def test_a_film_scores_the_same_in_a_list_alone_and_in_classify(tmp_path, capsys):
+    from mammocad.cli import main
+    from mammocad.cnn.network import save_checkpoint
+
+    # 8-bit films, so classify reads back the bytes scored here
+    items = [(read_pgm(write_pgm(im)), lab) for im, lab in blob_dataset(n_per_class=5, size=80)]
     net, _ = train(items, NetworkConfig(desk=True), TrainConfig(epochs=1, batch_size=4, seed=6))
-    whole = score_dataset(net, items, batch_size=len(items))
-    chunked = score_dataset(net, items, batch_size=3)
-    assert [t for *_, t in chunked] == [t for *_, t in whole]
-    np.testing.assert_allclose([p for p, *_ in chunked], [p for p, *_ in whole],
-                               rtol=0, atol=1e-12)
-    assert score_dataset(net, items, batch_size=3) == chunked
-    with pytest.raises(ValueError, match="batch_size"):
-        score_dataset(net, items, batch_size=0)
+    scored = score_dataset(net, items)
+    assert scored == [triple for item in items for triple in score_dataset(net, [item])]
+    model = tmp_path / "model.bin"
+    save_checkpoint(net, model)
+    paths = []
+    for i, (im, _) in enumerate(items):
+        paths.append(tmp_path / f"film{i}.pgm")
+        paths[-1].write_bytes(write_pgm(im))
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model), *map(str, paths)]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["p_abnormal"], r["label"] == "abnormal") for r in printed] == [
+        (p, abnormal) for p, abnormal, _ in scored]
 
 
 def test_score_dataset_peak_memory_does_not_grow_with_the_film_count():
     net = Network(NetworkConfig(desk=True), seed=0)
     rng = np.random.default_rng(0)
     films = [(rng.random((80, 80)), i % 2) for i in range(32)]
-    batch_size = 4
 
     def peak(items):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            score_dataset(net, items, batch_size=batch_size)
+            score_dataset(net, items)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    one_chunk = batch_size * net.config.input_size ** 2 * 8
-    assert peak(films) - peak(films[:8]) <= one_chunk
+    # scoring holds one film's input copy at a time; the bound, four of
+    # them, leaves room for numpy's first-call allocations (up to about 40 KB)
+    one_film = net.config.input_size ** 2 * 8
+    assert peak(films) - peak(films[:8]) <= 4 * one_film
 
 
 def test_training_peak_memory_does_not_grow_with_the_held_out_films():

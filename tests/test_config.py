@@ -146,7 +146,7 @@ _REAL_SETTINGS = {f"{section.name}.{field.name}": (type(section.default), field.
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", sorted(_REAL_SETTINGS))
 def test_a_section_built_directly_refuses_a_non_finite_setting(key, value):
-    # the config file's parser refuses these too, but a section must not rely on it
+    # the config file's parser has no finite check of its own: the section is the one check
     section, field = _REAL_SETTINGS[key]
     with pytest.raises(ValueError, match=field):
         section(**{field: value})

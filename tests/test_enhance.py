@@ -58,7 +58,7 @@ def test_median_odd_window_matches_brute_force():
 def test_median_window_must_be_a_positive_integer(window):
     with pytest.raises(ValueError, match="must be an integer of at least 1 pixel"):
         median_filter(np.zeros((4, 4)), window)
-    with pytest.raises(ValueError, match="median window must be an integer"):
+    with pytest.raises(ValueError, match="^enhance.median_window must be an integer"):
         EnhanceConfig(median_window=window)
 
 
