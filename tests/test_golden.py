@@ -52,6 +52,8 @@ DIGESTS = {
     "preprocess-25/pectoral_removed.pgm": "a36d04904010e988818e2cf94ac8f9bca4ded054a03aa2c84ba21495bfaba5f3",
     "bm3d-45x70-25": "341677b587f1092389d4b302c244f560b22d04fd80b9bf5a6632c9a1a5b37395",
     "bm3d-40x8-50": "b8eb43b00c5565945e447390f7cf21dec5ac51f5bd08c1f15db1b122ce6d9cee",
+    "bm3d-100x100-25": "c72491815e48fc0d795d8e286e230a32d12871f88c2cf3e5270e80475dd927c2",
+    "bm3d-77x41-50": "83499ff53d19cf4ad3c0cb2bdebd4f9c1b8dcf8542fa9320720dd7bd20a186e5",
     "median-64x4096-40": "64ebf8a7ec852dccc10eef9922c97bd4db39cd75bbb759bf8c056531abd22b14",
 }
 
@@ -106,10 +108,14 @@ def test_preprocess_outputs_keep_their_bytes(tmp_path):
         assert_digest(f"preprocess-25/{name}", (out / name).read_bytes())
 
 
-@pytest.mark.parametrize("shape, sigma", [((45, 70), 25.0), ((40, 8), 50.0)],
-                         ids=["45x70-25", "40x8-50"])
+@pytest.mark.parametrize("shape, sigma", [((45, 70), 25.0), ((40, 8), 50.0),
+                                          ((100, 100), 25.0), ((77, 41), 50.0)],
+                         ids=["45x70-25", "40x8-50", "100x100-25", "77x41-50"])
 def test_denoised_films_keep_their_bytes(shape, sigma):
-    # 8 pixels wide, numpy sums each block's distance terms as one run
+    # 8 pixels wide, numpy sums each block's distance terms as one run;
+    # 100 x 100 has middle reference rows whose candidates span all 33
+    # rows, and 77 x 41 a far-border reference row 1 pixel below the last
+    # stride-spaced one, at the high threshold pair
     rng = np.random.default_rng(shape[0] * shape[1])
     noisy = np.floor(rng.random(shape) * 8) / 8 + rng.standard_normal(shape) * sigma / 255.0
     out = bm3d_denoise(np.clip(noisy, 0.0, 1.0), sigma)
