@@ -14,17 +14,21 @@ on [0, 1] intensities, is at most tau / (8^2 * 255^2). That divides by
 the block area twice, so tau does not act on the 8-bit squared-distance
 scale its values come from (ROADMAP item 2a).
 
-Distances are computed a row of reference blocks at a time: the first
-`block_match` call of a row fills a `RowDistances` with the distances
-of every candidate of every reference on that row, and each call then
-selects its own group. The sums keep the order in which numpy reduces
-a (rows, columns, 8, 8) window stack over its last two axes: each
-block row's 8 squared differences pairwise,
+Matching is done a row of reference blocks at a time: the first
+`block_match` call of a row computes the distances of every candidate
+of every reference on that row and selects all the row's groups in one
+vectorised pass, and each call returns its own group. The sums keep the
+order in which numpy reduces a (rows, columns, 8, 8) window stack over
+its last two axes: each block row's 8 squared differences pairwise,
 ((0+1)+(2+3))+((4+5)+(6+7)), each 4-term half shared by the two
 references 4 pixels apart that cover it, then the 8 block rows in
-sequence. So the distances are bit for bit those of that reduction,
-taken one reference at a time. The film is checked once, when it is
-wrapped in its `RowDistances`.
+sequence. Reference rows are 4 pixels apart, so the sum of a row's
+lower 4 block rows is the first 3 additions of the next row's sums at
+the same displacement; it is carried there, so a row forms only its
+lower 4 block rows, and the first row and a far-border row all 8. So
+the distances are bit for bit those
+of that reduction, taken one reference at a time. The film is checked
+once, when it is wrapped in its `RowDistances`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ BLOCK = 8                           # block side
 STEP = 4                            # reference-block stride
 SEARCH_RADIUS = 16                  # candidate corners within this many pixels
 GROUP_MAX = 16                      # max group size, a power of two
+_PASS_TERMS = 1 << 16               # squared differences formed per matching pass
 LAMBDA_3D = 2.7                     # hard-threshold coefficient
 
 
@@ -74,15 +79,16 @@ def _reference_grid(extent: int) -> list[int]:
     return anchors
 
 
-def _sequential_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum along the first axis, one term after another."""
-    total = terms[0].copy()
-    for term in terms[1:]:
+def _sequential_sum(terms) -> np.ndarray:
+    """Sum the terms one after another, into a new array."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for term in terms:
         total += term
     return total
 
 
-def _pairwise_8(terms: np.ndarray, n: int) -> np.ndarray:
+def _pairwise_8(terms: np.ndarray, n: int, out=None) -> np.ndarray:
     """Sums of 8 consecutive terms along the last axis, starting every 4.
 
     The last axis holds 4n + 4 terms. Each window is summed in numpy's
@@ -91,8 +97,9 @@ def _pairwise_8(terms: np.ndarray, n: int) -> np.ndarray:
     windows that overlap on it.
     """
     quads = terms.reshape(*terms.shape[:-1], n + 1, 4)
-    halves = (quads[..., 0] + quads[..., 1]) + (quads[..., 2] + quads[..., 3])
-    return halves[..., :-1] + halves[..., 1:]
+    halves = quads[..., 0] + quads[..., 1]
+    halves += quads[..., 2] + quads[..., 3]
+    return np.add(halves[..., :-1], halves[..., 1:], out=out)
 
 
 def _runs(cols: list[int]) -> list[tuple[int, int, int]]:
@@ -101,40 +108,37 @@ def _runs(cols: list[int]) -> list[tuple[int, int, int]]:
     return [(a, cols[a], b - a) for a, b in zip(starts, starts[1:])]
 
 
-def _row_distances(film: np.ndarray, r: int, cols: list[int], rows: range) -> np.ndarray:
-    """Candidate distances of the references at row r, as (len(cols), len(rows), 33).
+def _block_row_sums(film: np.ndarray, top: int, count: int, shifts: range, cols: list[int]):
+    """Yield the per-anchor block-row sums of film rows top, ..., top + count - 1.
 
-    `cols` holds the references' ascending columns and `rows` the
-    candidate rows. Entry [a, i, j] is the candidate at
-    (rows[i], cols[a] + j - 16); entries off the film are zero-padded
-    columns' distances. Each candidate row is subtracted at all 33
-    column offsets at once, squared and summed in the module's stated
-    order. On a film 8 pixels wide numpy reduces each window's 64 terms
-    as one run, so there each column's 8 rows are summed in sequence
-    first and the 8 columns pairwise.
+    Each is a (len(shifts), 33, len(cols)) array: entry [i, j, a] sums
+    the squared differences between the 8 pixels of the row under the
+    block of anchor a, columns cols[a] to cols[a] + 7, and the pixels
+    j - 16 columns to their right in the row shifts[i] below, which read
+    zero off the film. The 8 terms are summed in numpy's pairwise
+    order, each 4-term half shared by the two anchors 4 pixels apart
+    that cover it. The squares are formed a few shifts at a time, so
+    that one pass's stay in a core's cache.
     """
     k, rad = BLOCK, SEARCH_RADIUS
     w = film.shape[1]
     lo, hi = cols[0], cols[-1] + k
-    band = np.zeros((len(rows) + k - 1, hi - lo + 2 * rad))
     x0, x1 = max(lo - rad, 0), min(hi + rad, w)
-    band[:, x0 - lo + rad:x1 - lo + rad] = film[rows[0]:rows[-1] + k, x0:x1]
+    band = np.zeros((count + len(shifts) - 1, hi - lo + 2 * rad))
+    band[:, x0 - lo + rad:x1 - lo + rad] = film[top + shifts[0]:top + count + shifts[-1], x0:x1]
     candidates = sliding_window_view(band, hi - lo, axis=1)
-    ref_rows = film[r:r + k, None, lo:hi]
     runs = _runs(cols)
-    out = np.empty((len(rows), 2 * rad + 1, len(cols)))
-    squares = np.empty((k, 2 * rad + 1, hi - lo))
-    for i in range(len(rows)):
-        np.subtract(candidates[i:i + k], ref_rows, out=squares)
-        squares *= squares
-        if w == k:
-            out[i] = _pairwise_8(_sequential_sum(squares), 1)
-            continue
-        for a, first, n in runs:
-            terms = squares[..., first - lo:first - lo + STEP * n + STEP]
-            out[i, :, a:a + n] = _sequential_sum(_pairwise_8(terms, n))
-    out /= k * k
-    return out.transpose(2, 0, 1)
+    squares = np.empty((max(1, _PASS_TERMS // ((2 * rad + 1) * (hi - lo))), 2 * rad + 1, hi - lo))
+    for p in range(count):
+        sums = np.empty((len(shifts), 2 * rad + 1, len(cols)))
+        for i in range(0, len(shifts), len(squares)):
+            part = squares[:len(shifts) - i]
+            np.subtract(candidates[p + i:p + i + len(part)], film[top + p, lo:hi], out=part)
+            part *= part
+            for a, first, n in runs:
+                _pairwise_8(part[..., first - lo:first - lo + STEP * n + STEP], n,
+                            out=sums[i:i + len(part), :, a:a + n])
+        yield sums
 
 
 def _search_span(x: int, extent: int) -> tuple[int, int]:
@@ -142,31 +146,127 @@ def _search_span(x: int, extent: int) -> tuple[int, int]:
     return max(0, x - SEARCH_RADIUS), min(extent - BLOCK, x + SEARCH_RADIUS)
 
 
+def _row_distances(film: np.ndarray, r: int, cols: list[int], carried):
+    """Candidate distances of the references at row r, and the carry for row r + 4.
+
+    `cols` holds the references' ascending columns. The distances are a
+    new (len(cols), rows, 33) array: entry [a, i, j] is the candidate at
+    the i-th row of r's search span and column cols[a] + j - 16, and is
+    infinite when that column is off the film. A distance is its 8
+    block-row sums added in sequence. Block rows 4 to 7 of row r are
+    block rows 0 to 3 of row r + 4 at the same displacement, so their
+    sum is returned as the carry: `carried`, the carry of row r - 4,
+    is then the first 3 additions of every distance here, and only
+    block rows 4 to 7 are formed. With `carried` None, as for the first
+    row and a far-border row, all 8 are. The carry covers the
+    displacements of row r + 4, up to 4 rows higher than r's. On a film
+    8 pixels wide numpy reduces each window's 64 terms as one run, so
+    there each column's 8 rows are summed in sequence first and the 8
+    columns pairwise, and nothing is carried.
+    """
+    k, rad = BLOCK, SEARCH_RADIUS
+    h, w = film.shape
+    r0, r1 = _search_span(r, h)
+    shifts = range(r0 - r, r1 - r + 1)
+    if w == k:
+        # only the candidates in column 0 are on the film
+        squares = sliding_window_view(film[r0:r1 + k], k, axis=0) - film[r:r + k].T
+        squares *= squares
+        total, carry = np.zeros((len(shifts), 2 * rad + 1, 1)), None
+        total[:, rad] = _pairwise_8(_sequential_sum(squares.transpose(2, 0, 1)), 1)
+    else:
+        if carried is None:
+            total = _sequential_sum(_block_row_sums(film, r, STEP, shifts, cols))
+        else:
+            total = carried[:len(shifts)].copy()
+        ahead = range(-min(rad, r + STEP), shifts.stop)
+        skip = len(ahead) - len(shifts)
+        lower = _block_row_sums(film, r + STEP, STEP, ahead, cols)
+        carry = next(lower)
+        total += carry[skip:]
+        for sums in lower:
+            total += sums[skip:]
+            carry += sums
+    dists = np.empty((len(cols), len(shifts), 2 * rad + 1))
+    np.divide(total.transpose(2, 0, 1), k * k, out=dists)
+    off = np.add.outer(cols, np.arange(-rad, rad + 1))
+    np.copyto(dists, np.inf, where=((off < 0) | (off > w - k))[:, None, :])
+    return dists, carry
+
+
+def _select_groups(dists: np.ndarray, r: int, cols: list[int], r0: int,
+                   threshold: float) -> list[BlockGroup]:
+    """The groups of every reference on row r, from its `_row_distances`.
+
+    `r0` is the first row of r's search span. For each reference, the
+    candidates within `threshold`, the reference first, then by
+    ascending distance with ties in row-major order, at most 16, padded
+    with copies of the reference up to a power of two. Overwrites the
+    references' own distances in `dists`.
+    """
+    rad = SEARCH_RADIUS
+    span = dists.shape[2]
+    dists[:, r - r0, rad] = -1.0        # the reference leads; ties keep row-major order
+    d = dists.reshape(len(cols), -1)
+    passed = d <= threshold
+    crowded = np.flatnonzero(passed.sum(axis=1) > GROUP_MAX)
+    if len(crowded):
+        # a stable sort's first GROUP_MAX entries are those below its
+        # GROUP_MAX-th value and, in row-major order, the first that tie with it
+        within = np.where(passed[crowded], d[crowded], np.inf)
+        cut = np.partition(within, GROUP_MAX - 1, axis=1)[:, GROUP_MAX - 1:GROUP_MAX]
+        kept = within <= cut
+        over = np.flatnonzero(kept.sum(axis=1) > GROUP_MAX)
+        if len(over):
+            tied = within[over] == cut[over]
+            room = GROUP_MAX - (kept[over] & ~tied).sum(axis=1, keepdims=True)
+            kept[over] &= ~tied | (np.cumsum(tied, axis=1) <= room)
+        passed[crowded] = kept
+    anchor, flat = np.divmod(np.flatnonzero(passed), d.shape[1])
+    order = np.lexsort((d[anchor, flat], anchor))
+    anchor, flat = anchor[order], flat[order]
+    sizes = np.bincount(anchor, minlength=len(cols))
+    padded = np.array([1 << (n - 1).bit_length() for n in range(GROUP_MAX + 1)])[sizes]
+    starts = np.cumsum(padded) - padded
+    anchors = np.array(cols)
+    coords = np.empty((padded.sum(), 2), dtype=np.intp)
+    coords[:, 0] = r
+    coords[:, 1] = np.repeat(anchors, padded)
+    slots = starts[anchor] + np.arange(len(anchor)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coords[slots, 0] = flat // span + r0
+    coords[slots, 1] = flat % span + anchors[anchor] - rad
+    return [BlockGroup(coordinates=coords[start:start + g])
+            for start, g in zip(starts.tolist(), padded.tolist())]
+
+
 class RowDistances:
-    """The film a stage matches on, with the distances of one row of references.
+    """The film a stage matches on, with the groups of one row of references.
 
     `block_match` takes it in place of the film. The film is checked
     once, here, for a 2-D shape and finite intensities. The first call
     for a reference row computes the candidate distances of every anchor
-    in `cols` on that row in one vectorised pass; the later calls of the
-    row, one per anchor, only select from them. One row is held at a
-    time, so references taken row by row compute each row once.
+    in `cols` on that row in one vectorised pass and selects all their
+    groups at once; the later calls of the row, one per anchor, return
+    their group. The block-row sums that a row shares with the row 4
+    pixels below it are carried there, so references taken row by row
+    form each block-row sum once.
     """
 
     def __init__(self, image, cols: list[int]):
         self.image = as_gray(image)
         self.cols = cols
         self._slot = {c: a for a, c in enumerate(cols)}
-        self._row = self._dists = None
+        self._key = self._carry = self._groups = None
 
-    def window(self, r: int, c: int) -> np.ndarray:
-        """A copy of the distances of the candidates in the search window of (r, c)."""
-        (r0, r1), (c0, c1) = _search_span(r, self.image.shape[0]), _search_span(c, self.image.shape[1])
-        if r != self._row:
-            self._row = r
-            self._dists = _row_distances(self.image, r, self.cols, range(r0, r1 + 1))
-        offset = c - SEARCH_RADIUS
-        return self._dists[self._slot[c], :, c0 - offset:c1 - offset + 1].copy()
+    def group(self, r: int, c: int, threshold: float) -> BlockGroup:
+        """The group of the reference at (r, c) under `threshold`."""
+        if (r, threshold) != self._key:
+            carried = self._carry if self._key is not None and self._key[0] == r - STEP else None
+            dists, self._carry = _row_distances(self.image, r, self.cols, carried)
+            r0 = _search_span(r, self.image.shape[0])[0]
+            self._groups = _select_groups(dists, r, self.cols, r0, threshold)
+            self._key = (r, threshold)
+        return self._groups[self._slot[c]]
 
 
 def block_match(image, ref: tuple[int, int], sigma: float, stage: str) -> BlockGroup:
@@ -181,37 +281,23 @@ def block_match(image, ref: tuple[int, int], sigma: float, stage: str) -> BlockG
     in row-major order, with the reference first, truncated to 16
     blocks, and padded with copies of the reference up to a power of
     two. `image` is a film, wrapped and checked with sigma for this one
-    reference, or a stage's `RowDistances`, which serves a whole row of
-    references from one pass and whose film and sigma the stage checked
-    once; the distances are summed in the module's stated order either
-    way.
+    reference, or a stage's `RowDistances`, which selects the groups of
+    a whole row of references in one pass, on its first call of the
+    row, and whose film and sigma the stage checked once; the distances
+    are summed in the module's stated order either way.
     """
     r, c = ref
     if isinstance(image, RowDistances):
-        distances = image
+        matcher = image
     else:
         _check_sigma(sigma)
-        distances = RowDistances(image, [c])
+        matcher = RowDistances(image, [c])
     tau = match_tau(sigma, stage)
-    h, w = distances.image.shape
+    h, w = matcher.image.shape
     k = BLOCK
     if not (0 <= r <= h - k and 0 <= c <= w - k):
         raise ValueError(f"reference block {ref} not fully inside the image")
-
-    dists = distances.window(r, c)
-    (r0, _), (c0, _), nc = _search_span(r, h), _search_span(c, w), dists.shape[1]
-    dists = dists.ravel()
-    threshold = tau / (k * k * 255.0 * 255.0)
-
-    dists[(r - r0) * nc + c - c0] = -1.0    # the reference leads; ties keep row-major order
-    found = np.flatnonzero(dists <= threshold)
-    if len(found) > GROUP_MAX:
-        # a stable sort's first GROUP_MAX entries are all within its GROUP_MAX-th value
-        found = found[dists[found] <= np.partition(dists[found], GROUP_MAX - 1)[GROUP_MAX - 1]]
-    order = found[np.argsort(dists[found], kind="stable")[:GROUP_MAX]]
-    pad = (1 << (len(order) - 1).bit_length()) - len(order)
-    order = np.concatenate([order, np.repeat(order[:1], pad)])
-    return BlockGroup(coordinates=np.stack([order // nc + r0, order % nc + c0], axis=1))
+    return matcher.group(r, c, tau / (k * k * 255.0 * 255.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -247,21 +247,31 @@ def test_each_stage_matches_every_reference_once_in_row_major_order(monkeypatch)
 
 
 def test_each_stage_computes_the_distances_of_a_reference_row_once(monkeypatch):
-    # one distance pass per reference rather than per row would keep
-    # every byte and lose the speed-up
+    # one distance pass per reference rather than per row, or a row that
+    # forms all 8 block rows where it could take 4 from the row above,
+    # would keep every byte and lose the speed-up
     runs = []
-    real = denoise._row_distances
+    real_rows, real_sums = denoise._row_distances, denoise._block_row_sums
 
-    def counting(film, r, cols, rows):
-        runs.append(list(cols))
-        return real(film, r, cols, rows)
+    def counting_rows(film, r, cols, carried):
+        runs.append([r, list(cols), 0])
+        return real_rows(film, r, cols, carried)
 
-    monkeypatch.setattr(denoise, "_row_distances", counting)
+    def counting_sums(film, top, count, shifts, cols):
+        runs[-1][2] += count
+        return real_sums(film, top, count, shifts, cols)
+
+    monkeypatch.setattr(denoise, "_row_distances", counting_rows)
+    monkeypatch.setattr(denoise, "_block_row_sums", counting_sums)
     img = np.random.default_rng(10).random((45, 70))
     basic = hard_stage(img, 25.0)
     assert len(runs) == 11      # reference rows 0, 4, ..., 36 and 37
     wiener_stage(img, basic, 25.0)
-    assert runs == [[*range(0, 61, 4), 62]] * 22
+    # the first row and the far border's, 1 pixel below row 36, form all
+    # 8 block rows; every other row carries 4 from the row above
+    cols = [*range(0, 61, 4), 62]
+    stage = [[0, cols, 8]] + [[r, cols, 4] for r in range(4, 37, 4)] + [[37, cols, 8]]
+    assert runs == stage + stage
 
 
 def test_hard_stage_memory_holds_one_row_of_stacks():

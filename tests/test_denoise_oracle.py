@@ -239,28 +239,63 @@ def test_block_match_breaks_ties_as_the_oracle_does(monkeypatch, name):
         _assert_groups_match_the_oracle(image, 50.0, taus)
 
 
+def _draw_film(draw, h, w):
+    """An h x w film of one level of eighths with a drawn share of pixels moved.
+
+    Many candidates tie at zero. Moved by 1/8, every square is exact and
+    candidates also tie at one moved pixel; moved by a continuous
+    amount, the squares round, so the summation order shows in the
+    bytes.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    moved = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    steps = rng.choice([-1, 1], (h, w)) if draw(st.booleans()) else rng.normal(0.0, 1.0, (h, w))
+    return np.clip(draw(st.integers(0, 8)) + moved * steps, 0, 8) / 8.0
+
+
 @st.composite
 def _match_cases(draw):
-    """A film, a noise level and one reference block of either stage.
+    """A `_draw_film` film, a noise level and one reference block of either stage.
 
-    Films are one level of eighths with a drawn share of pixels moved,
-    so many candidates tie at zero. Moved by 1/8, every square is exact
-    and candidates also tie at one moved pixel; moved by a continuous
-    amount, the squares round, so the summation order shows in the
-    bytes. Sides of 8 give one-row and one-column candidate grids, and
-    sides up to 48 put the 16-pixel search window inside the film or
-    clipped at any of its borders.
+    Sides of 8 give one-row and one-column candidate grids, and sides up
+    to 48 put the 16-pixel search window inside the film or clipped at
+    any of its borders.
     """
     stage = draw(st.sampled_from(["hard", "wiener"]))
     h, w = draw(st.integers(K, 48)), draw(st.integers(K, 48))
     r = draw(st.sampled_from([0, h - K]) | st.integers(0, h - K))
     c = draw(st.sampled_from([0, w - K]) | st.integers(0, w - K))
     sigma = draw(st.sampled_from([25.0, 50.0]))    # both tau pairs
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    moved = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
-    steps = moved * (rng.choice([-1, 1], (h, w)) if draw(st.booleans()) else rng.normal(0.0, 1.0, (h, w)))
-    image = np.clip(draw(st.integers(0, 8)) + steps, 0, 8) / 8.0
-    return image, (r, c), sigma, stage
+    return _draw_film(draw, h, w), (r, c), sigma, stage
+
+
+def _recording_row_distances(monkeypatch):
+    """A list that gets, per `_row_distances` call, its row, columns, a copy
+    of its distances and whether it was given a carry."""
+    rows = []
+    real = denoise._row_distances
+
+    def recording(film, r, cols, carried):
+        dists, carry = real(film, r, cols, carried)
+        rows.append((r, list(cols), dists.copy(), carried is not None))
+        return dists, carry
+
+    monkeypatch.setattr(denoise, "_row_distances", recording)
+    return rows
+
+
+def _assert_old_distances_and_group(image, ref, sigma, stage, row, matched):
+    """The reference's window of its row's distances, and its group, against the oracles."""
+    k, rad = K, RADIUS
+    h, w = image.shape
+    (r, c), (_, cols, dists, _) = ref, row
+    c0, c1 = max(0, c - rad), min(w - k, c + rad)
+    region = image[max(0, r - rad):min(h - k, r + rad) + k, c0:c1 + k]
+    window = dists[cols.index(c), :, c0 - c + rad:c1 - c + rad + 1]
+    assert_same_bytes(window, oracle_distances(region, image[r:r + k, c:c + k]))
+    expected = oracle_block_match(image, ref, oracle_taus(sigma), stage)
+    assert matched.dtype == expected.dtype
+    assert np.array_equal(matched, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,16 +305,44 @@ def test_block_match_keeps_the_old_distances_and_groups(case):
     # kernel computes it beside runs of anchors 4 pixels apart and the
     # far border's; a bare film is wrapped with its column alone
     image, (r, c), sigma, stage = case
-    k, rad = K, RADIUS
+    anchors = sorted({*denoise._reference_grid(image.shape[1]), c})
+    for matched in (image, denoise.RowDistances(image, anchors)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rows = _recording_row_distances(monkeypatch)
+            coords = block_match(matched, (r, c), sigma, stage).coordinates
+        [row] = rows
+        _assert_old_distances_and_group(image, (r, c), sigma, stage, row, coords)
+
+
+@st.composite
+def _walk_cases(draw):
+    """A `_draw_film` film up to 64 x 64 and a noise level."""
+    h, w = draw(st.integers(K, 64)), draw(st.integers(K, 64))
+    sigma = draw(st.sampled_from([25.0, 50.0]))    # both tau pairs
+    return _draw_film(draw, h, w), sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(_walk_cases())
+def test_row_walk_keeps_the_old_distances_and_groups_across_carried_rows(case):
+    # a stage takes its references row by row, so each row 4 pixels below
+    # the last adds its own 4 block rows to the 4 carried from there;
+    # every reference of every row is checked, the carried ones included
+    image, sigma = case
     h, w = image.shape
-    distances = denoise.RowDistances(image, sorted({*denoise._reference_grid(w), c}))
-    region = image[max(0, r - rad):min(h - k, r + rad) + k, max(0, c - rad):min(w - k, c + rad) + k]
-    assert_same_bytes(distances.window(r, c), oracle_distances(region, image[r:r + k, c:c + k]))
-    expected = oracle_block_match(image, (r, c), oracle_taus(sigma), stage)
-    for matched in (image, distances):
-        coords = block_match(matched, (r, c), sigma, stage).coordinates
-        assert coords.dtype == expected.dtype
-        assert np.array_equal(coords, expected)
+    row_refs, col_refs = denoise._reference_grid(h), denoise._reference_grid(w)
+    for stage in ("hard", "wiener"):
+        distances = denoise.RowDistances(image, col_refs)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rows = _recording_row_distances(monkeypatch)
+            groups = {(r, c): block_match(distances, (r, c), sigma, stage).coordinates
+                      for r in row_refs for c in col_refs}
+        assert [row[0] for row in rows] == row_refs
+        assert [row[3] for row in rows] == [
+            i > 0 and w > K and r == row_refs[i - 1] + denoise.STEP for i, r in enumerate(row_refs)]
+        for (r, c), coords in groups.items():
+            row = rows[row_refs.index(r)]
+            _assert_old_distances_and_group(image, (r, c), sigma, stage, row, coords)
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
