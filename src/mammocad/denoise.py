@@ -26,9 +26,9 @@ sequence. Reference rows are 4 pixels apart, so the sum of a row's
 lower 4 block rows is the first 3 additions of the next row's sums at
 the same displacement; it is carried there, so a row forms only its
 lower 4 block rows, and the first row and a far-border row all 8. So
-the distances are bit for bit those
-of that reduction, taken one reference at a time. The film is checked
-once, when it is wrapped in its `RowDistances`.
+the distances are bit for bit those of that reduction, taken one
+reference at a time. The film is checked once, when it is wrapped in
+its `RowDistances`.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ class RowDistances:
     in `cols` on that row in one vectorised pass and selects all their
     groups at once; the later calls of the row, one per anchor, return
     their group. The block-row sums that a row shares with the row 4
-    pixels below it are carried there, so references taken row by row
-    form each block-row sum once.
+    pixels below it are carried there, so a row taken right after the
+    row 4 pixels above it forms only its own lower 4 block rows.
     """
 
     def __init__(self, image, cols: list[int]):
