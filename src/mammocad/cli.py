@@ -20,7 +20,7 @@ from .config import PipelineConfig, apply_assignments, format_config, parse_assi
 from .core import mask_contour, read_pgm_file, write_pgm, write_ppm_overlay
 from .dataset import combined_ground_truth, group_records, image_label, load_item, parse_info
 from .cnn.network import load_checkpoint, save_checkpoint
-from .cnn.train import HELD_OUT_FRACTION, score_dataset, stratified_split, train, write_history
+from .cnn.train import held_out_split, score_dataset, train, write_history
 from .metrics import compute_metrics, confusion, dice, roc_auc
 from .pipeline import preprocess_image, segment_image
 
@@ -194,8 +194,7 @@ def cmd_evaluate(args) -> int:
     # the split needs the labels and the training seed; decode just the held-out films
     groups = group_records(parse_info(Path(args.info).read_text()))
     labels = [image_label(recs) for recs in groups]
-    rng = np.random.default_rng(network.seed)
-    _, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
+    _, test_idx, _ = held_out_split(labels, network.seed)
     # only one film is alive at a time
     scored = score_dataset(network, _films(args.data, [groups[i] for i in test_idx]))
     report = compute_metrics(confusion((abnormal, truth) for _, abnormal, truth in scored))

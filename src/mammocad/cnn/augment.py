@@ -14,11 +14,13 @@ taken over the four variants that share it. Each grid point's source
 coordinate is formed in the order `ndimage.affine_transform` forms it
 (offset, plus the row term, plus the column term), so the bytes are those
 of rotating, mirroring and resizing the whole film and then cropping.
+No draw is checked again: `_draw_params` keeps each crop inside its
+resized film, each shift within 4 pixels and each scale in [0.9, 1.1],
+and `train`, the one caller, hands in finite films and the profile's
+input size.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy import ndimage, special
@@ -81,17 +83,9 @@ def _tables(shape, mirror, scale, crop_rc, shift_rc, target_size):
     """One variant's film row and column tables (columns of the unmirrored
     film) and its crop's row and column tables into the scaled film."""
     r, c = crop_rc
-    if r < 0 or c < 0:
-        raise ValueError(f"crop origin must be non-negative, got {tuple(crop_rc)}")
-    if any(abs(d) > SHIFT_LIMIT for d in shift_rc):
-        raise ValueError(f"shift {tuple(shift_rc)} exceeds {SHIFT_LIMIT} pixels")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
     in_h, in_w = shape
     sh, sw = _scaled_shape(shape, scale)
     h, w = _shorter_side_shape((sh, sw), target_size)
-    if r + target_size > h or c + target_size > w:
-        raise ValueError("crop window falls outside the resized image")
     film_rows, crop_rows = _crop_axis(in_h, sh, h, r, target_size)
     film_cols, crop_cols = _crop_axis(in_w, sw, w, c, target_size)
     if mirror:
@@ -108,10 +102,6 @@ def _reindex(used, table):
 def _render(image, angle_deg, fill, variants, target_size):
     """The variants (mirror, scale, crop_rc, shift_rc) of `image` rotated
     by `angle_deg`, rotating it once at the rows and columns they read."""
-    if not (math.isfinite(angle_deg) and math.isfinite(fill)):
-        raise ValueError(f"rotation angle and fill must be finite, got {angle_deg} and {fill}")
-    if target_size < 1:
-        raise ValueError(f"target size must be at least 1, got {target_size}")
     tables = [_tables(image.shape, *params, target_size) for params in variants]
     rows, cols = (np.unique(np.concatenate([t[axis][end] for t in tables for end in (0, 1)]))
                   for axis in (0, 1))
@@ -144,8 +134,6 @@ def build_augmented_set(items, rng, target_size):
     four variants, and the four are rendered together.
     """
     items = list(items)
-    if not items:
-        raise ValueError("cannot augment an empty training set")
     fill = float(np.mean([np.mean(im) for im, _ in items]))
     out = []
     for image, label in items:

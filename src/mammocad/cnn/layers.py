@@ -8,7 +8,10 @@ with `input_grad=False`. An eval forward caches nothing and drops any
 cache left behind, so a backward after it is refused, and no layer
 holds activations between training steps or after inference. A layer
 is built from the tensors it holds; the network draws their initial
-values or reads them from a checkpoint.
+values or reads them from a checkpoint of the profile's shapes. A layer
+trusts its input: `Network` builds every layer from its profile's
+`layer_plan` and feeds it inputs of the profile's size, and `train`
+gives batch norm training batches of at least 2.
 """
 
 from __future__ import annotations
@@ -74,15 +77,10 @@ class Conv2d(Layer):
         return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, -1)
 
     def forward(self, x, train=False):
-        if x.ndim != 4 or x.shape[1] != self.weight.shape[1]:
-            raise ValueError(
-                f"expected NCHW input with {self.weight.shape[1]} channels, got {x.shape}")
         n, _, h, w = x.shape
         o, _, k, _ = self.weight.shape
         s, p = self.stride, self.padding
         ho, wo = window_positions(h, k, s, p), window_positions(w, k, s, p)
-        if ho < 1 or wo < 1:
-            raise ValueError(f"kernel {k} with stride {s} does not fit {h}x{w}")
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         out = self._columns(xp, ho, wo) @ self.weight.reshape(o, -1).T + self.bias
         # the columns are rebuilt in backward: caching them would keep an
@@ -131,9 +129,6 @@ class MaxPool2d(Layer):
 
     def forward(self, x, train=False):
         k, s = self.window, self.stride
-        n, c, h, w = x.shape
-        if k > h or k > w:
-            raise ValueError(f"pool window {k} exceeds spatial extent {h}x{w}")
         win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         flat = win.reshape(*win.shape[:4], k * k)
         idx = flat.argmax(axis=-1)
@@ -178,8 +173,6 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, train=False):
         if train:
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs a batch of at least 2 in training")
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
             self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mean
@@ -236,9 +229,6 @@ class Dense(Layer):
         self.grad_bias = None
 
     def forward(self, x, train=False):
-        if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
-            raise ValueError(
-                f"expected input of width {self.weight.shape[0]}, got {x.shape}")
         self._cache = x if train else None
         return x @ self.weight + self.bias
 
@@ -284,16 +274,9 @@ def sgd_step(params, grads, learning_rate, momentum=0.9, velocity=None):
     """Momentum update in place: v <- m*v + grad; param <- param - lr*v.
 
     Updates the parameter arrays and the velocity in place and returns
-    the velocity; pass it back in on the next call. Parameter and
-    gradient dictionaries must share keys and shapes; nothing is updated
-    unless they do.
+    the velocity; pass it back in on the next call. The network names
+    the parameters and gradients from the same layers.
     """
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient names differ")
-    for k, p in params.items():
-        if grads[k].shape != p.shape:
-            raise ValueError(f"gradient shape {grads[k].shape} != parameter shape {p.shape} "
-                             f"for {k!r}")
     if velocity is None:
         velocity = {k: np.zeros_like(p) for k, p in params.items()}
     for k, p in params.items():

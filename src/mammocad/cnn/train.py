@@ -45,9 +45,6 @@ class TrainConfig:
             raise ValueError(f"train.seed must be below 2**64, got {self.seed}")
 
 
-HELD_OUT_FRACTION = 0.2     # of each class, held out by `train` and scored by `evaluate`
-
-
 def stratified_split(labels, test_fraction, rng):
     """Index split keeping the class ratio; at least one test item per class."""
     labels = np.asarray(labels)
@@ -59,6 +56,14 @@ def stratified_split(labels, test_fraction, rng):
         test_idx.extend(members[:n_test])
         train_idx.extend(members[n_test:])
     return sorted(train_idx), sorted(test_idx)
+
+
+def held_out_split(labels, seed):
+    """The training and held-out indices of `train` at `seed`, 20% of each
+    class held out by the first draw of `default_rng(seed)`, and the generator
+    after it; `evaluate` finds a checkpoint's held-out films here."""
+    rng = np.random.default_rng(seed)
+    return (*stratified_split(labels, 0.2, rng), rng)
 
 
 def _sized(image, size):
@@ -97,8 +102,7 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
     if len(set(labels)) < 2:
         raise ValueError("training needs both classes present")
 
-    rng = np.random.default_rng(train_config.seed)
-    train_idx, test_idx = stratified_split(labels, HELD_OUT_FRACTION, rng)
+    train_idx, test_idx, rng = held_out_split(labels, train_config.seed)
     train_items = [items[i] for i in train_idx]
     test_items = [items[i] for i in test_idx]
     del items   # the whole films of an augmented run die with the two lists below

@@ -27,8 +27,7 @@ lower 4 block rows is the first 3 additions of the next row's sums at
 the same displacement; it is carried there, so a row forms only its
 lower 4 block rows, and the first row and a far-border row all 8. So
 the distances are bit for bit those of that reduction, taken one
-reference at a time. The film is checked once, when it is wrapped in
-its `RowDistances`.
+reference at a time. The stages check the film and sigma once, on entry.
 """
 
 from __future__ import annotations
@@ -242,18 +241,18 @@ def _select_groups(dists: np.ndarray, r: int, cols: list[int], r0: int,
 class RowDistances:
     """The film a stage matches on, with the groups of one row of references.
 
-    `block_match` takes it in place of the film. The film is checked
-    once, here, for a 2-D shape and finite intensities. The first call
-    for a reference row computes the candidate distances of every anchor
-    in `cols` on that row in one vectorised pass and selects all their
-    groups at once; the later calls of the row, one per anchor, return
-    their group. The block-row sums that a row shares with the row 4
-    pixels below it are carried there, so a row taken right after the
-    row 4 pixels above it forms only its own lower 4 block rows.
+    `block_match` takes it, not the film, which its stage checked with
+    `as_gray`. The first call for a reference row computes the candidate
+    distances of every anchor in `cols` on that row in one vectorised
+    pass and selects all their groups at once; the later calls of the
+    row, one per anchor, return their group. The block-row sums that a
+    row shares with the row 4 pixels below it are carried there, so a
+    row taken right after the row 4 pixels above it forms only its own
+    lower 4 block rows.
     """
 
     def __init__(self, image, cols: list[int]):
-        self.image = as_gray(image)
+        self.image = image
         self.cols = cols
         self._slot = {c: a for a, c in enumerate(cols)}
         self._key = self._carry = self._groups = None
@@ -269,35 +268,21 @@ class RowDistances:
         return self._groups[self._slot[c]]
 
 
-def block_match(image, ref: tuple[int, int], sigma: float, stage: str) -> BlockGroup:
-    """Group the blocks nearest to the reference block.
+def block_match(matcher, ref: tuple[int, int], sigma: float, stage: str) -> BlockGroup:
+    """Group the blocks nearest to the reference block at `ref`.
 
     Candidates are all 8 x 8 blocks whose top-left corner lies within
     16 pixels of the reference's in both directions; a candidate
     matches when its per-pixel mean squared difference is at most
     tau / (8^2 * 255^2), with tau the stage's `match_tau` at sigma,
-    which divides by the block area twice
-    (ROADMAP item 2a). The group is sorted by ascending distance, ties
-    in row-major order, with the reference first, truncated to 16
-    blocks, and padded with copies of the reference up to a power of
-    two. `image` is a film, wrapped and checked with sigma for this one
-    reference, or a stage's `RowDistances`, which selects the groups of
-    a whole row of references in one pass, on its first call of the
-    row, and whose film and sigma the stage checked once; the distances
-    are summed in the module's stated order either way.
+    which divides by the block area twice (ROADMAP item 2a). The group
+    is sorted by ascending distance, ties in row-major order, with the
+    reference first, truncated to 16 blocks, and padded with copies of
+    the reference up to a power of two. `matcher` is the stage's
+    `RowDistances`, and `ref` lies on one of its columns.
     """
     r, c = ref
-    if isinstance(image, RowDistances):
-        matcher = image
-    else:
-        _check_sigma(sigma)
-        matcher = RowDistances(image, [c])
-    tau = match_tau(sigma, stage)
-    h, w = matcher.image.shape
-    k = BLOCK
-    if not (0 <= r <= h - k and 0 <= c <= w - k):
-        raise ValueError(f"reference block {ref} not fully inside the image")
-    return matcher.group(r, c, tau / (k * k * 255.0 * 255.0))
+    return matcher.group(r, c, match_tau(sigma, stage) / (BLOCK * BLOCK * 255.0 * 255.0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,11 +150,6 @@ def test_batchnorm_gamma_zero_gives_beta():
     np.testing.assert_allclose(y[:, 1], -0.5)
 
 
-def test_batchnorm_rejects_batch_of_one():
-    with pytest.raises(ValueError):
-        batchnorm_layer(2).forward(np.zeros((1, 2, 4, 4)), train=True)
-
-
 def test_batchnorm_running_stats_updated():
     bn = batchnorm_layer(1)
     x = np.ones((2, 1, 2, 2)) * 4.0
@@ -341,10 +336,3 @@ def test_sgd_two_steps_with_momentum_hand_check():
     # v = 0.9*1 + 1 = 1.9, w = 0.9 - 0.19
     np.testing.assert_allclose(params["w"], [0.71])
     np.testing.assert_allclose(v["w"], [1.9])
-
-
-def test_sgd_shape_mismatch_rejected():
-    params = {"a": np.zeros(2), "w": np.zeros(2)}
-    with pytest.raises(ValueError):
-        sgd_step(params, {"a": np.ones(2), "w": np.zeros(3)}, 0.1)
-    np.testing.assert_array_equal(params["a"], [0.0, 0.0])  # nothing updated

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from mammocad.core import read_pgm, write_pgm
+from mammocad.cnn.layers import BatchNorm2d
 from mammocad.cnn.network import Network, NetworkConfig
 from mammocad.cnn.train import (
     TrainConfig,
+    held_out_split,
     score_dataset,
     stratified_split,
     train,
@@ -177,6 +179,49 @@ def test_augmented_training_frees_the_whole_films_before_the_first_step(monkeypa
     # the training films live only until the augmented set is built,
     # the held-out ones until they are cut to the input size
     assert len(refs) == 6 and alive == [0]
+
+
+def test_a_last_batch_of_one_never_reaches_batch_norm(monkeypatch):
+    # batch norm trusts train to hand it batch statistics of at least two
+    # images: 10 training films in batches of 3 leave one over, which
+    # train skips, so SGD sees one film fewer than the training part
+    module = importlib.import_module("mammocad.cnn.train")
+    items = blob_dataset(n_per_class=6)
+    cfg = TrainConfig(epochs=1, batch_size=3, seed=6)
+    n_train = len(held_out_split([label for _, label in items], cfg.seed)[0])
+    assert n_train % cfg.batch_size == 1
+    batches = {}
+    forward = BatchNorm2d.forward
+
+    def spied_forward(self, x, train=False):
+        if train:
+            batches.setdefault(id(self), []).append(len(x))
+        return forward(self, x, train=train)
+
+    steps = []
+    step = module.sgd_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(BatchNorm2d, "forward", spied_forward)
+    monkeypatch.setattr(module, "sgd_step", counted_step)
+    train(items, NetworkConfig(desk=True), cfg)
+    assert len(batches) == 3        # the desk profile's batch-norm layers
+    for sizes in batches.values():
+        assert min(sizes) >= 2
+        assert len(sizes) == len(steps)
+        assert sum(sizes) == n_train - 1
+
+
+def test_held_out_split_is_the_first_draw_of_the_seed():
+    # train and evaluate both find the held-out films here
+    labels = [0] * 7 + [1] * 5
+    train_idx, test_idx, rng = held_out_split(labels, 9)
+    expected = np.random.default_rng(9)
+    assert (train_idx, test_idx) == stratified_split(labels, 0.2, expected)
+    assert rng.integers(1 << 30) == expected.integers(1 << 30)
 
 
 def test_write_history_jsonl(tmp_path):
