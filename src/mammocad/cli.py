@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Subcommands: preprocess, train, classify, segment, evaluate. Exit code
-0 on success, 1 for usage errors, 2 for runtime or data errors. Flags
-override config-file values; the effective configuration is echoed
-into the output directory for provenance.
+0 on success, 1 for usage errors, 2 for runtime or data errors. The
+settings come from `--config` and `--set` alone; the effective
+configuration is echoed into the output directory for provenance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("preprocess", help="denoise and enhance one image")
     p.add_argument("image", help="input PGM file")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
     _add_config_flags(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -46,11 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory with <id>.pgm images")
     p.add_argument("--info", required=True, help="annotation file")
     p.add_argument("-o", "--output", required=True, help="checkpoint path (model.bin)")
-    p.add_argument("--desk", action="store_true",
-                   help="quarter-width 64x64 profile for desk-scale runs")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--seed", type=int, help="training seed (train.seed)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -63,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", help="input PGM file")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--info", help="annotation file; reports Dice against the lesion circle")
-    p.add_argument("--sigma", type=float, help="assumed noise std on the 8-bit scale")
     _add_config_flags(p)
     p.set_defaults(func=cmd_segment)
 
@@ -76,14 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the dedicated flags and the config keys they assign
-_FLAG_KEYS = {"sigma": "pipeline.sigma", "seed": "train.seed", "desk": "network.desk",
-              "epochs": "train.epochs", "augment": "train.augment"}
-
-
 def load_pipeline_config(args) -> PipelineConfig:
-    """The config file's, then --set's, then the dedicated flags'
-    assignments on the defaults; a later assignment to a key wins."""
+    """The config file's, then each --set's assignments on the defaults;
+    a later assignment to a key wins."""
     assignments = []
     if args.config:
         assignments += parse_assignments(Path(args.config).read_text())
@@ -92,11 +80,6 @@ def load_pipeline_config(args) -> PipelineConfig:
             raise ValueError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         dotted, value = item.split("=", 1)
         assignments.append((dotted.strip(), value.strip()))
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        # an unset flag is None, an unset switch False; 0 is a value
-        if value is not None and value is not False:
-            assignments.append((key, str(value)))
     return apply_assignments(PipelineConfig(), assignments)
 
 
@@ -129,7 +112,7 @@ def cmd_train(args) -> int:
     config = load_pipeline_config(args)
     model_path = Path(args.output)
     groups = group_records(parse_info(Path(args.info).read_text()))
-    # train keeps only its input-size copy of each film; --augment keeps the 8-bit film
+    # train keeps only its input-size copy of each film; train.augment keeps the 8-bit film
     network, history = train(_films(args.data, groups), config.network, config.train)
     model_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(network, model_path)

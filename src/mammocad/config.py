@@ -55,17 +55,22 @@ class PipelineConfig:
 _SECTIONS = ("pipeline", "enhance", "sfcm", "levelset", "network", "train")
 
 
-def _coerce(current, text: str):
+_TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")
+
+
+def _coerce(dotted: str, current, text: str):
     if isinstance(current, bool):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
+        if text.lower() in _TRUE + _FALSE:
+            return text.lower() in _TRUE
+        raise ValueError(f"{dotted} must be true or false ({', '.join(_TRUE)}; "
+                         f"{', '.join(_FALSE)}), got {text!r}")
     # every other field is an int or a float; each section refuses a
     # non-finite float itself
-    return type(current)(text)
+    try:
+        return type(current)(text)
+    except ValueError:
+        kind = "an integer" if isinstance(current, int) else "a number"
+        raise ValueError(f"{dotted} must be {kind}, got {text!r}") from None
 
 
 def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
@@ -79,10 +84,7 @@ def apply_assignments(config: PipelineConfig, assignments) -> PipelineConfig:
         section = sections.get(section_name)
         if section is None or key not in {f.name for f in dataclasses.fields(section)}:
             raise ValueError(f"unknown config key {dotted!r}")
-        try:
-            updates[section_name][key] = _coerce(getattr(section, key), text)
-        except ValueError as exc:
-            raise ValueError(f"{dotted}: {exc}") from None
+        updates[section_name][key] = _coerce(dotted, getattr(section, key), text)
     # one replace per section, so checks across fields see the final values
     for name, values in updates.items():
         if values:

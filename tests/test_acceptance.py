@@ -299,7 +299,7 @@ def test_criterion_9_mias_end_to_end(tmp_path):
 
     model = tmp_path / "model.bin"
     code = main(["train", "--data", mias_dir, "--info", str(info),
-                 "-o", str(model), "--desk", "--seed", "0"])
+                 "-o", str(model), "--set", "network.desk=true", "--set", "train.seed=0"])
     assert code == 0
     network = load_checkpoint(model)
     # every image must pass through the classifier without error
@@ -344,7 +344,8 @@ def test_criterion_10_determinism(tmp_path):
     for run in ("a", "b"):
         model = tmp_path / f"model_{run}.bin"
         assert main(["train", "--data", str(data), "--info", str(info),
-                     "-o", str(model), "--desk", "--epochs", "2", "--seed", "5"]) == 0
+                     "-o", str(model), "--set", "network.desk=true", "--set", "train.epochs=2",
+                     "--set", "train.seed=5"]) == 0
         checkpoints.append(model.read_bytes())
     assert checkpoints[0] == checkpoints[1]
 
@@ -352,7 +353,7 @@ def test_criterion_10_determinism(tmp_path):
     masks = []
     for run in ("a", "b"):
         out = tmp_path / f"seg_{run}"
-        assert main(["segment", str(image), "-o", str(out), "--sigma", "5",
+        assert main(["segment", str(image), "-o", str(out), "--set", "pipeline.sigma=5",
                      "--set", "levelset.iterations=20"]) == 0
         masks.append((out / "mask.pgm").read_bytes())
     assert masks[0] == masks[1]

@@ -77,8 +77,8 @@ def test_the_config_keys_and_options_are_pinned():
     counts = {name: sum(1 for a in parser._actions
                         if a.option_strings and not isinstance(a, argparse._HelpAction))
               for name, parser in sub.choices.items()}
-    assert counts == {"preprocess": 4, "train": 9, "classify": 1, "segment": 5, "evaluate": 4}
-    assert sum(counts.values()) == 23
+    assert counts == {"preprocess": 3, "train": 5, "classify": 1, "segment": 4, "evaluate": 4}
+    assert sum(counts.values()) == 17
 
 
 def test_help_exits_zero(capsys):
@@ -95,7 +95,7 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 
 def test_preprocess_writes_stages(phantom_pgm, tmp_path):
     out = tmp_path / "stages"
-    code = main(["preprocess", str(phantom_pgm), "-o", str(out), "--sigma", "10"])
+    code = main(["preprocess", str(phantom_pgm), "-o", str(out), "--set", "pipeline.sigma=10"])
     assert code == 0
     for name in ("denoised.pgm", "enhanced.pgm", "pectoral_removed.pgm", "config.echo"):
         assert (out / name).exists()
@@ -104,7 +104,7 @@ def test_preprocess_writes_stages(phantom_pgm, tmp_path):
 
 def test_segment_writes_artifacts(phantom_pgm, tmp_path, capsys):
     out = tmp_path / "seg"
-    code = main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
+    code = main(["segment", str(phantom_pgm), "-o", str(out), "--set", "pipeline.sigma=5",
                  "--set", "levelset.iterations=30"])
     assert code == 0
     for name in ("mask.pgm", "overlay.ppm", "membership.pgm", "phi.pgm", "config.echo"):
@@ -118,7 +118,7 @@ def test_segment_gt_reports_dice(phantom_pgm, tmp_path, capsys):
     info = tmp_path / "info.txt"
     info.write_text("mdb901 G CIRC B 36 48 12\n")  # matches the phantom lesion
     out = tmp_path / "seg_gt"
-    code = main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
+    code = main(["segment", str(phantom_pgm), "-o", str(out), "--set", "pipeline.sigma=5",
                  "--info", str(info), "--set", "levelset.iterations=30"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -196,7 +196,7 @@ def test_segment_summary_reports_the_runs_step_counts(phantom_pgm, tmp_path, cap
     from mammocad.pipeline import segment_image
 
     out = tmp_path / "seg_counts"
-    assert main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5"]) == 0
+    assert main(["segment", str(phantom_pgm), "-o", str(out), "--set", "pipeline.sigma=5"]) == 0
     summary = json.loads(capsys.readouterr().out)
     config = apply_assignments(PipelineConfig(),
                                parse_assignments((out / "config.echo").read_text()))
@@ -212,7 +212,8 @@ def test_train_classify_evaluate_round_trip(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path)
     model = tmp_path / "model.bin"
     code = main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(model), "--desk", "--epochs", "2", "--seed", "1"])
+                 "-o", str(model), "--set", "network.desk=true", "--set", "train.epochs=2",
+                 "--set", "train.seed=1"])
     assert code == 0
     assert model.exists()
     assert model.with_suffix(".history.jsonl").exists()
@@ -241,7 +242,8 @@ def test_evaluate_deterministic(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path, n_per_class=4)
     model = tmp_path / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(model), "--desk", "--epochs", "1", "--seed", "2"]) == 0
+                 "-o", str(model), "--set", "network.desk=true", "--set", "train.epochs=1",
+                 "--set", "train.seed=2"]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--data", str(data),
                  "--info", str(info)]) == 0
@@ -285,13 +287,14 @@ def test_evaluate_writes_its_report_into_a_new_directory(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
-def test_flags_override_the_config_file_and_unset_switches_leave_it(tmp_path, capsys):
+def test_set_overrides_the_config_file_and_a_later_set_wins(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path, n_per_class=3)
     config = tmp_path / "run.cfg"
     config.write_text("train.seed = 3\npipeline.sigma = 50\nnetwork.desk = true\n")
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--config", str(config), "--epochs", "1", "--seed", "0"]) == 0
+                 "--config", str(config), "--set", "train.seed=9", "--set", "train.epochs=1",
+                 "--set", "train.seed=0"]) == 0
     echo = (model.parent / "config.echo").read_text().splitlines()
     for line in ("train.seed = 0", "train.epochs = 1", "pipeline.sigma = 50.0",
                  "network.desk = True"):
@@ -306,7 +309,8 @@ def test_evaluate_decodes_only_the_held_out_films(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path, n_per_class=5)
     model = tmp_path / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(model), "--desk", "--epochs", "1", "--seed", "3"]) == 0
+                 "-o", str(model), "--set", "network.desk=true", "--set", "train.epochs=1",
+                 "--set", "train.seed=3"]) == 0
     # no seed is given: the checkpoint's, 3, picks the held-out films
     evaluate = ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]
     capsys.readouterr()
@@ -335,7 +339,8 @@ def test_the_held_out_accuracy_is_the_one_evaluate_reports(tmp_path, capsys, mon
     data, info = tiny_training_dir(tmp_path, n_per_class=10)
     model = tmp_path / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--desk", "--epochs", "2", "--seed", "4", "--set", "train.batch_size=3"]) == 0
+                 "--set", "network.desk=true", "--set", "train.epochs=2", "--set", "train.seed=4",
+                 "--set", "train.batch_size=3"]) == 0
     evaluate = ["evaluate", "--model", str(model), "--data", str(data), "--info", str(info)]
     capsys.readouterr()
     assert main(evaluate) == 0
@@ -362,6 +367,10 @@ def test_the_held_out_accuracy_is_the_one_evaluate_reports(tmp_path, capsys, mon
     ("segment", "levelset.iterations=0"),
     ("train", "train.epochs=0"),
     ("train", "train.batch_size=1"),
+    # a value that does not parse as the key's type is refused the same way
+    ("train", "train.epochs=1.5"),
+    ("segment", "pipeline.sigma=abc"),
+    ("train", "network.desk=maybe"),
 ])
 def test_a_refused_config_value_names_its_key(tmp_path, capsys, command, assignment):
     # the inputs do not exist, so reading them would fail with another message
@@ -413,8 +422,8 @@ def test_train_peak_memory_grows_only_by_the_sized_films(tmp_path, capsys):
         tracemalloc.start()
         try:
             assert main(["train", "--data", str(data), "--info", str(info),
-                         "-o", str(root / "model.bin"), "--desk", "--epochs", "1",
-                         "--set", "train.batch_size=2"]) == 0
+                         "-o", str(root / "model.bin"), "--set", "network.desk=true",
+                         "--set", "train.epochs=1", "--set", "train.batch_size=2"]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -435,13 +444,14 @@ def test_augmented_train_peak_memory_grows_by_one_byte_per_film_pixel(tmp_path, 
         tracemalloc.start()
         try:
             assert main(["train", "--data", str(data), "--info", str(info),
-                         "-o", str(root / "model.bin"), "--desk", "--augment",
-                         "--epochs", "1", "--set", "train.batch_size=2"]) == 0
+                         "-o", str(root / "model.bin"), "--set", "network.desk=true",
+                         "--set", "train.augment=true", "--set", "train.epochs=1",
+                         "--set", "train.batch_size=2"]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     capsys.readouterr()
-    # --augment keeps each whole film, at one byte per pixel (as float64
+    # train.augment keeps each whole film, at one byte per pixel (as float64
     # they would take 12 MB), and its 16 variants at the 64x64 input; each
     # variant is a view of its edge-padded 72x72 shift buffer
     kept_films = 6 * 512 * 512
@@ -473,7 +483,7 @@ def test_loaded_dataset_items_hold_one_byte_per_film_pixel(tmp_path):
 
 def test_segment_idempotent(phantom_pgm, tmp_path):
     out = tmp_path / "seg_twice"
-    args = ["segment", str(phantom_pgm), "-o", str(out), "--sigma", "5",
+    args = ["segment", str(phantom_pgm), "-o", str(out), "--set", "pipeline.sigma=5",
             "--set", "levelset.iterations=10"]
     assert main(args) == 0
     first = (out / "mask.pgm").read_bytes()
@@ -483,7 +493,8 @@ def test_segment_idempotent(phantom_pgm, tmp_path):
 
 def test_segment_reruns_from_its_config_echo(phantom_pgm, tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
-    assert main(["segment", str(phantom_pgm), "-o", str(first), "--sigma", "50"]) == 0
+    assert main(["segment", str(phantom_pgm), "-o", str(first),
+                 "--set", "pipeline.sigma=50"]) == 0
     assert main(["segment", str(phantom_pgm), "-o", str(second),
                  "--config", str(first / "config.echo")]) == 0
     for name in ("config.echo", "mask.pgm", "membership.pgm", "phi.pgm"):
@@ -627,7 +638,8 @@ def test_segment_settings_that_cannot_run_are_rejected(phantom_pgm, tmp_path, ca
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-5"])
 def test_non_finite_sigma_is_rejected_before_any_stage(phantom_pgm, tmp_path, capsys, sigma):
     out = tmp_path / "out"
-    assert main(["segment", str(phantom_pgm), "-o", str(out), "--sigma", sigma]) == 2
+    assert main(["segment", str(phantom_pgm), "-o", str(out),
+                 "--set", f"pipeline.sigma={sigma}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "pipeline.sigma" in captured.err
@@ -639,7 +651,7 @@ def test_a_negative_seed_is_rejected_before_any_stage(tmp_path, capsys):
     (data / "mdb001.pgm").unlink()  # reading the films would fail differently
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--seed", "-1"]) == 2
+                 "--set", "train.seed=-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "train.seed" in captured.err
@@ -651,7 +663,7 @@ def test_a_seed_the_checkpoint_cannot_store_is_rejected_before_any_stage(tmp_pat
     (data / "mdb001.pgm").unlink()  # reading the films would fail differently
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--seed", str(2 ** 64)]) == 2
+                 "--set", f"train.seed={2 ** 64}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "train.seed must be below 2**64" in captured.err
@@ -665,7 +677,7 @@ def test_a_momentum_outside_the_unit_interval_exits_2_before_any_stage(tmp_path,
     (data / "mdb001.pgm").unlink()  # reading the films would fail differently
     model = tmp_path / "out" / "model.bin"
     assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--desk", "--set", f"train.momentum={momentum}"]) == 2
+                 "--set", "network.desk=true", "--set", f"train.momentum={momentum}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "train.momentum" in captured.err
@@ -703,6 +715,13 @@ def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source
     ("train", "--sigma=5"),
     ("evaluate", "--sigma=5"),
     ("evaluate", "--seed=3"),
+    # every setting has one name, its config key, given with --config or --set
+    ("preprocess", "--sigma=5"),
+    ("segment", "--sigma=5"),
+    ("train", "--seed=3"),
+    ("train", "--desk"),
+    ("train", "--epochs=1"),
+    ("train", "--augment"),
     # the checkpoint fixes the seed and the profile, and films are scored
     # one at a time, so evaluate reads no config value
     ("evaluate", "--set=train.seed=9"),
@@ -740,7 +759,8 @@ def test_pgm_errors_name_the_file(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path)
     (data / "mdb007.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(10))
     assert main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(tmp_path / "m" / "model.bin"), "--desk", "--epochs", "1"]) == 2
+                 "-o", str(tmp_path / "m" / "model.bin"), "--set", "network.desk=true",
+                 "--set", "train.epochs=1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "mdb007.pgm" in err and "found 10" in err
 
@@ -749,7 +769,7 @@ def test_a_bad_lesion_radius_exits_2_naming_the_line(tmp_path, capsys):
     data, info = tiny_training_dir(tmp_path)
     info.write_text(info.read_text().replace("32 32 12", "30 30 -5", 1))
     assert main(["train", "--data", str(data), "--info", str(info),
-                 "-o", str(tmp_path / "model.bin"), "--desk"]) == 2
+                 "-o", str(tmp_path / "model.bin"), "--set", "network.desk=true"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "line 6" in err and "radius -5" in err
 
@@ -782,7 +802,7 @@ def test_python_m_mammocad_runs_the_cli(phantom_pgm, tmp_path):
     out = tmp_path / "out"
     done = subprocess.run(
         [sys.executable, "-m", "mammocad", "segment", str(phantom_pgm), "-o", str(out),
-         "--sigma", "5", "--set", "levelset.iterations=5"],
+         "--set", "pipeline.sigma=5", "--set", "levelset.iterations=5"],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["sfcm_iterations"] >= 1

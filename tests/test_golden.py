@@ -94,7 +94,7 @@ def test_segment_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, sigma):
     # relative paths keep the summary line free of the temporary directory
     monkeypatch.chdir(tmp_path)
     (tmp_path / "film.pgm").write_bytes(write_pgm(film(sigma)))
-    assert main(["segment", "film.pgm", "-o", "out", "--sigma", str(sigma)]) == 0
+    assert main(["segment", "film.pgm", "-o", "out", "--set", f"pipeline.sigma={sigma}"]) == 0
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(summary)["image"] == "film.pgm"
     for name in SEGMENT_FILES:
@@ -105,7 +105,8 @@ def test_segment_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys, sigma):
 def test_preprocess_outputs_keep_their_bytes(tmp_path):
     (tmp_path / "film.pgm").write_bytes(write_pgm(film(25.0)))
     out = tmp_path / "out"
-    assert main(["preprocess", str(tmp_path / "film.pgm"), "-o", str(out), "--sigma", "25"]) == 0
+    assert main(["preprocess", str(tmp_path / "film.pgm"), "-o", str(out),
+                 "--set", "pipeline.sigma=25"]) == 0
     for name in PREPROCESS_FILES:
         assert_digest(f"preprocess-25/{name}", (out / name).read_bytes())
 
