@@ -32,23 +32,37 @@ def test_every_bench_record_names_every_declared_workload_and_metric(path):
             "thread_pins"} <= set(recorded["machine"])
 
 
-def test_a_run_that_fails_is_recorded_not_dropped(tmp_path):
+def _record_bench():
     spec = importlib.util.spec_from_file_location("record_bench",
                                                   ROOT / "tools" / "record_bench.py")
     record_bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record_bench)
-    record_run = record_bench.record_run
+    return record_bench
+
+
+def test_a_run_that_fails_is_recorded_not_dropped(tmp_path):
+    record_run = _record_bench().record_run
     failed = record_run([sys.executable, "-c", "import sys; print('boom', file=sys.stderr); "
                          "sys.exit(1)"], tmp_path)
     assert failed["exit_code"] == 1 and failed["correct"] is False
     assert failed["metrics"] == {} and "boom" in failed["error"]
-
-    late = record_run([sys.executable, "-c", "import time; time.sleep(5)"], tmp_path,
-                      timeout=0.5)
-    assert late["exit_code"] is None and late["correct"] is False
 
     result = {"correct": False, "attempted": 3, "failed": 1,
               "metrics": {"items_per_s": {"value": 1.0, "unit": "1/s"}}}
     checked = record_run([sys.executable, "-c", f"print({json.dumps(result)!r})"], tmp_path)
     assert checked["exit_code"] == 0
     assert {key: checked[key] for key in result} == result
+
+
+def test_counts_only_prints_what_a_record_holds_and_runs_nothing(capsys):
+    from mammocad.config import PipelineConfig, format_config
+
+    assert _record_bench().main(["--counts-only"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    recorded = json.loads(BENCH_FILES[-1].read_text())
+    assert set(printed) == {"counts", "machine"}
+    assert set(printed["counts"]) == set(recorded["counts"])
+    assert set(printed["machine"]) == set(recorded["machine"])
+    assert printed["counts"]["config_keys"] == len(format_config(PipelineConfig()).splitlines())
+    assert printed["counts"]["src_lines"] == sum(
+        path.read_bytes().count(b"\n") for path in (ROOT / "src" / "mammocad").rglob("*.py"))

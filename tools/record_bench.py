@@ -1,16 +1,21 @@
 """Record one BENCH_<n>.json: every workload of BENCHMARK.json, run through perfbench.
 
-    python3 tools/record_bench.py --number N [--root DIR] [--seed K] [--seconds S] [-o FILE]
+    python3 tools/record_bench.py --number N [--root DIR]
+    python3 tools/record_bench.py --counts-only [--root DIR]
 
-For each workload, runs `perfbench/run.py --seed K --seconds S` of the
+For each workload, runs `perfbench/run.py --seed 1801 --seconds 10` of the
 checkout at --root (default: this repository) as a subprocess: 3 untraced
 runs, for the end-to-end metrics, then 1 traced run, for the per-layer
-ones. Every run is recorded with its exit code, `correct`, `failed` and
-metrics; a run that fails or exits non-zero is kept, with what it printed
-to stderr. The file also holds the checkout's commit, its `src/` and
-`tests/` line counts, config keys and CLI options (counted as CI counts
-them), and the machine the runs took place on. It is written to
-BENCH_<n>.json at the root of this repository unless -o names another path.
+ones. Seed and run length are fixed, so that every BENCH_<n>.json can be
+compared with every other. Every run is recorded with its exit code,
+`correct`, `failed` and metrics; a run that fails or exits non-zero is
+kept, with what it printed to stderr. The file also holds the checkout's
+commit, its `src/` and `tests/` line counts, config keys and CLI options,
+and the machine the runs took place on. It is written to BENCH_<n>.json at
+the root of this repository.
+
+--counts-only prints the counts and the machine as JSON and runs nothing;
+CI's job summary shows them this way, so both read one definition.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __
 REPO = Path(__file__).resolve().parents[1]
 UNTRACED_RUNS = 3
 TRACED_RUNS = 1
-RUN_TIMEOUT_S = 300.0               # perfbench ends its own runs within 180 s
+SEED = 1801
+SECONDS = 10.0
 
-# the job summary's expressions of .github/workflows/tests.yml
+# run on the measured checkout's src/, which --root may set apart from this one
 CONFIG_KEYS = ("from mammocad.config import PipelineConfig, format_config; "
                "print(len(format_config(PipelineConfig()).splitlines()))")
 CLI_OPTIONS = ("import argparse; from mammocad.cli import build_parser; "
@@ -80,14 +86,13 @@ def machine(root: Path) -> dict:
     }
 
 
-def record_run(command: list, root: Path, timeout: float = RUN_TIMEOUT_S) -> dict:
-    """One run's outcome; a run that fails is recorded as failed, never dropped."""
-    try:
-        done = subprocess.run(command, cwd=root, capture_output=True, text=True,
-                              timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return {"exit_code": None, "correct": False, "failed": None, "metrics": {},
-                "error": f"no result within {timeout:.0f} s"}
+def record_run(command: list, root: Path) -> dict:
+    """One run's outcome; a run that fails is recorded as failed, never dropped.
+
+    No timeout here: perfbench ends its own runs within 180 s, and on its
+    own deadline reaps its worker and removes its input directory.
+    """
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     try:
         result = json.loads(done.stdout.strip().splitlines()[-1]) if done.returncode == 0 else {}
     except (IndexError, ValueError):
@@ -99,7 +104,7 @@ def record_run(command: list, root: Path, timeout: float = RUN_TIMEOUT_S) -> dic
             "failed": result["failed"], "metrics": result["metrics"]}
 
 
-def record(root: Path, seed: int, seconds: float) -> dict:
+def record(root: Path) -> dict:
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     workloads = {}
     for workload in benchmark["workloads"]:
@@ -107,32 +112,36 @@ def record(root: Path, seed: int, seconds: float) -> dict:
         runs = []
         for trace in [0] * UNTRACED_RUNS + [1] * TRACED_RUNS:
             command = [sys.executable, "perfbench/run.py", "--workload", name,
-                       "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+                       "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
             runs.append(dict(trace=trace, **record_run(command, root)))
             print(f"{name} trace {trace}: exit {runs[-1]['exit_code']}, "
                   f"correct {runs[-1]['correct']}", file=sys.stderr)
         workloads[name] = runs
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
                             capture_output=True, text=True).stdout.strip()
-    return {"commit": commit, "seed": seed, "seconds": seconds,
+    return {"commit": commit, "seed": SEED, "seconds": SECONDS,
             "counts": code_counts(root), "machine": machine(root), "workloads": workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--number", type=int, required=True, help="the n of BENCH_<n>.json")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--number", type=int, help="the n of BENCH_<n>.json")
+    what.add_argument("--counts-only", action="store_true",
+                      help="print the counts and the machine as JSON; run nothing")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
-    parser.add_argument("--seed", type=int, default=1801)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("-o", "--output", type=Path, help="default: BENCH_<n>.json here")
     args = parser.parse_args(argv)
-    out = dict(number=args.number, **record(args.root.resolve(), args.seed, args.seconds))
-    path = args.output or REPO / f"BENCH_{args.number}.json"
-    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    root = args.root.resolve()
+    if args.counts_only:
+        print(json.dumps({"counts": code_counts(root), "machine": machine(root)},
+                         indent=1, sort_keys=True))
+        return 0
+    path = REPO / f"BENCH_{args.number}.json"
+    path.write_text(json.dumps(dict(number=args.number, **record(root)), indent=1,
+                               sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
