@@ -56,6 +56,7 @@ DIGESTS = {
     "bm3d-77x41-50": "83499ff53d19cf4ad3c0cb2bdebd4f9c1b8dcf8542fa9320720dd7bd20a186e5",
     "bm3d-tiles-100x100-25": "6c26b10e1215edf42584be60984a1e2158c04de42bf28713b9059e59c0a671dd",
     "bm3d-tiles-77x41-50": "718a54cb595e865d4f3124e0ac6edc9689179cbb4b570993eab05017caab9d8e",
+    "bm3d-tiles-96x8-25": "86249b6b5ed2d40f0f3b7358b4fab0ac53ddd7899961ec8035741b8096b1095a",
     "median-64x4096-40": "64ebf8a7ec852dccc10eef9922c97bd4db39cd75bbb759bf8c056531abd22b14",
 }
 
@@ -126,14 +127,14 @@ def test_denoised_films_keep_their_bytes(shape, sigma):
     assert_digest(f"bm3d-{shape[0]}x{shape[1]}-{sigma:g}", out.tobytes())
 
 
-@pytest.mark.parametrize("shape, sigma", [((100, 100), 25.0), ((77, 41), 50.0)],
-                         ids=["100x100-25", "77x41-50"])
+@pytest.mark.parametrize("shape, sigma", [((100, 100), 25.0), ((77, 41), 50.0), ((96, 8), 25.0)],
+                         ids=["100x100-25", "77x41-50", "96x8-25"])
 def test_denoised_tiled_films_keep_their_bytes(shape, sigma):
     # on the films above every group is the reference alone, so their
     # bytes do not show the matching; flat 16 x 16 tiles under clipped
     # noise give the Wiener stage groups of up to 16 blocks (means about
-    # 14 and 12 here), so a distance summed wrong or a group picked in
-    # another order moves these bytes
+    # 14, 12 and 13 here), so a distance summed wrong or a group picked
+    # in another order moves these bytes, on an 8-pixel-wide film too
     h, w = shape
     rng = np.random.default_rng(h * w)
     levels = rng.choice([0.0, 0.3, 0.6, 1.0], ((h + 15) // 16, (w + 15) // 16))
