@@ -52,7 +52,7 @@ class PipelineConfig:
         return self.train
 
 
-_SECTIONS = ("pipeline", "enhance", "sfcm", "levelset", "network", "train")
+_SECTIONS = tuple(field.name for field in dataclasses.fields(PipelineConfig))
 
 
 _TRUE, _FALSE = ("true", "1", "yes", "on"), ("false", "0", "no", "off")

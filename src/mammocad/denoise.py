@@ -17,17 +17,18 @@ scale its values come from (ROADMAP item 2a).
 Matching is done a row of reference blocks at a time: the first
 `block_match` call of a row computes the distances of every candidate
 of every reference on that row and selects all the row's groups in one
-vectorised pass, and each call returns its own group. The sums keep the
-order in which numpy reduces a (rows, columns, 8, 8) window stack over
-its last two axes: each block row's 8 squared differences pairwise,
-((0+1)+(2+3))+((4+5)+(6+7)), each 4-term half shared by the two
-references 4 pixels apart that cover it, then the 8 block rows in
-sequence. Reference rows are 4 pixels apart, so the sum of a row's
-lower 4 block rows is the first 3 additions of the next row's sums at
-the same displacement; it is carried there, so a row forms only its
-lower 4 block rows, and the first row and a far-border row all 8. So
-the distances are bit for bit those of that reduction, taken one
-reference at a time. The stages check the film and sigma once, on entry.
+vectorised pass, and each call returns its own group. The sums follow
+one stated order on every film width: each block row's 8 squared
+differences pairwise, ((0+1)+(2+3))+((4+5)+(6+7)), each 4-term half
+shared by the two references 4 pixels apart that cover it, then the 8
+block rows in sequence. That is the order in which numpy reduces a
+(rows, columns, 8, 8) window stack over its last two axes, except on a
+film 8 pixels wide, where numpy sums each window's 64 terms as one run.
+Reference rows are 4 pixels apart, so the sum of a row's lower 4 block
+rows is the first 3 additions of the next row's sums at the same
+displacement; it is carried there, so a row forms only its lower 4
+block rows, and the first row and a far-border row all 8. The stages
+check the film and sigma once, on entry.
 """
 
 from __future__ import annotations
@@ -78,15 +79,6 @@ def _reference_grid(extent: int) -> list[int]:
     return anchors
 
 
-def _sequential_sum(terms) -> np.ndarray:
-    """Sum the terms one after another, into a new array."""
-    terms = iter(terms)
-    total = next(terms).copy()
-    for term in terms:
-        total += term
-    return total
-
-
 def _pairwise_8(terms: np.ndarray, n: int, out=None) -> np.ndarray:
     """Sums of 8 consecutive terms along the last axis, starting every 4.
 
@@ -110,7 +102,7 @@ def _runs(cols: list[int]) -> list[tuple[int, int, int]]:
 def _block_row_sums(film: np.ndarray, top: int, count: int, shifts: range, cols: list[int]):
     """Yield the per-anchor block-row sums of film rows top, ..., top + count - 1.
 
-    Each is a (len(shifts), 33, len(cols)) array: entry [i, j, a] sums
+    Each is a new (len(shifts), 33, len(cols)) array: entry [i, j, a] sums
     the squared differences between the 8 pixels of the row under the
     block of anchor a, columns cols[a] to cols[a] + 7, and the pixels
     j - 16 columns to their right in the row shifts[i] below, which read
@@ -158,34 +150,28 @@ def _row_distances(film: np.ndarray, r: int, cols: list[int], carried):
     is then the first 3 additions of every distance here, and only
     block rows 4 to 7 are formed. With `carried` None, as for the first
     row and a far-border row, all 8 are. The carry covers the
-    displacements of row r + 4, up to 4 rows higher than r's. On a film
-    8 pixels wide numpy reduces each window's 64 terms as one run, so
-    there each column's 8 rows are summed in sequence first and the 8
-    columns pairwise, and nothing is carried.
+    displacements of row r + 4, up to 4 rows higher than r's. A film 8
+    pixels wide takes this path too, with its one column of references.
     """
     k, rad = BLOCK, SEARCH_RADIUS
     h, w = film.shape
     r0, r1 = _search_span(r, h)
     shifts = range(r0 - r, r1 - r + 1)
-    if w == k:
-        # only the candidates in column 0 are on the film
-        squares = sliding_window_view(film[r0:r1 + k], k, axis=0) - film[r:r + k].T
-        squares *= squares
-        total, carry = np.zeros((len(shifts), 2 * rad + 1, 1)), None
-        total[:, rad] = _pairwise_8(_sequential_sum(squares.transpose(2, 0, 1)), 1)
+    if carried is None:
+        upper = _block_row_sums(film, r, STEP, shifts, cols)
+        total = next(upper)
+        for sums in upper:
+            total += sums
     else:
-        if carried is None:
-            total = _sequential_sum(_block_row_sums(film, r, STEP, shifts, cols))
-        else:
-            total = carried[:len(shifts)].copy()
-        ahead = range(-min(rad, r + STEP), shifts.stop)
-        skip = len(ahead) - len(shifts)
-        lower = _block_row_sums(film, r + STEP, STEP, ahead, cols)
-        carry = next(lower)
-        total += carry[skip:]
-        for sums in lower:
-            total += sums[skip:]
-            carry += sums
+        total = carried[:len(shifts)].copy()
+    ahead = range(-min(rad, r + STEP), shifts.stop)
+    skip = len(ahead) - len(shifts)
+    lower = _block_row_sums(film, r + STEP, STEP, ahead, cols)
+    carry = next(lower)
+    total += carry[skip:]
+    for sums in lower:
+        total += sums[skip:]
+        carry += sums
     dists = np.empty((len(cols), len(shifts), 2 * rad + 1))
     np.divide(total.transpose(2, 0, 1), k * k, out=dists)
     off = np.add.outer(cols, np.arange(-rad, rad + 1))
@@ -301,10 +287,9 @@ def _hadamard(g: int) -> np.ndarray:
 
 
 def _walsh(stacks: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform across the blocks of (B, G, k, k) groups."""
+    """Walsh-Hadamard transform across the blocks of (B, G, k, k) groups;
+    a one-block group is multiplied by [[1.0]], which keeps its bytes."""
     b, g, k, _ = stacks.shape
-    if g == 1:
-        return stacks
     return (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k)
 
 

@@ -24,6 +24,8 @@ crop of the film widened by the map's reach (`_edge_map`). It is kept
 for a region that only grows: when a window leaves the region, the
 region becomes their union widened by `_EDGE_SLACK` px and the map is
 taken again. An evolution in which no pixel moves never takes it.
+`LevelSetConfig` checks the settings and `evolve` its inputs once; the
+helpers below take them as checked.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import ndimage
 
-from .core import as_gray, as_mask
+from .core import as_gray
 
 # keeps the unit normal grad(phi)/|grad(phi)| finite where phi is flat
 GRAD_FLOOR = 1e-10
@@ -84,22 +86,20 @@ class LevelSetConfig:
 
 
 def binarize_membership(r_k, b0: float) -> np.ndarray:
-    """Mask of pixels whose membership reaches the threshold."""
-    if not 0.0 < b0 < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
+    """Mask of pixels whose membership reaches b0, in (0, 1) as `LevelSetConfig`
+    checked it; `as_gray` here checks `evolve`'s membership map."""
     return as_gray(r_k) >= b0
 
 
 def init_phi(b_k, epsilon: float) -> np.ndarray:
-    """Binary field +2*eps inside the mask, -2*eps outside."""
-    mask = as_mask(b_k)
-    return -4.0 * epsilon * (0.5 - mask.astype(np.float64))
+    """Binary field +2*eps inside the mask, -2*eps outside; takes the 2-D
+    bool mask of `binarize_membership` and the epsilon `LevelSetConfig` checked."""
+    return -4.0 * epsilon * (0.5 - b_k.astype(np.float64))
 
 
 def dirac(x, epsilon: float) -> np.ndarray:
-    """Smoothed Dirac impulse: raised cosine on [-eps, eps], else 0."""
-    if not math.isfinite(epsilon) or epsilon <= 0:
-        raise ValueError(f"Dirac width must be positive and finite, got {epsilon}")
+    """Smoothed Dirac impulse: raised cosine on [-eps, eps], else 0; takes a
+    positive finite epsilon, as `LevelSetConfig` checked it."""
     arr = np.asarray(x, dtype=np.float64)
     band = np.abs(arr) <= epsilon
     out = np.zeros(arr.shape)
@@ -129,23 +129,17 @@ def edge_indicator(image, sigma: float) -> np.ndarray:
 
     Gradients are taken on the 8-bit intensity scale so that real
     tissue boundaries drive g far below 1; on the unit scale even a
-    full-contrast edge would barely register.
+    full-contrast edge would barely register. Takes a non-empty 2-D
+    float64 film, as `evolve` checked it, and the sigma `LevelSetConfig` checked.
     """
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise ValueError(f"smoothing sigma must be positive and finite, got {sigma}")
-    img = as_gray(image)
-    if img.size == 0:
-        raise ValueError(f"cannot take the edge map of an empty film of shape {img.shape}")
-    smooth = ndimage.gaussian_filter(img * 255.0, sigma=sigma, mode="nearest",
+    smooth = ndimage.gaussian_filter(image * 255.0, sigma=sigma, mode="nearest",
                                      truncate=_TRUNCATE)
     return 1.0 / (1.0 + _d_row(smooth) ** 2 + _d_col(smooth) ** 2)
 
 
 def evolve_step(phi, g, config: LevelSetConfig) -> np.ndarray:
-    """One explicit evolution step of the field."""
-    phi = np.asarray(phi, dtype=np.float64)
-    if np.shape(g) != phi.shape:
-        raise ValueError(f"edge map shape {np.shape(g)} does not match field shape {phi.shape}")
+    """One explicit evolution step of a 2-D float64 field, with an edge map
+    of its shape, as `evolve` cuts both from one box."""
     with np.errstate(over="ignore", invalid="ignore"):
         gr, gc = _d_row(phi), _d_col(phi)
         mag = np.maximum(np.sqrt(gr ** 2 + gc ** 2), GRAD_FLOOR)

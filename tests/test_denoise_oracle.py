@@ -5,9 +5,11 @@ shrink and aggregate one reference block's group at a time, as
 `mammocad.denoise` did before it batched a row of references into
 (B, G, k, k) stacks. The batched pass does the same float operations in
 the same per-pixel order, so its output must match this one byte for
-byte. `oracle_distances` is the distance expression `block_match` used
-before it summed the squared differences itself in a stated order:
-numpy's own reduction of the (nr, nc, k, k) window stack.
+byte. `oracle_distances` sums the squared differences in the order the
+matcher states for every film width: each block row's 8 terms by numpy's
+reduction over the last axis, then the 8 block rows in sequence. That is
+numpy's own reduction of the (nr, nc, k, k) window stack, which
+`block_match` used before, except on films 8 pixels wide.
 `oracle_block_match` is `block_match` as it was then, stable-sorting
 every candidate under tau rather than only those within the group
 size's distance. The oracle pass matches through it, so the stage
@@ -43,7 +45,11 @@ def oracle_taus(sigma):
 def oracle_distances(region, ref_block):
     k = len(ref_block)
     windows = sliding_window_view(region, (k, k))
-    return ((windows - ref_block) ** 2).sum(axis=(2, 3)) / (k * k)
+    rows = ((windows - ref_block) ** 2).sum(axis=3)
+    total = rows[..., 0].copy()
+    for i in range(1, k):
+        total += rows[..., i]
+    return total / (k * k)
 
 
 def oracle_block_match(image, ref, taus, stage):
@@ -343,7 +349,7 @@ def test_row_walk_keeps_the_old_distances_and_groups_across_carried_rows(case):
                       for r in row_refs for c in col_refs}
         assert [row[0] for row in rows] == row_refs
         assert [row[3] for row in rows] == [
-            i > 0 and w > K and r == row_refs[i - 1] + denoise.STEP for i, r in enumerate(row_refs)]
+            i > 0 and r == row_refs[i - 1] + denoise.STEP for i, r in enumerate(row_refs)]
         for (r, c), coords in groups.items():
             row = rows[row_refs.index(r)]
             _assert_old_distances_and_group(image, (r, c), sigma, stage, row, coords)

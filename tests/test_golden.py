@@ -116,10 +116,11 @@ def test_preprocess_outputs_keep_their_bytes(tmp_path):
                                           ((100, 100), 25.0), ((77, 41), 50.0)],
                          ids=["45x70-25", "40x8-50", "100x100-25", "77x41-50"])
 def test_denoised_films_keep_their_bytes(shape, sigma):
-    # 8 pixels wide, numpy sums each block's distance terms as one run;
-    # 100 x 100 has middle reference rows whose candidates span all 33
-    # rows, and 77 x 41 a far-border reference row 1 pixel below the last
-    # stride-spaced one, at the high threshold pair
+    # 40 x 8 is 8 pixels wide, where the matcher carries block rows as on
+    # any film (its groups are the reference alone; 96 x 8 below forms
+    # groups); 100 x 100 has middle reference rows whose candidates span
+    # all 33 rows, and 77 x 41 a far-border reference row 1 pixel below
+    # the last stride-spaced one, at the high threshold pair
     rng = np.random.default_rng(shape[0] * shape[1])
     noisy = np.floor(rng.random(shape) * 8) / 8 + rng.standard_normal(shape) * sigma / 255.0
     out = bm3d_denoise(np.clip(noisy, 0.0, 1.0), sigma)
