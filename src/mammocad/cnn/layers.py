@@ -3,8 +3,9 @@
 Activations are float64 arrays in NCHW layout. A training forward
 (`train=True`) caches what the layer's backward pass needs; backward
 consumes that cache, stores parameter gradients on the layer and
-returns the gradient with respect to the input, or None when called
-with `input_grad=False`. An eval forward caches nothing and drops any
+returns the gradient with respect to the input. Only `Conv2d`, the
+network's first layer, takes `input_grad=False`, which skips that
+gradient and returns None. An eval forward caches nothing and drops any
 cache left behind, so a backward after it is refused, and no layer
 holds activations between training steps or after inference. A layer
 is built from the tensors it holds; the network draws their initial
@@ -136,10 +137,8 @@ class MaxPool2d(Layer):
         self._cache = (x.shape, idx.astype(np.uint8)) if train else None
         return out
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad):
         x_shape, idx = self._pop_cache()
-        if not input_grad:
-            return None
         k, s = self.window, self.stride
         n, c, h, w = x_shape
         _, _, ho, wo = idx.shape
@@ -184,12 +183,10 @@ class BatchNorm2d(Layer):
         self._cache = (xhat, inv_std) if train else None
         return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad):
         xhat, inv_std = self._pop_cache()
         self.grad_gamma = (grad * xhat).sum(axis=(0, 2, 3))
         self.grad_beta = grad.sum(axis=(0, 2, 3))
-        if not input_grad:
-            return None
         m = grad.shape[0] * grad.shape[2] * grad.shape[3]
         correction = (self.grad_beta[None, :, None, None]
                       + xhat * self.grad_gamma[None, :, None, None]) / m
@@ -202,9 +199,8 @@ class ReLU(Layer):
         self._cache = positive if train else None
         return np.where(positive, x, 0.0)
 
-    def backward(self, grad, input_grad=True):
-        positive = self._pop_cache()
-        return np.where(positive, grad, 0.0) if input_grad else None
+    def backward(self, grad):
+        return np.where(self._pop_cache(), grad, 0.0)
 
 
 class Flatten(Layer):
@@ -212,9 +208,8 @@ class Flatten(Layer):
         self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad, input_grad=True):
-        shape = self._pop_cache()
-        return grad.reshape(shape) if input_grad else None
+    def backward(self, grad):
+        return grad.reshape(self._pop_cache())
 
 
 class Dense(Layer):
@@ -232,40 +227,38 @@ class Dense(Layer):
         self._cache = x if train else None
         return x @ self.weight + self.bias
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad):
         x = self._pop_cache()
         self.grad_weight = x.T @ grad
         self.grad_bias = grad.sum(axis=0)
-        return grad @ self.weight.T if input_grad else None
+        return grad @ self.weight.T
 
 
 def softmax_predict(logits):
     """Class probabilities and argmax labels (ties go to the lowest index)
-    of an (N, classes) batch; max-subtraction keeps the exponentials finite.
+    of an (N, classes) float64 batch of logits; max-subtraction keeps the
+    exponentials finite.
     """
-    arr = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    shifted = arr - arr.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
     return probs, probs.argmax(axis=1)
 
 
 def cross_entropy(probs, labels):
-    """Mean negative log-likelihood of an (N, classes) batch and its
-    gradient w.r.t. the logits.
+    """Mean negative log-likelihood of an (N, classes) float64 batch with
+    integer labels, and its gradient w.r.t. the logits.
 
     The probability of the true class is clamped at 1e-12 before the
     log; for softmax outputs the logit gradient is (p - onehot) / N.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    n = p.shape[0]
-    picked = np.clip(p[np.arange(n), y], 1e-12, None)
+    n = probs.shape[0]
+    picked = np.clip(probs[np.arange(n), labels], 1e-12, None)
     loss = float(-np.log(picked).mean())
-    grad = p.copy()
-    grad[np.arange(n), y] -= 1.0
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
     grad /= n
     return loss, grad
 

@@ -162,9 +162,11 @@ class Network:
 
     def backward(self, grad):
         """Leave every layer's parameter gradients for the loss gradient
-        `grad`; the first layer forms no gradient for the network input."""
-        for i, layer in reversed(list(enumerate(self.layers))):
-            grad = layer.backward(grad, input_grad=i > 0)
+        `grad`; the first layer, a convolution in both profiles, forms no
+        gradient for the network input."""
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        self.layers[0].backward(grad, input_grad=False)
 
     def _named(self, part):
         return {_tensor_name(i, name): value for i, layer in enumerate(self.layers)
@@ -191,8 +193,9 @@ class Network:
         setattr(layer, attr, value.copy())
 
     def predict(self, images):
-        """Probabilities and labels for a batch of 2-D images; no layer keeps a cache."""
-        x = np.stack([np.asarray(im, dtype=np.float64) for im in images])[:, None]
+        """Probabilities and labels for a batch of 2-D float64 images (a `Film`
+        reads as one); no layer keeps a cache."""
+        x = np.stack(images)[:, None]
         logits = self.forward(x, train=False)
         return softmax_predict(logits)
 

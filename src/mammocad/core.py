@@ -34,13 +34,6 @@ def as_gray(image) -> np.ndarray:
     return arr
 
 
-def as_mask(mask) -> np.ndarray:
-    arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D mask, got shape {arr.shape}")
-    return arr.astype(bool)
-
-
 def to_u8(image: np.ndarray) -> np.ndarray:
     """Map [0, 1] intensities to the 8-bit scale (round-to-nearest)."""
     return np.rint(np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0) * 255.0).astype(np.uint8)
@@ -155,13 +148,13 @@ def write_pgm(image) -> bytes:
 
 
 def write_ppm_overlay(image, contour) -> bytes:
-    """Encode the image as binary PPM with contour pixels in pure red."""
+    """Encode the image as binary PPM with the pixels of `contour`, a 2-D
+    bool mask, in pure red."""
     gray = to_u8(as_gray(image))
-    mask = as_mask(contour)
-    if mask.shape != gray.shape:
+    if contour.shape != gray.shape:
         raise ValueError("contour mask dimensions do not match the image")
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    rgb[mask] = (255, 0, 0)
+    rgb[contour] = (255, 0, 0)
     h, w = gray.shape
     return b"P6\n%d %d\n255\n" % (w, h) + rgb.tobytes()
 
@@ -212,9 +205,10 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 def largest_component(mask) -> np.ndarray:
-    """Mask of the biggest 8-connected component; a tie goes to the one
-    `ndimage.label` numbers first, the first met in row-major order."""
-    labels, count = ndimage.label(as_mask(mask), structure=_EIGHT_CONNECTED)
+    """Mask of the biggest 8-connected component of a 2-D bool mask; a
+    tie goes to the one `ndimage.label` numbers first, the first met in
+    row-major order."""
+    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     if count == 0:
         return np.zeros(labels.shape, dtype=bool)
     winner = int(np.argmax(np.bincount(labels.ravel())[1:])) + 1
@@ -222,7 +216,6 @@ def largest_component(mask) -> np.ndarray:
 
 
 def mask_contour(mask) -> np.ndarray:
-    """Boundary pixels of a mask: set pixels with an unset 8-neighbour."""
-    m = as_mask(mask)
-    interior = ndimage.binary_erosion(m, structure=_EIGHT_CONNECTED, border_value=0)
-    return m & ~interior
+    """Boundary pixels of a 2-D bool mask: set pixels with an unset 8-neighbour."""
+    interior = ndimage.binary_erosion(mask, structure=_EIGHT_CONNECTED, border_value=0)
+    return mask & ~interior

@@ -1,4 +1,4 @@
-"""Classification quality measures and ROC/AUC.
+"""Classification quality measures and the area under the ROC curve.
 
 The abnormal class is the positive class throughout. Ratio metrics
 with a zero denominator are reported as None (undefined) rather than
@@ -97,40 +97,33 @@ def compute_metrics(c: ConfusionCounts) -> MetricReport:
     )
 
 
-def roc_curve(scored) -> list[tuple[float, float]]:
-    """(FPR, TPR) points swept over descending score thresholds.
+def roc_auc(scored) -> float:
+    """Trapezoidal area under the ROC curve of (score, truth) pairs.
 
     A prediction is positive when its score is >= the threshold. The
-    curve starts at the (0, 0) sentinel and needs no (1, 1) one: the last
-    threshold is the lowest (finite) score, which every prediction meets.
+    pairs are sorted once and swept from the highest score down, one
+    curve point per distinct score, from (0, 0) to the lowest score's
+    (1, 1); each step adds its trapezoid, so ties form one diagonal step
+    (Fawcett, Pattern Recognit. Lett. 2006).
     """
-    pairs = [(float(s), bool(t)) for s, t in scored]
+    pairs = sorted(((float(s), bool(t)) for s, t in scored), reverse=True)
     if not pairs or not all(math.isfinite(s) for s, _ in pairs):
         raise ValueError("a ROC curve needs at least one prediction, each with a finite score")
     n_pos = sum(1 for _, t in pairs if t)
     n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative truth")
-    points = [(0.0, 0.0)]
-    thresholds = sorted({s for s, _ in pairs}, reverse=True)
-    for thr in thresholds:
-        tp = sum(1 for s, t in pairs if s >= thr and t)
-        fp = sum(1 for s, t in pairs if s >= thr and not t)
-        points.append((fp / n_neg, tp / n_pos))
-    return points
-
-
-def auc(curve) -> float:
-    """Trapezoidal area under a ROC curve given as (fpr, tpr) points."""
-    pts = list(curve)
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
+    area = fpr = tpr = 0.0
+    tp = fp = 0
+    for i, (score, truth) in enumerate(pairs):
+        tp += truth
+        fp += not truth
+        if i + 1 < len(pairs) and pairs[i + 1][0] == score:
+            continue    # the threshold takes every pair with this score
+        x, y = fp / n_neg, tp / n_pos
+        area += (x - fpr) * (tpr + y) / 2.0
+        fpr, tpr = x, y
     return area
-
-
-def roc_auc(scored) -> float:
-    return auc(roc_curve(scored))
 
 
 def dice(a, b) -> float:

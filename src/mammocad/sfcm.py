@@ -202,11 +202,9 @@ def sfcm_run(image, config: SfcmConfig = SfcmConfig(), init=None):
 def tumor_membership_map(memberships, centers, shape) -> np.ndarray:
     """Membership plane of the brightest cluster, reshaped to the image.
 
-    Masses are hyper-intense, so the cluster with the highest center
-    intensity is taken as the tumor cluster; ties go to the lowest
-    index.
+    Takes `sfcm_run`'s (clusters, pixels) float64 memberships and its
+    centres. Masses are hyper-intense, so the cluster with the highest
+    center intensity is taken as the tumor cluster; ties go to the
+    lowest index.
     """
-    mu = np.asarray(memberships, dtype=np.float64)
-    v = np.asarray(centers, dtype=np.float64)
-    winner = int(np.argmax(v))
-    return mu[winner].reshape(shape)
+    return memberships[int(np.argmax(centers))].reshape(shape)

@@ -5,12 +5,10 @@ import pytest
 
 from mammocad.metrics import (
     ConfusionCounts,
-    auc,
     compute_metrics,
     confusion,
     dice,
     roc_auc,
-    roc_curve,
 )
 
 
@@ -93,15 +91,12 @@ def test_report_serializes_to_json():
 
 def test_roc_perfect_separation():
     scored = [(0.9, True), (0.8, True), (0.2, False), (0.1, False)]
-    curve = roc_curve(scored)
-    assert (0.0, 1.0) in curve
-    assert auc(curve) == 1.0
+    assert roc_auc(scored) == 1.0
 
 
 def test_roc_constant_scores():
-    curve = roc_curve([(0.5, True), (0.5, False)])
-    assert curve == [(0.0, 0.0), (1.0, 1.0)]
-    assert auc(curve) == 0.5
+    # one threshold takes both pairs: a single diagonal step
+    assert roc_auc([(0.5, True), (0.5, False)]) == 0.5
 
 
 def test_roc_reversed_scores_auc_zero():
@@ -111,42 +106,39 @@ def test_roc_reversed_scores_auc_zero():
 
 def test_roc_single_class_rejected():
     with pytest.raises(ValueError):
-        roc_curve([(0.3, True), (0.7, True)])
-
-
-def test_roc_ends_at_one_one_from_its_lowest_threshold():
-    # the (1, 1) point is the lowest score's, not an appended sentinel
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        scores = np.round(rng.random(25), 1)  # rounding forces ties
-        truths = np.arange(25) % 3 == 0
-        curve = roc_curve(zip(scores, truths))
-        assert len(curve) == 1 + len(np.unique(scores))
-        assert curve[-1] == (1.0, 1.0) and curve.count((1.0, 1.0)) == 1
+        roc_auc([(0.3, True), (0.7, True)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_roc_rejects_a_non_finite_score(bad):
     with pytest.raises(ValueError, match="each with a finite score"):
-        roc_curve([(0.3, True), (bad, False), (0.7, False)])
+        roc_auc([(0.3, True), (bad, False), (0.7, False)])
 
 
 def test_roc_monotone_and_matches_brute_force():
+    # every threshold's (fpr, tpr) counted afresh, highest threshold first,
+    # and the trapezoids added in that order: the sweep must give the
+    # same float, not only a close one
     rng = np.random.default_rng(21)
-    for _ in range(20):
+    for i in range(40):
         scores = rng.random(30)
+        if i % 2:
+            scores = np.round(scores, 1)  # rounding forces ties
         truths = rng.random(30) < 0.4
         if truths.all() or not truths.any():
             continue
-        curve = roc_curve(zip(scores, truths))
-        xs = [p[0] for p in curve]
-        ys = [p[1] for p in curve]
-        assert xs == sorted(xs) and ys == sorted(ys)
         n_pos, n_neg = truths.sum(), (~truths).sum()
-        for thr in np.unique(scores):
-            fpr = ((scores >= thr) & ~truths).sum() / n_neg
-            tpr = ((scores >= thr) & truths).sum() / n_pos
-            assert (fpr, tpr) in curve
+        points = [(0.0, 0.0)]
+        for thr in np.unique(scores)[::-1]:
+            points.append((((scores >= thr) & ~truths).sum() / n_neg,
+                           ((scores >= thr) & truths).sum() / n_pos))
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        assert xs == sorted(xs) and ys == sorted(ys) and points[-1] == (1.0, 1.0)
+        area = 0.0
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            area += (x1 - x0) * (y0 + y1) / 2.0
+        assert roc_auc(zip(scores, truths)) == area
 
 
 def test_auc_equals_mann_whitney():
