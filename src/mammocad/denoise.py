@@ -273,24 +273,28 @@ def block_match(matcher, ref: tuple[int, int], sigma: float, stage: str) -> Bloc
 
 @functools.lru_cache(maxsize=None)
 def _hadamard(g: int) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard matrix of order g, a power of two, built once per size.
+    """Unnormalised Walsh-Hadamard matrix of order g, a power of two, built once per size.
 
-    Sylvester's doubling [[H, H], [H, -H]] from [[1]], in integers, then
-    scaled by 1 / sqrt(g).
+    Sylvester's doubling [[H, H], [H, -H]] from [[1]]: every entry is
+    +1 or -1, held as float64 so the product with a stack runs in BLAS.
     """
-    hmat = np.ones((1, 1), dtype=int)
+    hmat = np.ones((1, 1))
     while len(hmat) < g:
         hmat = np.block([[hmat, hmat], [hmat, -hmat]])
-    hmat = hmat / np.sqrt(g)
     hmat.setflags(write=False)
     return hmat
 
 
 def _walsh(stacks: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform across the blocks of (B, G, k, k) groups;
-    a one-block group is multiplied by [[1.0]], which keeps its bytes."""
+    """Orthonormal Walsh-Hadamard transform across the blocks of (B, G,
+    k, k) groups: the product with the ±1 matrix, then one division by
+    sqrt(G). Every product in the matrix multiply is exact, so a BLAS
+    kernel with fused multiply-add rounds it as one without does; a
+    one-block group keeps its bytes."""
     b, g, k, _ = stacks.shape
-    return (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k)
+    out = (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k)
+    out /= np.sqrt(g)
+    return out
 
 
 def _forward_3d(stacks: np.ndarray) -> np.ndarray:

@@ -72,16 +72,14 @@ def _forward_3d(stack):
     coeffs = dctn(stack, axes=(1, 2), norm="ortho")
     g = stack.shape[0]
     if g > 1:
-        hmat = hadamard(g) / np.sqrt(g)
-        coeffs = np.tensordot(hmat, coeffs, axes=(1, 0))
+        coeffs = np.tensordot(hadamard(g), coeffs, axes=(1, 0)) / np.sqrt(g)
     return coeffs
 
 
 def _inverse_3d(coeffs):
     g = coeffs.shape[0]
     if g > 1:
-        hmat = hadamard(g) / np.sqrt(g)
-        coeffs = np.tensordot(hmat, coeffs, axes=(1, 0))
+        coeffs = np.tensordot(hadamard(g), coeffs, axes=(1, 0)) / np.sqrt(g)
     return idctn(coeffs, axes=(1, 2), norm="ortho")
 
 
@@ -357,4 +355,5 @@ def test_row_walk_keeps_the_old_distances_and_groups_across_carried_rows(case):
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
 def test_walsh_matrix_keeps_the_bytes_of_scipy_hadamard(g):
-    assert_same_bytes(denoise._hadamard(g), hadamard(g) / np.sqrt(g))
+    # the integer matrix, held as float64; _walsh divides by sqrt(g) once
+    assert_same_bytes(denoise._hadamard(g), hadamard(g).astype(np.float64))

@@ -11,11 +11,17 @@ depend on the BLAS thread count and the SIMD dispatch.
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import mammocad
 from mammocad.cli import main
 from mammocad.core import write_pgm
 from mammocad.denoise import bm3d_denoise
@@ -54,9 +60,9 @@ DIGESTS = {
     "bm3d-40x8-50": "b8eb43b00c5565945e447390f7cf21dec5ac51f5bd08c1f15db1b122ce6d9cee",
     "bm3d-100x100-25": "c72491815e48fc0d795d8e286e230a32d12871f88c2cf3e5270e80475dd927c2",
     "bm3d-77x41-50": "83499ff53d19cf4ad3c0cb2bdebd4f9c1b8dcf8542fa9320720dd7bd20a186e5",
-    "bm3d-tiles-100x100-25": "6c26b10e1215edf42584be60984a1e2158c04de42bf28713b9059e59c0a671dd",
-    "bm3d-tiles-77x41-50": "718a54cb595e865d4f3124e0ac6edc9689179cbb4b570993eab05017caab9d8e",
-    "bm3d-tiles-96x8-25": "86249b6b5ed2d40f0f3b7358b4fab0ac53ddd7899961ec8035741b8096b1095a",
+    "bm3d-tiles-100x100-25": "381fbc5ac01e80d31b7ac8c82400cc823a718c2932ab2ce347e87e195b57fcb1",
+    "bm3d-tiles-77x41-50": "0bf0d38c79f03319dccc33d5f72991852d38a68b70cb0bcc53f56abee1dfe9da",
+    "bm3d-tiles-96x8-25": "ae7c2bd2e4615aa3997554de02b78071433cd73ec9aae9e54420165fab29dcef",
     "median-64x4096-40": "64ebf8a7ec852dccc10eef9922c97bd4db39cd75bbb759bf8c056531abd22b14",
 }
 
@@ -136,13 +142,58 @@ def test_denoised_tiled_films_keep_their_bytes(shape, sigma):
     # noise give the Wiener stage groups of up to 16 blocks (means about
     # 14, 12 and 13 here), so a distance summed wrong or a group picked
     # in another order moves these bytes, on an 8-pixel-wide film too
+    out = bm3d_denoise(tiled_film(shape, sigma), sigma)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert_digest(f"bm3d-tiles-{shape[0]}x{shape[1]}-{sigma:g}", out.tobytes())
+
+
+def tiled_film(shape, sigma):
     h, w = shape
     rng = np.random.default_rng(h * w)
     levels = rng.choice([0.0, 0.3, 0.6, 1.0], ((h + 15) // 16, (w + 15) // 16))
     clean = np.kron(levels, np.ones((16, 16)))[:h, :w]
-    out = bm3d_denoise(np.clip(clean + rng.standard_normal(shape) * sigma / 255.0, 0.0, 1.0), sigma)
-    assert out.dtype == np.float64 and out.shape == shape
-    assert_digest(f"bm3d-tiles-{h}x{w}-{sigma:g}", out.tobytes())
+    return np.clip(clean + rng.standard_normal(shape) * sigma / 255.0, 0.0, 1.0)
+
+
+# prints the OpenBLAS kernel this process loaded and the sha256 of
+# bm3d_denoise on the film saved at argv[2], at sigma argv[3]
+KERNEL_CHILD = """
+import ctypes, hashlib, sys
+import numpy as np
+from mammocad.denoise import bm3d_denoise
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+out = bm3d_denoise(np.load(sys.argv[2]), float(sys.argv[3]))
+print(corename().decode(), hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_denoised_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its matrix-multiply kernel by CPU when it loads, and
+    # OPENBLAS_CORETYPE overrides the pick; SandyBridge's kernel has no
+    # fused multiply-add, unlike the kernels of later CPUs. The Walsh
+    # transform's products are exact, so both kernels must give the same
+    # bytes, on a film whose groups take every size from 1 to 16 blocks
+    libs = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"))
+    if not libs or platform.machine() != "x86_64":
+        pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
+    np.save(tmp_path / "film.npy", tiled_film((100, 100), 25.0))
+    env = dict(os.environ, PYTHONPATH=str(Path(mammocad.__file__).parents[1]))
+    runs = {}
+    for coretype in (None, "SandyBridge"):
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_CHILD, str(libs[0]), str(tmp_path / "film.npy"), "25"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        kernel, digest = done.stdout.split()
+        runs[coretype] = kernel, digest
+    assert runs["SandyBridge"][0] == "Sandybridge", runs
+    if runs[None][0] == "Sandybridge":
+        pytest.skip("this CPU's own OpenBLAS kernel is SandyBridge's")
+    assert runs[None][1] == runs["SandyBridge"][1], runs
 
 
 def test_median_filtered_column_tiles_keep_their_bytes():
