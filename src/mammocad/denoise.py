@@ -286,15 +286,11 @@ def _hadamard(g: int) -> np.ndarray:
 
 
 def _walsh(stacks: np.ndarray) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform across the blocks of (B, G,
-    k, k) groups: the product with the ±1 matrix, then one division by
-    sqrt(G). Every product in the matrix multiply is exact, so a BLAS
-    kernel with fused multiply-add rounds it as one without does; a
-    one-block group keeps its bytes."""
+    """Orthonormal Walsh-Hadamard transform across the blocks of (B, G, k, k)
+    groups: the product with the ±1 matrix, whose every product is exact, so
+    BLAS kernels with and without FMA round it alike, then one division by √G."""
     b, g, k, _ = stacks.shape
-    out = (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k)
-    out /= np.sqrt(g)
-    return out
+    return (_hadamard(g) @ stacks.reshape(b, g, k * k)).reshape(b, g, k, k) / np.sqrt(g)
 
 
 def _forward_3d(stacks: np.ndarray) -> np.ndarray:

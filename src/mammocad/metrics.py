@@ -98,14 +98,10 @@ def compute_metrics(c: ConfusionCounts) -> MetricReport:
 
 
 def roc_auc(scored) -> float:
-    """Trapezoidal area under the ROC curve of (score, truth) pairs.
-
-    A prediction is positive when its score is >= the threshold. The
-    pairs are sorted once and swept from the highest score down, one
-    curve point per distinct score, from (0, 0) to the lowest score's
-    (1, 1); each step adds its trapezoid, so ties form one diagonal step
-    (Fawcett, Pattern Recognit. Lett. 2006).
-    """
+    """Trapezoidal area under the ROC curve of (score, truth) pairs, where
+    a score >= the threshold is positive. The sorted pairs are swept once,
+    highest score first, adding one trapezoid per distinct score from
+    (0, 0) to (1, 1), so tied scores form one step (Fawcett, 2006)."""
     pairs = sorted(((float(s), bool(t)) for s, t in scored), reverse=True)
     if not pairs or not all(math.isfinite(s) for s, _ in pairs):
         raise ValueError("a ROC curve needs at least one prediction, each with a finite score")
