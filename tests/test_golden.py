@@ -178,15 +178,14 @@ def test_denoised_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     if not libs or platform.machine() != "x86_64":
         pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
     np.save(tmp_path / "film.npy", tiled_film((100, 100), 25.0))
-    env = dict(os.environ, PYTHONPATH=str(Path(mammocad.__file__).parents[1]))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(mammocad.__file__).parents[1])
     runs = {}
     for coretype in (None, "SandyBridge"):
-        env.pop("OPENBLAS_CORETYPE", None)
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
         done = subprocess.run(
             [sys.executable, "-c", KERNEL_CHILD, str(libs[0]), str(tmp_path / "film.npy"), "25"],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, timeout=300,
+            env=env if coretype is None else dict(env, OPENBLAS_CORETYPE=coretype))
         assert done.returncode == 0, done.stderr
         kernel, digest = done.stdout.split()
         runs[coretype] = kernel, digest
