@@ -1,4 +1,4 @@
-"""Training loop: stratified split, mini-batch SGD with momentum.
+"""Training loop: stratified split, mini-batch SGD with a fixed momentum of 0.9.
 
 Dataset items are (image, label) pairs with label 1 for abnormal.
 Runs are strictly sequential and reproducible for a fixed seed.
@@ -7,12 +7,11 @@ Runs are strictly sequential and reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Film, as_gray, resize_bilinear
+from ..core import Film, as_gray, check_settings, resize_bilinear
 from ..metrics import compute_metrics, confusion
 from .augment import build_augmented_set
 from .layers import cross_entropy, sgd_step, softmax_predict
@@ -24,23 +23,15 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs: int = 20
     batch_size: int = 32
-    momentum: float = 0.9
     seed: int = 0
     augment: bool = False
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"train.learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"train.epochs must be at least 1, got {self.epochs}")
+        check_settings("train", self, positive=("learning_rate",), at_least_1=("epochs",),
+                       non_negative=("seed",))
         if self.batch_size < 2:
             raise ValueError(f"train.batch_size must be at least 2 (batch statistics), "
                              f"got {self.batch_size}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
-        if self.seed < 0:
-            raise ValueError(f"train.seed must be non-negative, got {self.seed}")
         if self.seed >= 2 ** 64:    # the checkpoint stores it as a u64
             raise ValueError(f"train.seed must be below 2**64, got {self.seed}")
 
@@ -129,7 +120,7 @@ def train(dataset, network_config: NetworkConfig = NetworkConfig(),
             loss, grad = cross_entropy(probs, y)
             network.backward(grad)
             velocity = sgd_step(network.named_params(), network.named_grads(),
-                                train_config.learning_rate, train_config.momentum, velocity)
+                                train_config.learning_rate, velocity=velocity)
             losses.append(loss)
         scored = score_dataset(network, test_items)
         pairs = [(abnormal, truth) for _, abnormal, truth in scored]

@@ -11,9 +11,9 @@ or 64 with `network.desk`), so the config holds no size.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
+from .core import check_settings
 from .enhance import EnhanceConfig
 from .levelset import LevelSetConfig
 from .sfcm import SfcmConfig
@@ -26,8 +26,7 @@ class PipelineSection:
     sigma: float = 25.0             # assumed noise std, 8-bit scale
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"pipeline.sigma must be positive and finite, got {self.sigma}")
+        check_settings("pipeline", self, positive=("sigma",))
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def _coerce(dotted: str, current, text: str):
         raise ValueError(f"{dotted} must be true or false ({', '.join(_TRUE)}; "
                          f"{', '.join(_FALSE)}), got {text!r}")
     # every other field is an int or a float; each section refuses a
-    # non-finite float itself
+    # non-finite float through `check_settings`
     try:
         return type(current)(text)
     except ValueError:

@@ -1,4 +1,4 @@
-"""Image containers, PGM/PPM file I/O and pixel-level utilities.
+"""Image containers, PGM/PPM file I/O, pixel-level utilities, settings checks.
 
 Grayscale images are 2-D float64 arrays with intensities in [0, 1];
 the 8-bit scale appears only at file boundaries. A decoded PGM is a
@@ -10,6 +10,8 @@ as the image they describe.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,22 @@ def as_gray(image) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite intensities")
     return arr
+
+
+def check_settings(section: str, settings, positive=(), at_least_1=(), non_negative=()):
+    """Refuse a settings dataclass's non-finite real field, then each named
+    field outside its bound, as `section.key must be ..., got ...`."""
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{field.name} must be finite, got {value}")
+    for names, bound, holds in ((positive, "positive", lambda value: value > 0),
+                                (at_least_1, "at least 1", lambda value: value >= 1),
+                                (non_negative, "non-negative", lambda value: value >= 0)):
+        for name in names:
+            value = getattr(settings, name)
+            if not holds(value):
+                raise ValueError(f"{section}.{name} must be {bound}, got {value}")
 
 
 def to_u8(image: np.ndarray) -> np.ndarray:

@@ -45,11 +45,10 @@ class MiasRecord:
 
 @dataclass(frozen=True)
 class LabeledImage:
-    """One decoded film with its label and records; the film keeps its
-    8-bit raster (one byte per pixel) and reads as a [0, 1] image."""
+    """One decoded film with its label; the film keeps its 8-bit raster
+    (one byte per pixel) and reads as a [0, 1] image."""
     image: Film
     label: int                      # 1 = abnormal
-    records: tuple[MiasRecord, ...]
 
 
 def parse_info(text: str) -> list[MiasRecord]:
@@ -143,7 +142,7 @@ def load_item(image_dir, records) -> LabeledImage:
         image = read_pgm_file(path)
     except OSError as exc:
         raise OSError(f"missing image file for record {ident!r}: {exc}") from exc
-    return LabeledImage(image=image, label=image_label(records), records=tuple(records))
+    return LabeledImage(image=image, label=image_label(records))
 
 
 def load_dataset(image_dir, info_path) -> list[LabeledImage]:

@@ -8,14 +8,13 @@ enhancement chain runs in that order and keeps images in [0, 1].
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import as_gray, largest_component, to_u8
+from .core import as_gray, check_settings, largest_component, to_u8
 
 
 class DegenerateInputError(ValueError):
@@ -43,17 +42,12 @@ class EnhanceConfig:
     pectoral_area_cap: float = 0.5    # fraction of breast pixels
 
     def __post_init__(self):
+        # a pectoral setting at or past its bound removes no muscle from any film
+        check_settings("enhance", self, positive=("pectoral_area_cap", "pectoral_tolerance"))
         if not 0 <= self.r1 < self.r2 <= 255:
             raise ValueError(f"enhance.r1 and enhance.r2 need 0 <= r1 < r2 <= 255, "
                              f"got {self.r1}, {self.r2}")
         _check_window(self.median_window, "enhance.median_window")
-        # either one at or past its bound removes no pectoral muscle from any film
-        for name in ("pectoral_area_cap", "pectoral_tolerance"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"enhance.{name} must be positive, got {value}")
-            if value == math.inf:
-                raise ValueError(f"enhance.{name} must be finite, got {value}")
 
 
 def _dense_ranks(img):

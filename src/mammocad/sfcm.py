@@ -10,12 +10,12 @@ misclassified pixels. Exponents p=1, q=0 recover plain fuzzy c-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .core import as_gray
+from .core import as_gray, check_settings
 
 
 class DegenerateClusterError(RuntimeError):
@@ -33,20 +33,10 @@ class SfcmConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValueError(f"sfcm.{field.name} must be finite, got {value}")
-            if field.name in ("window_radius", "p", "q") and value < 0:
-                raise ValueError(f"sfcm.{field.name} must be non-negative, got {value}")
-        if self.clusters < 1:
-            raise ValueError(f"sfcm.clusters must be at least 1, got {self.clusters}")
+        check_settings("sfcm", self, positive=("tol",), at_least_1=("clusters", "max_iter"),
+                       non_negative=("window_radius", "p", "q"))
         if self.fuzziness <= 1.0:
             raise ValueError(f"sfcm.fuzziness must exceed 1, got {self.fuzziness}")
-        if self.tol <= 0:
-            raise ValueError(f"sfcm.tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"sfcm.max_iter must be at least 1, got {self.max_iter}")
 
 
 def _check_memberships(mu: np.ndarray):

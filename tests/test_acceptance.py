@@ -288,7 +288,7 @@ def test_criterion_9_mias_end_to_end(tmp_path):
     if not mias_dir or not Path(mias_dir).is_dir() or not info.exists():
         pytest.skip("MIAS archive not on disk (set MIAS_DIR to <dir> with "
                     "<id>.pgm files and info.txt)")
-    from mammocad.dataset import load_dataset
+    from mammocad.dataset import group_records, load_dataset, parse_info
     from mammocad.cnn.train import score_dataset
     from mammocad.cnn.network import load_checkpoint
 
@@ -312,9 +312,9 @@ def test_criterion_9_mias_end_to_end(tmp_path):
     auc_value = roc_auc((p, t) for p, _, t in scored)
     assert achieved.accuracy > 0.63  # majority-class baseline
 
-    abnormal = next(item for item in items
-                    if item.label and item.records[0].center is not None)
-    image_path = Path(mias_dir) / f"{abnormal.records[0].id}.pgm"
+    abnormal = next(records for records in group_records(parse_info(info.read_text()))
+                    if records[0].center is not None)
+    image_path = Path(mias_dir) / f"{abnormal[0].id}.pgm"
     out = tmp_path / "seg"
     assert main(["segment", str(image_path), "-o", str(out), "--info", str(info)]) == 0
     # informational comparison with the published figures (not asserted):

@@ -66,3 +66,45 @@ def test_counts_only_prints_what_a_record_holds_and_runs_nothing(capsys):
     assert printed["counts"]["config_keys"] == len(format_config(PipelineConfig()).splitlines())
     assert printed["counts"]["src_lines"] == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src" / "mammocad").rglob("*.py"))
+
+
+def test_against_runs_abba_pairs_and_records_both_sides(monkeypatch, tmp_path):
+    record_bench = _record_bench()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # per side, each run's (items_per_s, setup_s); None is a run that failed
+    values = {parent: [(10.0, 1.0), None, (10.0, 1.0), (10.0, 1.0), (10.0, 1.0)],
+              change: [(11.0, 0.5), (11.0, 0.5), (9.0, 2.0), (12.0, 0.9), (12.0, 1.0)]}
+    calls = []
+
+    def stub(command, root):
+        assert command[command.index("--trace") + 1] == "0"
+        calls.append((command[command.index("--workload") + 1], root))
+        given = values[root][sum(1 for _, side in calls if side == root) - 1]
+        if given is None:
+            return {"exit_code": 1, "correct": False, "failed": None, "metrics": {},
+                    "error": "boom"}
+        return {"exit_code": 0, "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"items_per_s": {"value": given[0], "unit": "1/s"},
+                            "setup_s": {"value": given[1], "unit": "s"}}}
+
+    monkeypatch.setattr(record_bench, "record_run", stub)
+    benchmark = {"workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "items_per_s", "better": "higher"},
+                                {"name": "setup_s", "better": "lower"}]}
+    compared = record_bench.compare(change, parent, benchmark)
+
+    assert record_bench.PAIRS == 5
+    assert [side for _, side in calls] == [parent, change, change, parent, parent, change,
+                                           change, parent, parent, change]
+    runs = compared["w"]["runs"]
+    assert len(runs["parent"]) == len(runs["change"]) == 5
+    assert runs["parent"][1]["error"] == "boom" and runs["parent"][1]["metrics"] == {}
+    assert [run["metrics"]["items_per_s"]["value"] for run in runs["change"]] == [
+        11.0, 11.0, 9.0, 12.0, 12.0]
+    # the pair with the failed run is left out of the summary
+    summary = compared["w"]["summary"]
+    assert summary["items_per_s"]["pairs"] == 4 and summary["items_per_s"]["won"] == 3
+    assert summary["items_per_s"]["median_ratio"] == pytest.approx((1.1 + 1.2) / 2)
+    # a tie is no win
+    assert summary["setup_s"]["pairs"] == 4 and summary["setup_s"]["won"] == 2
+    assert summary["setup_s"]["median_ratio"] == pytest.approx((0.9 + 1.0) / 2)

@@ -66,12 +66,11 @@ def test_the_config_keys_and_options_are_pinned():
         "pipeline.sigma", "enhance.median_window", "enhance.r1", "enhance.r2",
         "enhance.pectoral_tolerance", "enhance.pectoral_area_cap", "sfcm.clusters",
         "sfcm.fuzziness", "sfcm.p", "sfcm.q", "sfcm.window_radius", "sfcm.tol", "sfcm.max_iter",
-        "levelset.epsilon", "levelset.b0", "levelset.tau", "levelset.mu", "levelset.lmda",
-        "levelset.nu", "levelset.iterations", "levelset.smoothing_sigma",
-        "levelset.early_stop_frac", "levelset.early_stop_patience", "network.desk",
-        "train.learning_rate", "train.epochs", "train.batch_size", "train.momentum",
-        "train.seed", "train.augment"]
-    assert len(keys) == 30
+        "levelset.epsilon", "levelset.b0", "levelset.tau", "levelset.lmda", "levelset.nu",
+        "levelset.iterations", "levelset.smoothing_sigma", "levelset.early_stop_frac",
+        "levelset.early_stop_patience", "network.desk", "train.learning_rate",
+        "train.epochs", "train.batch_size", "train.seed", "train.augment"]
+    assert len(keys) == 28
     # each subcommand's optional actions, --help aside, as the CI summary counts them
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     counts = {name: sum(1 for a in parser._actions
@@ -670,27 +669,15 @@ def test_a_seed_the_checkpoint_cannot_store_is_rejected_before_any_stage(tmp_pat
     assert not model.parent.exists()
 
 
-@pytest.mark.parametrize("momentum", ["5", "-3"])
-def test_a_momentum_outside_the_unit_interval_exits_2_before_any_stage(tmp_path, capsys,
-                                                                       momentum):
-    data, info = tiny_training_dir(tmp_path)
-    (data / "mdb001.pgm").unlink()  # reading the films would fail differently
-    model = tmp_path / "out" / "model.bin"
-    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
-                 "--set", "network.desk=true", "--set", f"train.momentum={momentum}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "train.momentum" in captured.err
-    assert not model.parent.exists()
-
-
 # the denoiser's matching geometry is fixed and sigma sets the rest, so
-# its nine keys are gone too
+# its nine keys are gone too; mu follows tau and the SGD momentum is fixed,
+# so an echo that still holds either exits 2 on it
 @pytest.mark.parametrize("key", ["pipeline.seed", "sfcm.seed", "network.input_size",
                                  "levelset.grad_floor", "denoise.k_hard", "denoise.k_wie",
                                  "denoise.n_hard", "denoise.n_wie", "denoise.step",
                                  "denoise.search_radius", "denoise.lambda_3d",
-                                 "denoise.tau_hard", "denoise.tau_wie"])
+                                 "denoise.tau_hard", "denoise.tau_wie", "levelset.mu",
+                                 "train.momentum"])
 @pytest.mark.parametrize("source", ["set", "config"])
 def test_the_removed_seed_keys_exit_2(phantom_pgm, tmp_path, capsys, key, source):
     out = tmp_path / "out"

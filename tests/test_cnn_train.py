@@ -37,13 +37,6 @@ def test_defaults_match_training_setup():
     assert cfg.learning_rate == 0.001
     assert cfg.epochs == 20
     assert cfg.batch_size == 32
-    assert cfg.momentum == 0.9
-
-
-@pytest.mark.parametrize("momentum", [-3.0, -1e-9, 1.0, 5.0, float("nan")])
-def test_momentum_outside_the_unit_interval_is_refused(momentum):
-    with pytest.raises(ValueError, match="train.momentum"):
-        TrainConfig(momentum=momentum)
 
 
 def test_stratified_split_ratio():

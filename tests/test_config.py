@@ -99,14 +99,6 @@ def test_a_negative_seed_is_refused(key):
         parse_config(f"{key} = -1\n")
 
 
-@pytest.mark.parametrize("momentum", ["-3", "-0.01", "1", "5"])
-def test_a_momentum_outside_the_unit_interval_is_refused(momentum):
-    with pytest.raises(ValueError, match=rf"^train.momentum must be in \[0, 1\), got "):
-        parse_config(f"train.momentum = {momentum}\n")
-    assert parse_config("train.momentum = 0\n").train.momentum == 0.0
-    assert parse_config("train.momentum = 0.99\n").train.momentum == 0.99
-
-
 def test_a_seed_the_checkpoint_cannot_store_is_refused():
     # the checkpoint keeps the seed as a u64
     assert parse_config(f"train.seed = {2 ** 64 - 1}\n").train.seed == 2 ** 64 - 1

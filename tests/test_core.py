@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from mammocad.core import (
     ImageFormatError,
     TruncatedDataError,
+    check_settings,
     largest_component,
     mask_contour,
     read_pgm,
@@ -228,3 +231,26 @@ def test_mask_contour_ring():
     contour = mask_contour(mask)
     assert contour[1, 1] and contour[1, 3]
     assert not contour[2, 2]
+
+
+@dataclass(frozen=True)
+class _Settings:
+    rate: float = 1.0
+    count: int = 1
+    offset: int = 0
+    spare: float = 0.0
+
+
+@pytest.mark.parametrize("settings, message", [
+    # the non-finite check comes first, on every real field, bounded or not
+    (_Settings(rate=float("nan"), count=0), "^demo.rate must be finite, got nan$"),
+    (_Settings(spare=float("-inf")), "^demo.spare must be finite, got -inf$"),
+    (_Settings(rate=0.0), "^demo.rate must be positive, got 0.0$"),
+    (_Settings(count=0), "^demo.count must be at least 1, got 0$"),
+    (_Settings(offset=-1), "^demo.offset must be non-negative, got -1$"),
+])
+def test_check_settings_words_each_refusal_with_its_key(settings, message):
+    bounds = dict(positive=("rate",), at_least_1=("count",), non_negative=("offset",))
+    check_settings("demo", _Settings(rate=1e-300, offset=0), **bounds)
+    with pytest.raises(ValueError, match=message):
+        check_settings("demo", settings, **bounds)

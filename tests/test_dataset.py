@@ -7,6 +7,7 @@ from mammocad.dataset import (
     MiasRecord,
     combined_ground_truth,
     ground_truth_mask,
+    group_records,
     load_dataset,
     load_item,
     parse_info,
@@ -144,11 +145,12 @@ def test_load_dataset_one_item_per_image(tmp_path):
     info = write_dataset(tmp_path, INFO_SAMPLE)
     with pytest.warns(UserWarning):  # not the full archive
         items = load_dataset(tmp_path, info)
+        groups = group_records(parse_info(info.read_text()))
     assert len(items) == 5          # mdb005 appears once despite two records
-    by_id = {item.records[0].id: item for item in items}
-    assert by_id["mdb001"].label == 1
-    assert by_id["mdb003"].label == 0
-    assert len(by_id["mdb005"].records) == 2
+    by_id = {records[0].id: (item, records) for item, records in zip(items, groups)}
+    assert by_id["mdb001"][0].label == 1
+    assert by_id["mdb003"][0].label == 0
+    assert len(by_id["mdb005"][1]) == 2
 
 
 @pytest.mark.filterwarnings("ignore:dataset has")
@@ -164,9 +166,11 @@ def test_combined_ground_truth_unions_lesions(tmp_path):
     (tmp_path / "mdb005.pgm").write_bytes(write_pgm(np.zeros((1024, 1024))))
     with pytest.warns(UserWarning):
         items = load_dataset(tmp_path, info)
-    multi = next(item for item in items if item.records[0].id == "mdb005")
-    union = combined_ground_truth(multi.records, multi.image.shape)
-    parts = [ground_truth_mask(r, multi.image.shape) for r in multi.records]
+        groups = group_records(parse_info(info.read_text()))
+    multi, records = next((item, records) for item, records in zip(items, groups)
+                          if records[0].id == "mdb005")
+    union = combined_ground_truth(records, multi.image.shape)
+    parts = [ground_truth_mask(r, multi.image.shape) for r in records]
     np.testing.assert_array_equal(union, parts[0] | parts[1])
     assert parts[0].any() and parts[1].any()
 

@@ -222,10 +222,10 @@ def test_remove_pectoral_respects_area_cap():
 @pytest.mark.parametrize("field, value, message", [
     ("pectoral_area_cap", 0.0, "enhance.pectoral_area_cap must be positive, got 0.0"),
     ("pectoral_area_cap", -1.0, "enhance.pectoral_area_cap must be positive"),
-    ("pectoral_area_cap", float("nan"), "enhance.pectoral_area_cap must be positive"),
+    ("pectoral_area_cap", float("nan"), "enhance.pectoral_area_cap must be finite"),
     ("pectoral_tolerance", 0.0, "enhance.pectoral_tolerance must be positive, got 0.0"),
     ("pectoral_tolerance", -5.0, "enhance.pectoral_tolerance must be positive, got -5.0"),
-    ("pectoral_tolerance", float("nan"), "enhance.pectoral_tolerance must be positive"),
+    ("pectoral_tolerance", float("nan"), "enhance.pectoral_tolerance must be finite"),
 ])
 def test_pectoral_settings_that_remove_nothing_are_refused(field, value, message):
     with pytest.raises(ValueError, match=message):

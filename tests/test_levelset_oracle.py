@@ -89,12 +89,10 @@ def cases(draw):
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
     kind = draw(st.sampled_from(["empty", "full", "noise", "one", "several", "border"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    tau = draw(st.floats(0.05, 10.0))
     config = LevelSetConfig(
         epsilon=draw(st.floats(0.1, 4.0)),
         b0=draw(st.floats(0.05, 0.95)),
-        tau=tau,
-        mu=draw(st.floats(0.0, 0.999)) * 0.25 / tau,
+        tau=draw(st.floats(0.05, 10.0)),
         lmda=draw(st.floats(0.0, 10.0)),
         nu=draw(st.floats(-3.0, 3.0)),
         iterations=draw(st.integers(1, 40)),

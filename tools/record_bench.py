@@ -1,6 +1,6 @@
 """Record one BENCH_<n>.json: every workload of BENCHMARK.json, run through perfbench.
 
-    python3 tools/record_bench.py --number N [--root DIR]
+    python3 tools/record_bench.py --number N [--root DIR] [--against DIR]
     python3 tools/record_bench.py --counts-only [--root DIR]
 
 For each workload, runs `perfbench/run.py --seed 1801 --seconds 10` of the
@@ -14,6 +14,15 @@ commit, its `src/` and `tests/` line counts, config keys and CLI options,
 and the machine the runs took place on. It is written to BENCH_<n>.json at
 the root of this repository.
 
+--against DIR names a clean checkout of the parent commit. After the runs
+above, each workload gets PAIRS more untraced pairs, one run of the parent
+and one of the change in ABBA order (parent, change, change, parent, ...),
+so that drift over the session falls on both sides alike. The record then
+holds the parent's commit, both sides' runs and, per workload and
+end-to-end metric, the median of the per-pair change/parent ratios and the
+number of pairs the change won by BENCHMARK.json's `better`. It judges
+nothing.
+
 --counts-only prints the counts and the machine as JSON and runs nothing;
 CI's job summary shows them this way, so both read one definition.
 """
@@ -24,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +47,7 @@ UNTRACED_RUNS = 3
 TRACED_RUNS = 1
 SEED = 1801
 SECONDS = 10.0
+PAIRS = 5
 
 # run on the measured checkout's src/, which --root may set apart from this one
 CONFIG_KEYS = ("from mammocad.config import PipelineConfig, format_config; "
@@ -104,23 +115,62 @@ def record_run(command: list, root: Path) -> dict:
             "failed": result["failed"], "metrics": result["metrics"]}
 
 
-def record(root: Path) -> dict:
+def _command(name: str, trace: int) -> list:
+    return [sys.executable, "perfbench/run.py", "--workload", name,
+            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+
+
+def _commit(root: Path) -> str:
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def compare(root: Path, against: Path, benchmark: dict) -> dict:
+    """Each workload's PAIRS untraced pairs of the parent at `against` and
+    the change at `root`, in ABBA order, with each end-to-end metric's
+    median change/parent ratio and the pairs the change won."""
+    workloads = {}
+    for workload in benchmark["workloads"]:
+        name = workload["name"]
+        runs = {"parent": [], "change": []}
+        for pair in range(PAIRS):
+            for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+                runs[side].append(record_run(_command(name, 0),
+                                             against if side == "parent" else root))
+                print(f"{name} pair {pair} {side}: exit {runs[side][-1]['exit_code']}, "
+                      f"correct {runs[side][-1]['correct']}", file=sys.stderr)
+        summary = {}
+        for metric in benchmark["end_to_end"]:
+            key, ratios, won = metric["name"], [], 0
+            # a pair counts only when both of its runs give the metric
+            for parent, change in zip(runs["parent"], runs["change"]):
+                if key in parent["metrics"] and key in change["metrics"]:
+                    before, after = parent["metrics"][key]["value"], change["metrics"][key]["value"]
+                    ratios.append(after / before)
+                    won += after > before if metric["better"] == "higher" else after < before
+            summary[key] = {"pairs": len(ratios), "won": won,
+                            "median_ratio": statistics.median(ratios) if ratios else None}
+        workloads[name] = {"runs": runs, "summary": summary}
+    return workloads
+
+
+def record(root: Path, against: Path | None = None) -> dict:
     benchmark = json.loads((root / "BENCHMARK.json").read_text())
     workloads = {}
     for workload in benchmark["workloads"]:
         name = workload["name"]
         runs = []
         for trace in [0] * UNTRACED_RUNS + [1] * TRACED_RUNS:
-            command = [sys.executable, "perfbench/run.py", "--workload", name,
-                       "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
-            runs.append(dict(trace=trace, **record_run(command, root)))
+            runs.append(dict(trace=trace, **record_run(_command(name, trace), root)))
             print(f"{name} trace {trace}: exit {runs[-1]['exit_code']}, "
                   f"correct {runs[-1]['correct']}", file=sys.stderr)
         workloads[name] = runs
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
-                            capture_output=True, text=True).stdout.strip()
-    return {"commit": commit, "seed": SEED, "seconds": SECONDS,
-            "counts": code_counts(root), "machine": machine(root), "workloads": workloads}
+    recorded = {"commit": _commit(root), "seed": SEED, "seconds": SECONDS,
+                "counts": code_counts(root), "machine": machine(root), "workloads": workloads}
+    if against is not None:
+        recorded["against"] = {"commit": _commit(against), "pairs": PAIRS,
+                               "workloads": compare(root, against, benchmark)}
+    return recorded
 
 
 def main(argv=None) -> int:
@@ -131,6 +181,8 @@ def main(argv=None) -> int:
     what.add_argument("--counts-only", action="store_true",
                       help="print the counts and the machine as JSON; run nothing")
     parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
+    parser.add_argument("--against", type=Path,
+                        help="clean checkout of the parent commit, run in ABBA pairs with --root")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if args.counts_only:
@@ -138,7 +190,8 @@ def main(argv=None) -> int:
                          indent=1, sort_keys=True))
         return 0
     path = REPO / f"BENCH_{args.number}.json"
-    path.write_text(json.dumps(dict(number=args.number, **record(root)), indent=1,
+    against = args.against.resolve() if args.against else None
+    path.write_text(json.dumps(dict(number=args.number, **record(root, against)), indent=1,
                                sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     return 0
