@@ -669,6 +669,22 @@ def test_a_seed_the_checkpoint_cannot_store_is_rejected_before_any_stage(tmp_pat
     assert not model.parent.exists()
 
 
+# the momentum is fixed at 0.9, so train.momentum is an unknown key now;
+# any value, in range or not, still exits 2 before a stage runs
+@pytest.mark.parametrize("momentum", ["5", "-3"])
+def test_a_momentum_outside_the_unit_interval_exits_2_before_any_stage(tmp_path, capsys,
+                                                                       momentum):
+    data, info = tiny_training_dir(tmp_path)
+    (data / "mdb001.pgm").unlink()  # reading the films would fail differently
+    model = tmp_path / "out" / "model.bin"
+    assert main(["train", "--data", str(data), "--info", str(info), "-o", str(model),
+                 "--set", "network.desk=true", "--set", f"train.momentum={momentum}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "train.momentum" in captured.err
+    assert not model.parent.exists()
+
+
 # the denoiser's matching geometry is fixed and sigma sets the rest, so
 # its nine keys are gone too; mu follows tau and the SGD momentum is fixed,
 # so an echo that still holds either exits 2 on it
